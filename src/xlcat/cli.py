@@ -15,12 +15,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._util import dump_json, load_json
-from .corpus import load_labeled_dataset
+from ._util import dump_json, dump_jsonl, load_json
+from .corpus import _read_jsonl, load_labeled_dataset
 from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
 from .interpreter import SemanticInterpreter
 from .learner import LinearModel, predict, report_from_pairs, train
+from .ontology import merge_hierarchies
 from .pipeline import (
     ExperimentConfig,
     ablation,
@@ -122,8 +123,6 @@ def _cmd_gen_features(args) -> int:
     cfg.validate()
     out = _out_dir(args)
     interpreters, res = _load_interpreters(args, cfg)
-    from .ontology import merge_hierarchies
-
     prep_h = merge_hierarchies(res.edges_by_language, res.basic, res.meta)
     docs = []
     for path in args.dataset:
@@ -178,8 +177,6 @@ def _cmd_classify(args) -> int:
     model = LinearModel.load(args.model)
     space = FeatureSpace.load(args.space)
     interpreters, res = _load_interpreters(args, cfg)
-    from .ontology import merge_hierarchies
-
     h = merge_hierarchies(res.edges_by_language, res.basic, res.meta)
     docs = load_labeled_dataset(args.dataset)
     hp = cfg.hyperparams
@@ -193,17 +190,13 @@ def _cmd_classify(args) -> int:
             rec["label"] = doc.label
         records.append(rec)
     path = out / "predictions.jsonl"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+    dump_jsonl(records, path)
     print(f"wrote {path} ({len(records)} predictions)")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    from .corpus import _read_jsonl
-
     predictions = {}
     for lineno, obj in _read_jsonl(args.predictions):
         if "doc_id" not in obj or "predicted" not in obj:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from ._util import dump_jsonl
 from .errors import DataError
 
 # Ordered list of normalized tokens.
@@ -185,8 +186,6 @@ def load_support_corpus(path: str | Path) -> list[SupportArticle]:
 
 
 def save_support_corpus(articles: Iterable[SupportArticle], path: str | Path) -> None:
-    from ._util import dump_jsonl
-
     dump_jsonl((a.to_dict() for a in articles), path)
 
 
@@ -214,8 +213,6 @@ def load_labeled_dataset(path: str | Path) -> list[LabeledDocument]:
 
 
 def save_labeled_dataset(docs: Iterable[LabeledDocument], path: str | Path) -> None:
-    from ._util import dump_jsonl
-
     dump_jsonl((d.to_dict() for d in docs), path)
 
 
@@ -234,13 +231,18 @@ def filter_articles(
     ]
 
 
-def _is_word_char(ch: str) -> bool:
-    # Letters, marks and numbers form tokens; everything else separates them.
-    return unicodedata.category(ch)[0] in "LMN"
+class _SeparatorTable(dict):
+    """`str.translate` table: letters, marks and numbers map to themselves and
+    every other code point to a space. Filled lazily, one entry per distinct
+    code point ever seen, so importing the module scans nothing."""
+
+    def __missing__(self, cp: int) -> int:
+        out = cp if unicodedata.category(chr(cp))[0] in "LMN" else 0x20
+        self[cp] = out
+        return out
 
 
-def _is_numeric(ch: str) -> bool:
-    return unicodedata.category(ch)[0] == "N"
+_SEPARATORS = _SeparatorTable()
 
 
 def tokenize(text: str, language: str = "", stopwords: Optional[frozenset] = None) -> TokenStream:
@@ -248,20 +250,22 @@ def tokenize(text: str, language: str = "", stopwords: Optional[frozenset] = Non
     tokens are maximal runs of letter/mark/number characters. Pure-number
     tokens are dropped; no stemming or diacritic folding. `language` is kept
     for callers that attach per-language stopword lists.
+
+    Separators are replaced by spaces through the lazily grown `_SEPARATORS`
+    table and the result is split on whitespace. That equals the run rule
+    because no L/M/N character is `isspace()`. `isnumeric()` screens the
+    pure-number test cheaply because every category-N character is
+    `isnumeric()`; the category check then rejects numeric letters such as
+    CJK ideographs. Both facts hold for the whole Unicode database and the
+    tests check them code point by code point.
     """
     norm = unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).casefold())
-    tokens: TokenStream = []
-    start = None
-    for i, ch in enumerate(norm):
-        if _is_word_char(ch):
-            if start is None:
-                start = i
-        elif start is not None:
-            tokens.append(norm[start:i])
-            start = None
-    if start is not None:
-        tokens.append(norm[start:])
-    tokens = [t for t in tokens if not all(_is_numeric(c) for c in t)]
+    category = unicodedata.category
+    tokens = [
+        t
+        for t in norm.translate(_SEPARATORS).split()
+        if not (t.isnumeric() and all(category(c)[0] == "N" for c in t))
+    ]
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens

@@ -12,8 +12,8 @@ from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import ordered_map
-from .corpus import LabeledDocument
+from ._util import dump_jsonl, ordered_map
+from .corpus import LabeledDocument, _read_jsonl
 from .errors import DataError
 from .interpreter import ConceptFeatureSet, SemanticInterpreter, generate_basic_features
 from .ontology import Hierarchy, ancestors
@@ -230,8 +230,6 @@ def save_vectors(
     path: str | Path,
 ) -> None:
     """Vectors as JSON lines of {"doc_id", "active", "label"?}."""
-    from ._util import dump_jsonl
-
     records = []
     for doc, vec in zip(docs, vectors):
         rec = {"doc_id": doc.doc_id, "active": sorted(vec)}
@@ -243,8 +241,6 @@ def save_vectors(
 
 def load_vectors(path: str | Path) -> Tuple[List[BinaryFeatureVector], List[Optional[str]], List[str]]:
     """Returns (vectors, labels, doc_ids); labels hold None where absent."""
-    from .corpus import _read_jsonl
-
     vectors, labels, ids = [], [], []
     for lineno, obj in _read_jsonl(path):
         try:

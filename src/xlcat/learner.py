@@ -117,8 +117,9 @@ def train(
     feature_space_ref: Optional[dict] = None,
 ) -> LinearModel:
     """Train one binary SVM per category (one-vs-rest) with Pegasos updates:
-    step size 1/(lambda * t), hinge loss, L2 regularization. The bias term is
-    unregularized. Deterministic given inputs and seed."""
+    step size 1/(lambda * t), hinge loss, L2 regularization. The bias is
+    regularized like the weights: it is shrunk by 1 - eta*lambda at every
+    step. Deterministic given inputs and seed."""
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")
     if not vectors:
@@ -133,8 +134,8 @@ def train(
         raise TrainingError(f"labels outside the declared categories: {sorted(unknown)}")
     _check_vectors(vectors, n_features)
 
-    # The bias is an always-on extra coordinate so the plain Pegasos update
-    # covers it; it is split back out of the weight matrix at the end.
+    # The bias is an always-on extra coordinate, so the plain Pegasos update,
+    # shrinkage included, covers it; it is split back out at the end.
     active = [
         np.fromiter(sorted(vec) + [n_features], dtype=np.intp, count=len(vec) + 1)
         for vec in vectors

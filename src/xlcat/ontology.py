@@ -12,7 +12,8 @@ from collections import Counter, deque
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from .corpus import SupportArticle
+from ._util import dump_jsonl
+from .corpus import SupportArticle, _read_jsonl, _require_str
 from .errors import DataError
 
 Edge = Tuple[str, str]
@@ -218,6 +219,7 @@ class SupportIndex:
         self.basic_concepts = frozenset(basic_concepts)
         self._articles: Dict[Tuple[str, str], list] = {}
         self._virtual: Dict[Tuple[str, str], "object"] = {}
+        self._languages: Dict[str, Set[str]] = {}
         for article in articles:
             self.add_article(article)
 
@@ -225,12 +227,14 @@ class SupportIndex:
         if article.concept_id not in self.basic_concepts:
             raise UnknownConceptError(article.concept_id)
         self._articles.setdefault((article.concept_id, article.language), []).append(article)
+        self._languages.setdefault(article.concept_id, set()).add(article.language)
 
     def add_virtual(self, table) -> None:
         """Attach a virtual document table (see virtualdocs.TermCountTable)."""
         if table.concept_id not in self.basic_concepts:
             raise UnknownConceptError(table.concept_id)
         self._virtual[(table.concept_id, table.language)] = table
+        self._languages.setdefault(table.concept_id, set()).add(table.language)
 
     def articles(self, concept_id: str, language: str) -> list:
         return self._articles.get((concept_id, language), [])
@@ -248,9 +252,7 @@ class SupportIndex:
         return self.has_real_support(concept_id, language) or (concept_id, language) in self._virtual
 
     def languages_with_support(self, concept_id: str) -> Set[str]:
-        langs = {l for (c, l) in self._articles if c == concept_id and self._articles[(c, l)]}
-        langs |= {l for (c, l) in self._virtual if c == concept_id}
-        return langs
+        return set(self._languages.get(concept_id, ()))
 
 
 def support_multiset(
@@ -290,8 +292,6 @@ def retained_concepts(idx: SupportIndex, langs: Iterable[str]) -> Set[str]:
 def load_concepts(path: str | Path) -> Tuple[Set[str], Set[str]]:
     """Concept declarations: JSON lines of {"concept_id", "kind"}; returns
     (basic, meta) id sets."""
-    from .corpus import _read_jsonl, _require_str
-
     basic, meta = set(), set()
     for lineno, obj in _read_jsonl(path):
         cid = _require_str(obj, "concept_id", path, lineno)
@@ -308,8 +308,6 @@ def load_concepts(path: str | Path) -> Tuple[Set[str], Set[str]]:
 
 
 def save_concepts(basic: Iterable[str], meta: Iterable[str], path: str | Path) -> None:
-    from ._util import dump_jsonl
-
     records = [{"concept_id": c, "kind": "basic"} for c in sorted(basic)]
     records += [{"concept_id": c, "kind": "meta"} for c in sorted(meta)]
     dump_jsonl(records, path)
@@ -317,8 +315,6 @@ def save_concepts(basic: Iterable[str], meta: Iterable[str], path: str | Path) -
 
 def load_hierarchy_edges(path: str | Path) -> Dict[str, Set[Edge]]:
     """Edge declarations: JSON lines of {"parent", "child", "language"}."""
-    from .corpus import _read_jsonl, _require_str
-
     per_lang: Dict[str, Set[Edge]] = {}
     for lineno, obj in _read_jsonl(path):
         parent = _require_str(obj, "parent", path, lineno)
@@ -329,8 +325,6 @@ def load_hierarchy_edges(path: str | Path) -> Dict[str, Set[Edge]]:
 
 
 def save_hierarchy_edges(per_lang: Mapping[str, Iterable[Edge]], path: str | Path) -> None:
-    from ._util import dump_jsonl
-
     records = [
         {"parent": p, "child": c, "language": lang}
         for lang in sorted(per_lang)

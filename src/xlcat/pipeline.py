@@ -54,6 +54,15 @@ class Hyperparams:
     lambda_: float = 1e-4
     epochs: int = 20
 
+    def __post_init__(self):
+        for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):
+            val, low = getattr(self, name), 0 if name == "m" else 1
+            if isinstance(val, bool) or not isinstance(val, int) or val < low:
+                raise DataError(f"hyperparameter {name!r} must be an integer >= {low}, got {val!r}")
+        lam = self.lambda_
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 < lam < float("inf"):
+            raise DataError(f"hyperparameter 'lambda' must be a finite number > 0, got {lam!r}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
         d = dict(d)

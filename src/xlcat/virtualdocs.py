@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
-from .corpus import SupportArticle, tokenize
+from ._util import dump_jsonl
+from .corpus import SupportArticle, _read_jsonl, tokenize
 from .errors import DataError
 from .ontology import Hierarchy, SupportIndex, ancestors, support_count, support_multiset
 
@@ -142,14 +143,10 @@ def construct_virtual_document(
 
 
 def save_virtual_docs(tables, path: str | Path) -> None:
-    from ._util import dump_jsonl
-
     dump_jsonl((t.to_dict() for t in tables), path)
 
 
 def load_virtual_docs(path: str | Path) -> List[TermCountTable]:
-    from .corpus import _read_jsonl
-
     tables = []
     for lineno, obj in _read_jsonl(path):
         try:

@@ -74,6 +74,35 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
 
 
+BAD_HYPERPARAMS = [
+    ("lambda", 0),
+    ("lambda", -1e-4),
+    ("lambda", "1e-4"),
+    ("epochs", "20"),
+    ("epochs", 0),
+    ("k_term", True),
+    ("k_doc", 0),
+    ("m", -1),
+    ("m", 1.5),
+    ("p", None),
+    ("t", "40"),
+    ("n_select", 0),
+]
+
+
+class TestHyperparamValidation:
+    @pytest.mark.parametrize("field,value", BAD_HYPERPARAMS)
+    def test_bad_field_is_data_error(self, workspace, tmp_path, field, value):
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["hyperparams"][field] = value
+        bad = tmp_path / "bad_hp.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        proc = run_cli("experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert repr(field) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestChainedWorkflow:
     def test_stage_by_stage_pipeline(self, workspace, tmp_path):
         cfg = str(workspace["config"])

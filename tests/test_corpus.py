@@ -1,7 +1,11 @@
 import json
 import random
+import sys
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlcat.corpus import (
     CorpusFormatError,
@@ -16,6 +20,27 @@ from xlcat.corpus import (
     save_support_corpus,
     tokenize,
 )
+
+
+def reference_tokenize(text, language="", stopwords=None):
+    """The original per-character tokenizer, kept as the oracle for the
+    table-driven one in xlcat.corpus."""
+    norm = unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).casefold())
+    tokens = []
+    start = None
+    for i, ch in enumerate(norm):
+        if unicodedata.category(ch)[0] in "LMN":
+            if start is None:
+                start = i
+        elif start is not None:
+            tokens.append(norm[start:i])
+            start = None
+    if start is not None:
+        tokens.append(norm[start:])
+    tokens = [t for t in tokens if not all(unicodedata.category(c)[0] == "N" for c in t)]
+    if stopwords:
+        tokens = [t for t in tokens if t not in stopwords]
+    return tokens
 
 
 def write_lines(path, lines):
@@ -235,3 +260,47 @@ class TestTokenize:
     def test_deterministic(self):
         text = "Žluťoučký kůň úpěl ďábelské ódy 123 ,,,"
         assert tokenize(text) == tokenize(text)
+
+
+# Characters where the fast path could plausibly differ from the oracle:
+# numeric letters (CJK, Roman numerals), non-decimal numbers, combining
+# marks, case-folding expansions, exotic whitespace and separators.
+TRICKY = "½²一十万Ⅻⅻ٣३〇𝟘\u0301\u0308ßİﬁΣς \u00a0\u2028\u3000\u200b\t-_.'x3"
+unicode_text = st.text(
+    alphabet=st.one_of(st.characters(exclude_categories=()), st.sampled_from(TRICKY)),
+    max_size=60,
+)
+
+
+class TestTokenizeOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(unicode_text)
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unicode_text, st.data())
+    def test_matches_reference_with_stopwords(self, text, data):
+        words = sorted(set(reference_tokenize(text)))
+        drawn = data.draw(st.sets(st.sampled_from(words))) if words else set()
+        stop = frozenset(drawn) | data.draw(st.frozensets(st.text(max_size=3), max_size=3))
+        assert tokenize(text, stopwords=stop) == reference_tokenize(text, stopwords=stop)
+
+    def test_unicode_facts_behind_the_fast_path(self):
+        # tokenize() relies on these for every code point; a Unicode database
+        # that broke one would make it disagree with the reference.
+        not_numeric, spaces = [], []
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            major = unicodedata.category(ch)[0]
+            if major == "N" and not ch.isnumeric():
+                not_numeric.append(hex(cp))
+            if major in "LMN" and ch.isspace():
+                spaces.append(hex(cp))
+        assert not_numeric == [], f"category N but not isnumeric(): {not_numeric[:10]}"
+        assert spaces == [], f"letter/mark/number but isspace(): {spaces[:10]}"
+
+    def test_numeric_letters_are_kept(self):
+        # 一 is isnumeric() but a letter (Lo), so its token stays; Ⅻ and ½
+        # are numbers (Nl, No), so theirs go.
+        assert tokenize("一 Ⅻ 二三 ½") == reference_tokenize("一 Ⅻ 二三 ½") == ["一", "二三"]

@@ -55,6 +55,19 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train([frozenset({5})], ["A"], ["A"], n_features=2)
 
+    def test_bias_is_regularized(self):
+        # Featureless documents are fit through the bias alone. Pegasos with
+        # the bias shrunk like a weight leaves w_T = (1/(lambda*T)) times the
+        # sum of y over the violating steps; here T = 4 documents * 20 epochs.
+        vectors, labels = [frozenset()] * 4, ["A"] * 4
+        weak = train(vectors, labels, ["A"], n_features=1, lambda_=1e-4, epochs=20)
+        strong = train(vectors, labels, ["A"], n_features=1, lambda_=1.0, epochs=20)
+        # lambda=1e-4: only step 1 violates. An unshrunk bias would stay 1e4.
+        assert weak.bias[0] == pytest.approx(1 / (1e-4 * 80))
+        # lambda=1: the bias stays below 1, so every step but the second violates.
+        assert strong.bias[0] == pytest.approx(79 / 80)
+        assert abs(strong.bias[0]) < 0.01 * abs(weak.bias[0])
+
     def test_objective_decreases_on_separable_data(self):
         # Statistically over seeds: the regularized hinge objective at the
         # last epoch is below the first epoch's.

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from xlcat.corpus import SupportArticle
+from xlcat.virtualdocs import TermCountTable
 from xlcat.ontology import (
     CycleError,
     Hierarchy,
@@ -165,6 +166,33 @@ class TestRetainedConcepts:
             ],
         )
         assert retained_concepts(idx, {"en", "fr"}) == {"c1", "c3"}
+
+
+class TestLanguagesWithSupport:
+    @staticmethod
+    def scan(idx, concept_id):
+        # The former implementation: a scan over every (concept, language) key.
+        langs = {l for (c, l) in idx._articles if c == concept_id and idx._articles[(c, l)]}
+        return langs | {l for (c, l) in idx._virtual if c == concept_id}
+
+    def test_matches_key_scan_on_random_sequences(self):
+        rng = random.Random(17)
+        concepts = [f"c{i}" for i in range(6)]
+        for _ in range(50):
+            idx = SupportIndex(concepts)
+            for _ in range(rng.randrange(0, 25)):
+                cid, lang = rng.choice(concepts), rng.choice(["en", "fr", "de", "ru"])
+                if rng.random() < 0.6:
+                    idx.add_article(doc(cid, lang))
+                else:
+                    idx.add_virtual(TermCountTable(cid, lang, {"w": 1}))
+                for c in concepts + ["absent"]:
+                    assert idx.languages_with_support(c) == self.scan(idx, c)
+
+    def test_returns_a_copy(self):
+        idx = SupportIndex({"c"}, [doc("c", "en")])
+        idx.languages_with_support("c").add("fr")
+        assert idx.languages_with_support("c") == {"en"}
 
 
 class TestValidateDag:
