@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic RNG streams, ordered parallel map,
-stable JSON writing.
+stable JSON writing, typed config fields.
 """
 
 from __future__ import annotations
@@ -8,7 +8,9 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+
+from .errors import DataError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -46,3 +48,34 @@ def dump_jsonl(records: Iterable[dict], path: str | Path) -> None:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
             fh.write("\n")
+
+
+_REQUIRED = object()
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", dict: "object", list: "list"}
+
+
+def config_field(
+    d: Mapping, key: str, kind: type, default: Any = _REQUIRED, where: str = "",
+    of: Optional[type] = None,
+) -> Any:
+    """d[key], checked to be a JSON value of `kind` whose items (list) or
+    values (object) are of `of`; a bool is not an integer here. A missing key
+    gives `default`, or a DataError when there is none. Errors name the
+    field as where + key."""
+    name = where + key
+    if key not in d:
+        if default is _REQUIRED:
+            raise DataError(f"experiment config is missing key {name!r}")
+        return default
+    value = d[key]
+    ok = _is(value, kind)
+    if ok and of is not None:
+        ok = all(_is(v, of) for v in (value.values() if isinstance(value, dict) else value))
+    if not ok:
+        what = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[of]}s" if of is not None else "")
+        raise DataError(f"experiment config field {name!r} must be a JSON {what}, got {value!r}")
+    return value
+
+
+def _is(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))

@@ -16,12 +16,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._util import dump_json, dump_jsonl, load_json
-from .corpus import _read_jsonl, load_labeled_dataset
+from .corpus import _read_jsonl, load_labeled_dataset, load_stopwords
 from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
 from .interpreter import SemanticInterpreter
 from .learner import LinearModel, predict, report_from_pairs, train
-from .ontology import merge_hierarchies
+from .ontology import load_concepts, load_hierarchy_edges, merge_hierarchies
 from .pipeline import (
     ExperimentConfig,
     ablation,
@@ -60,22 +60,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_interpreters(args, cfg, res=None):
-    """Saved interpreters from --interpreters, else rebuilt from the config."""
-    if args.interpreters:
-        interpreters = {}
-        for path in sorted(Path(args.interpreters).glob("interpreter_*.json")):
-            si = SemanticInterpreter.load(path)
-            interpreters[si.language] = si
-        if not interpreters:
-            raise DataError(f"no interpreter_*.json files under {args.interpreters}")
-        if res is None:
-            res = load_resources(cfg)
-        return interpreters, res
-    if res is None:
+def _load_interpreters(args, cfg):
+    """Interpreters with the hierarchy and stopwords they are applied with.
+    Saved interpreters from --interpreters need no support corpus, so it is
+    not read; otherwise the interpreters are rebuilt from the config."""
+    if not args.interpreters:
         res = load_resources(cfg)
-    prep = prepare_semantic_resources(cfg, res)
-    return prep.interpreters, res
+        prep = prepare_semantic_resources(cfg, res)
+        return prep.interpreters, prep.hierarchy, res.stopwords
+    interpreters = {}
+    for path in sorted(Path(args.interpreters).glob("interpreter_*.json")):
+        si = SemanticInterpreter.load(path)
+        interpreters[si.language] = si
+    if not interpreters:
+        raise DataError(f"no interpreter_*.json files under {args.interpreters}")
+    basic, meta = load_concepts(cfg.concepts_path)
+    h = merge_hierarchies(load_hierarchy_edges(cfg.hierarchy_path), basic, meta)
+    stopwords = {lang: load_stopwords(p) for lang, p in sorted(cfg.stopword_paths.items())}
+    return interpreters, h, stopwords
 
 
 def _cmd_synth(args) -> int:
@@ -122,8 +124,7 @@ def _cmd_gen_features(args) -> int:
     cfg = _load_experiment_config(args)
     cfg.validate()
     out = _out_dir(args)
-    interpreters, res = _load_interpreters(args, cfg)
-    prep_h = merge_hierarchies(res.edges_by_language, res.basic, res.meta)
+    interpreters, h, stopwords = _load_interpreters(args, cfg)
     docs = []
     for path in args.dataset:
         docs.extend(load_labeled_dataset(path))
@@ -133,11 +134,11 @@ def _cmd_gen_features(args) -> int:
     if args.space:
         space = FeatureSpace.load(args.space)
         vectors = project_documents(
-            space, docs, interpreters, prep_h, hp.k_doc, hp.m, res.stopwords, args.workers
+            space, docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
         )
     else:
         space, vectors = build_feature_space(
-            docs, interpreters, prep_h, hp.k_doc, hp.m, res.stopwords, args.workers
+            docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
         )
         labels = [d.label for d in docs]
         if all(labels):
@@ -176,12 +177,11 @@ def _cmd_classify(args) -> int:
     out = _out_dir(args)
     model = LinearModel.load(args.model)
     space = FeatureSpace.load(args.space)
-    interpreters, res = _load_interpreters(args, cfg)
-    h = merge_hierarchies(res.edges_by_language, res.basic, res.meta)
+    interpreters, h, stopwords = _load_interpreters(args, cfg)
     docs = load_labeled_dataset(args.dataset)
     hp = cfg.hyperparams
     vectors = project_documents(
-        space, docs, interpreters, h, hp.k_doc, hp.m, res.stopwords, args.workers
+        space, docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
     )
     records = []
     for doc, vec in zip(docs, vectors):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ._util import dump_jsonl
+from ._util import config_field, dump_jsonl
 from .errors import DataError
 
 # Ordered list of normalized tokens.
@@ -95,17 +95,28 @@ class FilterConfig:
     drop_flags: frozenset = ARTICLE_FLAGS
 
     def __post_init__(self):
-        if min(self.min_chars, self.min_links_in, self.min_links_out) < 0:
-            raise ValueError("filter thresholds must be nonnegative")
+        for name in ("min_chars", "min_links_in", "min_links_out"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"filter threshold {name!r} must be nonnegative, got {getattr(self, name)}")
         object.__setattr__(self, "drop_flags", frozenset(self.drop_flags))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":
+        """From the experiment config's "filter" object."""
+        where = "filter."
+        drop_flags = frozenset(
+            config_field(d, "drop_flags", list, ARTICLE_FLAGS, where=where, of=str)
+        )
+        if drop_flags - ARTICLE_FLAGS:
+            raise DataError(
+                f"experiment config field 'filter.drop_flags' has unknown flags: "
+                f"{sorted(drop_flags - ARTICLE_FLAGS)}"
+            )
         return cls(
-            min_chars=d.get("min_chars", 500),
-            min_links_in=d.get("min_links_in", 5),
-            min_links_out=d.get("min_links_out", 5),
-            drop_flags=frozenset(d.get("drop_flags", ARTICLE_FLAGS)),
+            min_chars=config_field(d, "min_chars", int, 500, where=where),
+            min_links_in=config_field(d, "min_links_in", int, 5, where=where),
+            min_links_out=config_field(d, "min_links_out", int, 5, where=where),
+            drop_flags=drop_flags,
         )
 
     def to_dict(self) -> dict:

@@ -81,16 +81,14 @@ def filter_meta_features(
     h: Hierarchy, enriched: Set[str], basic: ConceptFeatureSet
 ) -> Set[str]:
     """Drop meta features that are not ancestors of at least two distinct
-    basic features of the document. Basic features always survive."""
-    kept = set()
-    for cid in enriched:
-        if cid in h.basic:
-            kept.add(cid)
-            continue
-        covered = sum(1 for b in basic.concepts if cid in h.ancestors_all(b))
-        if covered >= 2:
-            kept.add(cid)
-    return kept
+    basic features of the document. Basic features always survive.
+
+    One counting pass over the basic features' ancestor closures, which
+    each Hierarchy caches: O(sum of the closure sizes + |enriched|)."""
+    covered = Counter()
+    for b in basic.concepts:
+        covered.update(h.ancestors_all(b))
+    return {cid for cid in enriched if cid in h.basic or covered[cid] >= 2}
 
 
 def document_features(

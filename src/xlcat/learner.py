@@ -35,9 +35,6 @@ class LinearModel:
     epochs: int
     seed: int
     feature_space_ref: Optional[dict] = None
-    # Per-category regularized hinge objective at each epoch boundary;
-    # informational only, not persisted.
-    objective_history: Optional[Dict[str, List[float]]] = None
 
     @property
     def n_features(self) -> int:
@@ -119,7 +116,11 @@ def train(
     """Train one binary SVM per category (one-vs-rest) with Pegasos updates:
     step size 1/(lambda * t), hinge loss, L2 regularization. The bias is
     regularized like the weights: it is shrunk by 1 - eta*lambda at every
-    step. Deterministic given inputs and seed."""
+    step. Deterministic given inputs and seed.
+
+    Each step costs O(n_features) for the shrinkage plus O(nnz) for the
+    margin and update, so training is O(categories * epochs * documents *
+    n_features)."""
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")
     if not vectors:
@@ -142,14 +143,12 @@ def train(
     ]
     n = len(vectors)
     weights = np.zeros((len(categories), n_features + 1), dtype=np.float64)
-    history: Dict[str, List[float]] = {}
     rng = stable_rng(seed, "train-shuffle")
 
     for k, cat in enumerate(categories):
         y = np.array([1.0 if lab == cat else -1.0 for lab in labels])
         w = weights[k]
         t = 0
-        epoch_objectives = []
         order = list(range(n))
         for _ in range(epochs):
             rng.shuffle(order)
@@ -161,8 +160,6 @@ def train(
                 w *= 1.0 - eta * lambda_
                 if margin < 1.0:
                     w[idx] += eta * y[i]
-            epoch_objectives.append(_objective(w, active, y, lambda_))
-        history[cat] = epoch_objectives
 
     return LinearModel(
         categories=categories,
@@ -172,17 +169,7 @@ def train(
         epochs=epochs,
         seed=seed,
         feature_space_ref=feature_space_ref,
-        objective_history=history,
     )
-
-
-def _objective(
-    w: np.ndarray, active: List[np.ndarray], y: np.ndarray, lambda_: float
-) -> float:
-    hinge = 0.0
-    for i, idx in enumerate(active):
-        hinge += max(0.0, 1.0 - y[i] * w[idx].sum())
-    return 0.5 * lambda_ * float(w @ w) + hinge / len(active)
 
 
 def decision_values(model: LinearModel, vector: BinaryFeatureVector) -> np.ndarray:

@@ -68,6 +68,7 @@ class Hierarchy:
             self._children.setdefault(parent, []).append(child)
         self.edges = frozenset(seen)
         self._ancestors_all_cache: Dict[str, frozenset] = {}
+        self._ancestors_cache: Dict[Tuple[str, int], frozenset] = {}
 
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self.basic or concept_id in self.meta
@@ -194,7 +195,15 @@ def merge_hierarchies(
 
 def ancestors(h: Hierarchy, concept_id: str, depth: int) -> Set[str]:
     """Nodes reachable by following 1..depth reversed edges; depth 0 is empty.
-    Monotone in depth."""
+    Monotone in depth.
+
+    A breadth-first search, O(edges within depth) on the first call for each
+    (concept_id, depth) and O(size of the result) after that: the search
+    result is cached on the Hierarchy, which is immutable. Each call returns
+    a fresh set, so a caller may mutate it."""
+    cached = h._ancestors_cache.get((concept_id, depth))
+    if cached is not None:
+        return set(cached)
     if concept_id not in h:
         raise UnknownConceptError(concept_id)
     if depth < 0:
@@ -206,6 +215,7 @@ def ancestors(h: Hierarchy, concept_id: str, depth: int) -> Set[str]:
         if not frontier:
             break
         result |= frontier
+    h._ancestors_cache[(concept_id, depth)] = frozenset(result)
     return result
 
 

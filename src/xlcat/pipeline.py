@@ -11,7 +11,7 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_json, load_json, stable_rng
+from ._util import config_field, dump_json, load_json, stable_rng
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -128,33 +128,42 @@ class ExperimentConfig:
         def resolve(p: str) -> str:
             return str(p) if Path(p).is_absolute() else str(base / p)
 
-        try:
-            paths = d["paths"]
-            datasets = {
-                lang: {split: resolve(p) for split, p in per.items()}
-                for lang, per in paths["datasets"].items()
-            }
-            cfg = cls(
-                setup=d["setup"],
-                source_languages=tuple(d["source_languages"]),
-                target_languages=tuple(d["target_languages"]),
-                samples_per_category_per_language=d["samples_per_category_per_language"],
-                seed=d.get("seed", 0),
-                corpus_path=resolve(paths["corpus"]),
-                concepts_path=resolve(paths["concepts"]),
-                hierarchy_path=resolve(paths["hierarchy"]),
-                datasets=datasets,
-                hyperparams=Hyperparams.from_dict(d.get("hyperparams", {})),
-                virtual_docs=d.get("virtual_docs", True),
-                filter=FilterConfig.from_dict(d.get("filter", {})),
-                stopword_paths={
-                    lang: resolve(p) for lang, p in d.get("stopwords", {}).items()
-                },
-                seeds=tuple(d.get("seeds", ())),
-            )
-        except KeyError as exc:
-            raise DataError(f"experiment config is missing key {exc}") from exc
-        return cfg
+        if not isinstance(d, dict):
+            raise DataError("experiment config must be a JSON object")
+        paths = config_field(d, "paths", dict)
+        datasets = config_field(paths, "datasets", dict, where="paths.")
+        seeds = config_field(d, "seeds", list, [], of=int)
+        if len(set(seeds)) != len(seeds):
+            raise DataError(f"experiment config field 'seeds' repeats a seed: {seeds}")
+        return cls(
+            setup=config_field(d, "setup", str),
+            source_languages=tuple(config_field(d, "source_languages", list, of=str)),
+            target_languages=tuple(config_field(d, "target_languages", list, of=str)),
+            samples_per_category_per_language=config_field(
+                d, "samples_per_category_per_language", int
+            ),
+            seed=config_field(d, "seed", int, 0),
+            corpus_path=resolve(config_field(paths, "corpus", str, where="paths.")),
+            concepts_path=resolve(config_field(paths, "concepts", str, where="paths.")),
+            hierarchy_path=resolve(config_field(paths, "hierarchy", str, where="paths.")),
+            datasets={
+                lang: {
+                    split: resolve(p)
+                    for split, p in config_field(
+                        datasets, lang, dict, where="paths.datasets.", of=str
+                    ).items()
+                }
+                for lang in datasets
+            },
+            hyperparams=Hyperparams.from_dict(config_field(d, "hyperparams", dict, {})),
+            virtual_docs=config_field(d, "virtual_docs", bool, True),
+            filter=FilterConfig.from_dict(config_field(d, "filter", dict, {})),
+            stopword_paths={
+                lang: resolve(p)
+                for lang, p in config_field(d, "stopwords", dict, {}, of=str).items()
+            },
+            seeds=tuple(seeds),
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

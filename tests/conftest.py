@@ -1,10 +1,18 @@
 import math
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from xlcat.corpus import FilterConfig, load_labeled_dataset
+from xlcat.ontology import Hierarchy
 from xlcat.pipeline import ExperimentConfig, Hyperparams
 from xlcat.synth import SyntheticCorpusSpec, generate_synthetic_corpus
+
+# Property tests draw the same examples on every run and machine, and a slow
+# example is not a failure.
+settings.register_profile("xlcat", derandomize=True, deadline=None)
+settings.load_profile("xlcat")
 
 
 def make_corpus(tmp_path, spec: SyntheticCorpusSpec, name="corpus"):
@@ -74,3 +82,20 @@ def small_spec():
         noise_rate=0.05,
         seed=11,
     )
+
+
+@st.composite
+def layered_dags(draw, max_layers=4):
+    """Random layered Hierarchy: layer-0 nodes are basic, the rest meta, and
+    every meta node has 1-4 children in lower layers, so the graph is
+    acyclic by construction."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=max_layers))
+    layers = [[f"n{layer}{i}" for i in range(size)] for layer, size in enumerate(sizes)]
+    edges = set()
+    for layer in range(1, len(layers)):
+        below = [n for lower in layers[:layer] for n in lower]
+        for node in layers[layer]:
+            children = draw(st.sets(st.sampled_from(below), min_size=1, max_size=4))
+            edges |= {(node, child) for child in children}
+    meta = {n for upper in layers[1:] for n in upper}
+    return Hierarchy(edges, basic=set(layers[0]), meta=meta)

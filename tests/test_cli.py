@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from xlcat import cli, pipeline
+from xlcat import corpus as corpus_module
 from xlcat.synth import SyntheticCorpusSpec
 
 from conftest import make_config, make_corpus
@@ -90,17 +92,46 @@ BAD_HYPERPARAMS = [
 ]
 
 
+# (top-level key, value, the field the error must name)
+BAD_CONFIG_FIELDS = [
+    ("samples_per_category_per_language", "5", "samples_per_category_per_language"),
+    ("paths", [], "paths"),
+    ("filter", {"min_chars": "5"}, "filter.min_chars"),
+    ("filter", {"drop_flags": "redirect"}, "filter.drop_flags"),
+    ("filter", {"min_links_in": -1}, "min_links_in"),
+    ("hyperparams", [1], "hyperparams"),
+    ("seeds", 3, "seeds"),
+    ("seeds", [1, 1], "seeds"),
+    ("stopwords", [], "stopwords"),
+    ("source_languages", "l0", "source_languages"),
+    ("seed", 1.5, "seed"),
+    ("virtual_docs", "false", "virtual_docs"),
+]
+
+
+def assert_data_error_naming(tmp_path, cfg, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    proc = run_cli("experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert repr(field) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestHyperparamValidation:
     @pytest.mark.parametrize("field,value", BAD_HYPERPARAMS)
     def test_bad_field_is_data_error(self, workspace, tmp_path, field, value):
         cfg = json.loads(workspace["config"].read_text())
         cfg["hyperparams"][field] = value
-        bad = tmp_path / "bad_hp.json"
-        bad.write_text(json.dumps(cfg), encoding="utf-8")
-        proc = run_cli("experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o"))
-        assert proc.returncode == 2, proc.stderr
-        assert repr(field) in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert_data_error_naming(tmp_path, cfg, field)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key,value,field", BAD_CONFIG_FIELDS)
+    def test_bad_field_is_data_error(self, workspace, tmp_path, key, value, field):
+        cfg = json.loads(workspace["config"].read_text())
+        cfg[key] = value
+        assert_data_error_naming(tmp_path, cfg, field)
 
 
 class TestChainedWorkflow:
@@ -157,6 +188,30 @@ class TestChainedWorkflow:
         assert proc.returncode == 0, proc.stderr
         result = json.loads((tmp_path / "ab" / "ablation.json").read_text())
         assert result["toggle"] == "meta_features"
+
+
+class TestClassifyWithSavedInterpreters:
+    def test_reads_no_support_corpus_and_predicts_the_same(self, workspace, tmp_path, monkeypatch):
+        cfg = str(workspace["config"])
+        run = tmp_path / "run"
+        assert cli.main(["experiment", "--config", cfg, "--out-dir", str(run)]) == 0
+        classify = [
+            "classify", "--config", cfg,
+            "--model", str(run / "model.json"),
+            "--space", str(run / "feature_space.json"),
+            "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+        ]
+        assert cli.main(classify + ["--out-dir", str(tmp_path / "rebuilt")]) == 0
+
+        def no_support_corpus(path):
+            raise AssertionError("the support corpus was read")
+
+        monkeypatch.setattr(pipeline, "load_support_corpus", no_support_corpus)
+        monkeypatch.setattr(corpus_module, "load_support_corpus", no_support_corpus)
+        saved = classify + ["--interpreters", str(run), "--out-dir", str(tmp_path / "saved")]
+        assert cli.main(saved) == 0
+        predictions = (tmp_path / "saved" / "predictions.jsonl").read_bytes()
+        assert predictions == (tmp_path / "rebuilt" / "predictions.jsonl").read_bytes()
 
 
 class TestDeterminism:

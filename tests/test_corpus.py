@@ -273,12 +273,12 @@ unicode_text = st.text(
 
 
 class TestTokenizeOracle:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(unicode_text)
     def test_matches_reference(self, text):
         assert tokenize(text) == reference_tokenize(text)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(unicode_text, st.data())
     def test_matches_reference_with_stopwords(self, text, data):
         words = sorted(set(reference_tokenize(text)))

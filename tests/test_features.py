@@ -3,7 +3,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import layered_dags
 from xlcat.corpus import LabeledDocument, SupportArticle
 from xlcat.features import (
     FeatureSpace,
@@ -75,6 +78,29 @@ class TestFilterMetaFeatures:
         enriched = enrich_with_meta(h, basic, 3)
         once = filter_meta_features(h, enriched, basic)
         assert filter_meta_features(h, once, basic) == once
+
+
+def reference_filter_meta_features(h, enriched, basic):
+    """The filter as a scan: for each enriched meta feature, count the basic
+    features whose ancestor closure contains it."""
+    kept = set()
+    for cid in enriched:
+        if cid in h.basic:
+            kept.add(cid)
+            continue
+        covered = sum(1 for b in basic.concepts if cid in h.ancestors_all(b))
+        if covered >= 2:
+            kept.add(cid)
+    return kept
+
+
+class TestFilterMetaFeaturesOracle:
+    @given(layered_dags(), st.data(), st.integers(0, 3))
+    def test_matches_reference(self, h, data, m):
+        basic = feats(*data.draw(st.sets(st.sampled_from(sorted(h.basic)))))
+        enriched = enrich_with_meta(h, basic, m)
+        expected = reference_filter_meta_features(h, enriched, basic)
+        assert filter_meta_features(h, enriched, basic) == expected
 
 
 def two_language_setup():

@@ -1,7 +1,11 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import layered_dags
 
 from xlcat.corpus import SupportArticle
 from xlcat.virtualdocs import TermCountTable
@@ -94,6 +98,40 @@ class TestAncestors:
                 cur = ancestors(h, node, depth)
                 assert prev <= cur
                 prev = cur
+
+
+def reference_ancestors(h, concept_id, depth):
+    """Uncached breadth-first search: every node whose shortest upward path
+    from concept_id has 1..depth edges."""
+    dist = {concept_id: 0}
+    queue = deque([concept_id])
+    while queue:
+        node = queue.popleft()
+        if dist[node] == depth:
+            continue
+        for parent in h.parents(node):
+            if parent not in dist:
+                dist[parent] = dist[node] + 1
+                queue.append(parent)
+    return {node for node, d in dist.items() if d > 0}
+
+
+class TestAncestorsCache:
+    @given(layered_dags(), st.data())
+    def test_repeated_calls_match_uncached_reference(self, h, data):
+        nodes = sorted(h.basic | h.meta)
+        queries = data.draw(
+            st.lists(st.tuples(st.sampled_from(nodes), st.integers(0, 4)), min_size=1, max_size=8)
+        )
+        for cid, depth in queries + queries:
+            got = ancestors(h, cid, depth)
+            assert got == reference_ancestors(h, cid, depth)
+            got.add("not-a-concept")
+        cid = queries[0][0]
+        with pytest.raises(ValueError):
+            ancestors(h, cid, -1)
+        with pytest.raises(UnknownConceptError):
+            ancestors(h, "not-a-concept", queries[0][1])
 
 
 class TestSupportMultiset:
