@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic RNG streams, ordered parallel map,
-stable JSON writing, typed config fields.
+stable JSON writing, the artifact envelope, typed config fields.
 """
 
 from __future__ import annotations
@@ -41,6 +41,44 @@ def dump_json(obj: Any, path: str | Path) -> None:
 def load_json(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def envelope(kind: str, fields: Mapping[str, Any]) -> dict:
+    """`fields` under the header every xlcat file format carries:
+    {"format": "xlcat-<kind>", "version": 1}."""
+    return {"format": "xlcat-" + kind, "version": 1, **fields}
+
+
+def dump_artifact(path: str | Path, kind: str, fields: Mapping[str, Any]) -> None:
+    """Write envelope(kind, fields) as compact canonical JSON: sorted keys,
+    UTF-8, no indentation, trailing newline. Streamed to the file, so no
+    second copy of a large artifact is built as one string."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(envelope(kind, fields), fh, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
+def load_artifact(
+    path: str | Path, kind: str, convert: Callable[[dict], T], error: type = DataError
+) -> T:
+    """convert(payload) for a file written by dump_artifact with this kind.
+    A file that is not JSON, not an object, or carries another format or
+    version raises `error` naming the path, and so does a KeyError,
+    TypeError, ValueError or AttributeError from `convert` (a missing or
+    wrongly typed field)."""
+    try:
+        payload = load_json(path)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from exc
+    header = envelope(kind, {})
+    if not isinstance(payload, dict) or payload.get("format") != header["format"]:
+        raise error(f"{path}: not an {header['format']} file")
+    if payload.get("version") != header["version"]:
+        raise error(f"{path}: unsupported {kind} version {payload.get('version')!r}")
+    try:
+        return convert(payload)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise error(f"{path}: bad {kind} file: {type(exc).__name__}: {exc}") from exc
 
 
 def dump_jsonl(records: Iterable[dict], path: str | Path) -> None:

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._util import dump_json, dump_jsonl, load_json
-from .corpus import _read_jsonl, load_labeled_dataset, load_stopwords
+from .corpus import _read_jsonl, _require_str, load_labeled_dataset, load_stopwords
 from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
 from .interpreter import SemanticInterpreter
@@ -165,7 +165,6 @@ def _cmd_train(args) -> int:
         lambda_=hp.lambda_,
         epochs=hp.epochs,
         seed=cfg.seed,
-        feature_space_ref={"n_features": len(space)},
     )
     model.save(out / "model.json")
     print(f"wrote {out / 'model.json'} ({len(model.categories)} categories)")
@@ -177,6 +176,11 @@ def _cmd_classify(args) -> int:
     out = _out_dir(args)
     model = LinearModel.load(args.model)
     space = FeatureSpace.load(args.space)
+    if model.n_features != len(space):
+        raise DataError(
+            f"model {args.model} has {model.n_features} features but feature space "
+            f"{args.space} has {len(space)}"
+        )
     interpreters, h, stopwords = _load_interpreters(args, cfg)
     docs = load_labeled_dataset(args.dataset)
     hp = cfg.hyperparams
@@ -199,9 +203,8 @@ def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
     predictions = {}
     for lineno, obj in _read_jsonl(args.predictions):
-        if "doc_id" not in obj or "predicted" not in obj:
-            raise DataError(f"{args.predictions}:{lineno}: need doc_id and predicted")
-        predictions[obj["doc_id"]] = obj["predicted"]
+        doc_id = _require_str(obj, "doc_id", args.predictions, lineno)
+        predictions[doc_id] = _require_str(obj, "predicted", args.predictions, lineno)
     docs = load_labeled_dataset(args.dataset)
     y_true, y_pred = [], []
     for doc in docs:
@@ -275,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("synth", help="generate a synthetic multilingual corpus")
     sub.add_argument("--config", required=True, help="synthetic corpus spec JSON")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=_cmd_synth)
 

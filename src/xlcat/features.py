@@ -5,21 +5,17 @@ information-gain feature selection.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_jsonl, ordered_map
+from ._util import dump_artifact, dump_jsonl, load_artifact, ordered_map
 from .corpus import LabeledDocument, _read_jsonl
 from .errors import DataError
 from .interpreter import ConceptFeatureSet, SemanticInterpreter, generate_basic_features
 from .ontology import Hierarchy, ancestors
-
-FORMAT_MAGIC = "xlcat-feature-space"
-FORMAT_VERSION = 1
 
 # Active coordinate indices of a binarized document vector.
 BinaryFeatureVector = FrozenSet[int]
@@ -45,25 +41,13 @@ class FeatureSpace:
         return frozenset(self.index[c] for c in concepts if c in self.index)
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": FORMAT_MAGIC,
-            "version": FORMAT_VERSION,
-            "concepts": self.concepts,
-            "metadata": self.metadata,
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
+        dump_artifact(path, "feature-space", {"concepts": self.concepts, "metadata": self.metadata})
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSpace":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != FORMAT_MAGIC:
-            raise DataError(f"{path}: not a feature-space file")
-        if payload.get("version") != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported version {payload.get('version')}")
-        return cls(concepts=list(payload["concepts"]), metadata=payload.get("metadata", {}))
+        return load_artifact(path, "feature-space", lambda payload: cls(
+            concepts=list(payload["concepts"]), metadata=payload.get("metadata", {})
+        ))
 
 
 def enrich_with_meta(h: Hierarchy, basic: ConceptFeatureSet, m: int) -> Set[str]:

@@ -6,19 +6,16 @@ feature set is the top-k concepts of that centroid.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import log
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ._util import dump_artifact, load_artifact
 from .corpus import LabeledDocument, TokenStream, tokenize
 from .errors import DataError
 from .ontology import SupportIndex
-
-FORMAT_MAGIC = "xlcat-interpreter"
-FORMAT_VERSION = 1
 
 # Sparse concept-weight map; zero entries are never stored.
 SemanticVector = Dict[str, float]
@@ -50,29 +47,18 @@ class SemanticInterpreter:
         return log(self.doc_count / count) if count else 0.0
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": FORMAT_MAGIC,
-            "version": FORMAT_VERSION,
+        dump_artifact(path, "interpreter", {
             "language": self.language,
             "doc_count": self.doc_count,
             "k_term": self.k_term,
             "df": self.df,
             "concept_universe": sorted(self.concept_universe),
             "term_index": {t: [[c, w] for c, w in pairs] for t, pairs in self.term_index.items()},
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "SemanticInterpreter":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != FORMAT_MAGIC:
-            raise InterpreterError(f"{path}: not an interpreter file")
-        if payload.get("version") != FORMAT_VERSION:
-            raise InterpreterError(f"{path}: unsupported version {payload.get('version')}")
-        return cls(
+        return load_artifact(path, "interpreter", lambda payload: cls(
             language=payload["language"],
             doc_count=payload["doc_count"],
             df={t: int(c) for t, c in payload["df"].items()},
@@ -82,7 +68,7 @@ class SemanticInterpreter:
             },
             concept_universe=frozenset(payload["concept_universe"]),
             k_term=payload["k_term"],
-        )
+        ), InterpreterError)
 
 
 def pseudo_document_counts(

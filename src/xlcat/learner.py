@@ -4,25 +4,21 @@ Pegasos-style stochastic subgradient descent, plus evaluation metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ._util import stable_rng
-from .errors import DataError, XlcatError
+from ._util import dump_artifact, load_artifact, stable_rng
+from .errors import DataError
 from .features import BinaryFeatureVector
-
-FORMAT_MAGIC = "xlcat-model"
-FORMAT_VERSION = 1
 
 DEFAULT_LAMBDA = 1e-4
 DEFAULT_EPOCHS = 20
 
 
-class TrainingError(XlcatError):
+class TrainingError(DataError):
     pass
 
 
@@ -34,45 +30,39 @@ class LinearModel:
     lambda_: float
     epochs: int
     seed: int
-    feature_space_ref: Optional[dict] = None
+
+    def __post_init__(self):
+        n = len(self.categories)
+        if self.weights.ndim != 2 or self.weights.shape[0] != n or self.bias.shape != (n,):
+            raise ValueError(
+                f"{n} categories but weights of shape {self.weights.shape} "
+                f"and bias of shape {self.bias.shape}"
+            )
 
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": FORMAT_MAGIC,
-            "version": FORMAT_VERSION,
+        dump_artifact(path, "model", {
             "categories": self.categories,
             "lambda": self.lambda_,
             "epochs": self.epochs,
             "seed": self.seed,
-            "feature_space_ref": self.feature_space_ref,
             "weights": [[float(w) for w in row] for row in self.weights],
             "bias": [float(b) for b in self.bias],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != FORMAT_MAGIC:
-            raise DataError(f"{path}: not a model file")
-        if payload.get("version") != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported version {payload.get('version')}")
-        return cls(
+        return load_artifact(path, "model", lambda payload: cls(
             categories=list(payload["categories"]),
             weights=np.array(payload["weights"], dtype=np.float64),
             bias=np.array(payload["bias"], dtype=np.float64),
             lambda_=payload["lambda"],
             epochs=payload["epochs"],
             seed=payload["seed"],
-            feature_space_ref=payload.get("feature_space_ref"),
-        )
+        ))
 
 
 @dataclass
@@ -111,7 +101,6 @@ def train(
     lambda_: float = DEFAULT_LAMBDA,
     epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
-    feature_space_ref: Optional[dict] = None,
 ) -> LinearModel:
     """Train one binary SVM per category (one-vs-rest) with Pegasos updates:
     step size 1/(lambda * t), hinge loss, L2 regularization. The bias is
@@ -168,7 +157,6 @@ def train(
         lambda_=lambda_,
         epochs=epochs,
         seed=seed,
-        feature_space_ref=feature_space_ref,
     )
 
 

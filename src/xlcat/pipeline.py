@@ -11,7 +11,7 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import config_field, dump_json, load_json, stable_rng
+from ._util import config_field, dump_json, envelope, load_json, stable_rng
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -34,11 +34,6 @@ from .ontology import (
     retained_concepts,
 )
 from .virtualdocs import InsufficientAncestryError, construct_virtual_document, save_virtual_docs
-
-REPORT_MAGIC = "xlcat-report"
-AGGREGATE_MAGIC = "xlcat-report-aggregate"
-ABLATION_MAGIC = "xlcat-ablation"
-REPORT_VERSION = 1
 
 SETUPS = ("CLTC1", "CLTC2", "CLTC3", "UCLTC")
 
@@ -367,7 +362,6 @@ def _run(
         lambda_=hp.lambda_,
         epochs=hp.epochs,
         seed=cfg.seed,
-        feature_space_ref={"n_features": len(space)},
     )
 
     test_docs: List[LabeledDocument] = []
@@ -381,9 +375,7 @@ def _run(
     )
     report = evaluate(model, test_vecs, [d.label for d in test_docs])
 
-    result = {
-        "format": REPORT_MAGIC,
-        "version": REPORT_VERSION,
+    result = envelope("report", {
         "config": cfg.to_dict(),
         "data": {
             "n_train": len(training),
@@ -396,7 +388,7 @@ def _run(
             "train_doc_ids": [d.doc_id for d in training],
         },
         "results": report.to_dict(),
-    }
+    })
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -428,9 +420,7 @@ def run_seeds(
         per_seed[s] = _run(replace(cfg, seed=s), res, out_dir=run_dir, workers=workers)
     accuracies = [per_seed[s]["results"]["accuracy"] for s in seeds]
     macro_f1s = [per_seed[s]["results"]["macro_f1"] for s in seeds]
-    aggregate = {
-        "format": AGGREGATE_MAGIC,
-        "version": REPORT_VERSION,
+    aggregate = envelope("report-aggregate", {
         "config": cfg.to_dict(),
         "seeds": list(seeds),
         "per_seed_results": {str(s): per_seed[s]["results"] for s in seeds},
@@ -438,7 +428,7 @@ def run_seeds(
         "std_accuracy": stdev(accuracies) if len(accuracies) > 1 else 0.0,
         "mean_macro_f1": mean(macro_f1s),
         "std_macro_f1": stdev(macro_f1s) if len(macro_f1s) > 1 else 0.0,
-    }
+    })
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -472,15 +462,13 @@ def ablation(
         without_meta = _run(
             replace(cfg, hyperparams=replace(cfg.hyperparams, m=0)), res, workers=workers
         )
-        result = {
-            "format": ABLATION_MAGIC,
-            "version": REPORT_VERSION,
+        result = envelope("ablation", {
             "toggle": toggle,
             "with": with_meta,
             "without": without_meta,
             "delta_accuracy": with_meta["results"]["accuracy"]
             - without_meta["results"]["accuracy"],
-        }
+        })
     elif toggle == "virtual_docs":
         result = _virtual_docs_curve(cfg, workers, prefix_fraction, n_blocks)
     else:
@@ -542,9 +530,7 @@ def _virtual_docs_curve(
                 dropped_articles=arm_dropped,
             )
             curve[arm].append(report["results"]["accuracy"])
-    return {
-        "format": ABLATION_MAGIC,
-        "version": REPORT_VERSION,
+    return envelope("ablation", {
         "toggle": "virtual_docs",
         "config": cfg.to_dict(),
         "reference_language": reference_lang,
@@ -553,4 +539,4 @@ def _virtual_docs_curve(
         "block_counts": block_counts,
         "n_concepts": sizes,
         "curves": curve,
-    }
+    })

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -6,6 +7,9 @@ import pytest
 
 from xlcat import cli, pipeline
 from xlcat import corpus as corpus_module
+from xlcat.features import FeatureSpace
+from xlcat.interpreter import SemanticInterpreter
+from xlcat.learner import LinearModel
 from xlcat.synth import SyntheticCorpusSpec
 
 from conftest import make_config, make_corpus
@@ -212,6 +216,139 @@ class TestClassifyWithSavedInterpreters:
         assert cli.main(saved) == 0
         predictions = (tmp_path / "saved" / "predictions.jsonl").read_bytes()
         assert predictions == (tmp_path / "rebuilt" / "predictions.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def artifacts(workspace, tmp_path_factory):
+    """The interpreters, feature space, model and train vectors of one run."""
+    run = tmp_path_factory.mktemp("artifacts")
+    assert cli.main(["experiment", "--config", str(workspace["config"]), "--out-dir", str(run)]) == 0
+    return run
+
+
+def _edit(key, value):
+    def edit(payload):
+        payload[key] = value
+        return payload
+    return edit
+
+
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
+
+
+def _ragged(payload):
+    payload["weights"][0] = payload["weights"][0][:-1]
+    return payload
+
+
+# (artifact file, edit of its decoded JSON)
+MALFORMED_ARTIFACTS = {
+    "model-list": ("model.json", lambda payload: [1]),
+    "model-format": ("model.json", _edit("format", "xlcat-feature-space")),
+    "model-version": ("model.json", _edit("version", 2)),
+    "model-no-categories": ("model.json", _drop("categories")),
+    "model-weights-string": ("model.json", _edit("weights", "x")),
+    "model-weights-ragged": ("model.json", _ragged),
+    "model-weights-flat": ("model.json", _edit("weights", [0.5, 1.5])),
+    "space-list": ("feature_space.json", lambda payload: [1]),
+    "space-format": ("feature_space.json", _edit("format", "xlcat-model")),
+    "space-version": ("feature_space.json", _edit("version", "1")),
+    "space-no-concepts": ("feature_space.json", _drop("concepts")),
+    "space-concepts-mixed": ("feature_space.json", _edit("concepts", [1, [2]])),
+    "interpreter-list": ("interpreter_l1.json", lambda payload: [1]),
+    "interpreter-format": ("interpreter_l1.json", _edit("format", "xlcat-report")),
+    "interpreter-version": ("interpreter_l1.json", _edit("version", None)),
+    "interpreter-no-doc-count": ("interpreter_l1.json", _drop("doc_count")),
+    "interpreter-df-list": ("interpreter_l1.json", _edit("df", [1])),
+    "interpreter-term-index-number": ("interpreter_l1.json", _edit("term_index", {"w": 5})),
+}
+
+
+def assert_data_error(proc, *names):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for name in names:
+        assert str(name) in proc.stderr
+
+
+class TestMalformedArtifacts:
+    """Every malformed saved artifact exits 2 naming the file, with no traceback."""
+
+    def _classify(self, workspace, files, tmp_path):
+        return run_cli(
+            "classify", "--config", str(workspace["config"]),
+            "--model", str(files / "model.json"),
+            "--space", str(files / "feature_space.json"),
+            "--interpreters", str(files),
+            "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+            "--out-dir", str(tmp_path / "pred"),
+        )
+
+    def _copy(self, artifacts, tmp_path):
+        files = tmp_path / "files"
+        files.mkdir()
+        for path in artifacts.glob("*.json"):
+            shutil.copy(path, files / path.name)
+        return files
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
+    def test_classify_rejects(self, workspace, artifacts, tmp_path, case):
+        name, edit = MALFORMED_ARTIFACTS[case]
+        files = self._copy(artifacts, tmp_path)
+        payload = json.loads((files / name).read_text(encoding="utf-8"))
+        (files / name).write_text(json.dumps(edit(payload)), encoding="utf-8")
+        assert_data_error(self._classify(workspace, files, tmp_path), files / name)
+
+    @pytest.mark.parametrize("extra", [-5, 30])
+    def test_classify_rejects_model_and_space_of_other_sizes(
+        self, workspace, artifacts, tmp_path, extra
+    ):
+        files = self._copy(artifacts, tmp_path)
+        space = FeatureSpace.load(files / "feature_space.json")
+        n_model = len(space)
+        if extra < 0:
+            concepts = space.concepts[:extra]
+        else:
+            concepts = space.concepts + [f"x{i}" for i in range(extra)]
+        FeatureSpace(concepts).save(files / "feature_space.json")
+        proc = self._classify(workspace, files, tmp_path)
+        assert_data_error(proc, f"has {n_model} features", f"has {n_model + extra}")
+
+    def test_train_rejects_coordinates_outside_the_space(self, workspace, artifacts, tmp_path):
+        space = tmp_path / "space.json"
+        FeatureSpace(FeatureSpace.load(artifacts / "feature_space.json").concepts[:5]).save(space)
+        proc = run_cli(
+            "train", "--config", str(workspace["config"]), "--space", str(space),
+            "--vectors", str(artifacts / "train_vectors.jsonl"), "--out-dir", str(tmp_path / "o"),
+        )
+        assert_data_error(proc, "out of range for dimension 5")
+
+    @pytest.mark.parametrize("predicted", [["cat0"], None])
+    def test_evaluate_rejects_a_prediction_that_is_not_a_string(self, workspace, tmp_path, predicted):
+        dataset = workspace["corpus"].paths["datasets"]["l1"]["test"]
+        doc_id = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])["doc_id"]
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(json.dumps({"doc_id": doc_id, "predicted": predicted}) + "\n")
+        proc = run_cli(
+            "evaluate", "--predictions", str(predictions), "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert_data_error(proc, predictions, "'predicted'")
+
+
+class TestArtifactRoundTrip:
+    @pytest.mark.parametrize("cls,name", [
+        (SemanticInterpreter, "interpreter_l1.json"),
+        (FeatureSpace, "feature_space.json"),
+        (LinearModel, "model.json"),
+    ])
+    def test_load_then_save_writes_the_same_bytes(self, artifacts, tmp_path, cls, name):
+        cls.load(artifacts / name).save(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (artifacts / name).read_bytes()
 
 
 class TestDeterminism:
