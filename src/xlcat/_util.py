@@ -65,7 +65,7 @@ def load_artifact(
     A file that is not JSON, not an object, or carries another format or
     version raises `error` naming the path, and so does a KeyError,
     TypeError, ValueError or AttributeError from `convert` (a missing or
-    wrongly typed field)."""
+    wrongly typed field) or a DataError (a value the loaded class rejects)."""
     try:
         payload = load_json(path)
     except json.JSONDecodeError as exc:
@@ -77,7 +77,7 @@ def load_artifact(
         raise error(f"{path}: unsupported {kind} version {payload.get('version')!r}")
     try:
         return convert(payload)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
         raise error(f"{path}: bad {kind} file: {type(exc).__name__}: {exc}") from exc
 
 

@@ -16,15 +16,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._util import dump_json, dump_jsonl, load_json
-from .corpus import _read_jsonl, _require_str, load_labeled_dataset, load_stopwords
+from .corpus import _read_jsonl, _require_str, load_labeled_dataset
 from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
 from .interpreter import SemanticInterpreter
-from .learner import LinearModel, predict, report_from_pairs, train
-from .ontology import load_concepts, load_hierarchy_edges, merge_hierarchies
+from .learner import LinearModel, TrainingError, predict, report_from_pairs, train
 from .pipeline import (
     ExperimentConfig,
     ablation,
+    load_ontology,
     load_resources,
     prepare_semantic_resources,
     run_experiment,
@@ -66,18 +66,14 @@ def _load_interpreters(args, cfg):
     not read; otherwise the interpreters are rebuilt from the config."""
     if not args.interpreters:
         res = load_resources(cfg)
-        prep = prepare_semantic_resources(cfg, res)
-        return prep.interpreters, prep.hierarchy, res.stopwords
+        return prepare_semantic_resources(cfg, res).interpreters, res.hierarchy, res.stopwords
     interpreters = {}
     for path in sorted(Path(args.interpreters).glob("interpreter_*.json")):
         si = SemanticInterpreter.load(path)
         interpreters[si.language] = si
     if not interpreters:
         raise DataError(f"no interpreter_*.json files under {args.interpreters}")
-    basic, meta = load_concepts(cfg.concepts_path)
-    h = merge_hierarchies(load_hierarchy_edges(cfg.hierarchy_path), basic, meta)
-    stopwords = {lang: load_stopwords(p) for lang, p in sorted(cfg.stopword_paths.items())}
-    return interpreters, h, stopwords
+    return (interpreters, *load_ontology(cfg))
 
 
 def _cmd_synth(args) -> int:
@@ -157,15 +153,18 @@ def _cmd_train(args) -> int:
     if any(lab is None for lab in labels):
         raise DataError("training vectors must all carry labels")
     hp = cfg.hyperparams
-    model = train(
-        vectors,
-        labels,
-        sorted(set(labels)),
-        len(space),
-        lambda_=hp.lambda_,
-        epochs=hp.epochs,
-        seed=cfg.seed,
-    )
+    try:
+        model = train(
+            vectors,
+            labels,
+            sorted(set(labels)),
+            len(space),
+            lambda_=hp.lambda_,
+            epochs=hp.epochs,
+            seed=cfg.seed,
+        )
+    except TrainingError as exc:
+        raise TrainingError(f"{args.vectors}: {exc}") from exc
     model.save(out / "model.json")
     print(f"wrote {out / 'model.json'} ({len(model.categories)} categories)")
     return EXIT_OK
@@ -267,7 +266,7 @@ def _cmd_ablate(args) -> int:
 def _add_common(sub, config_required=True):
     sub.add_argument("--config", required=config_required, help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--workers", type=int, default=1, help="worker count (results are identical for any value)")
+    sub.add_argument("--workers", type=int, default=1, help="feature-generation threads; the GIL serializes them (results are identical for any value)")
     sub.add_argument("--out-dir", required=True, help="output directory")
 
 

@@ -45,9 +45,13 @@ class FeatureSpace:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSpace":
-        return load_artifact(path, "feature-space", lambda payload: cls(
-            concepts=list(payload["concepts"]), metadata=payload.get("metadata", {})
-        ))
+        def convert(payload):
+            concepts = payload["concepts"]
+            if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
+                raise TypeError("'concepts' must be a list of strings")
+            return cls(concepts=concepts, metadata=payload.get("metadata", {}))
+
+        return load_artifact(path, "feature-space", convert)
 
 
 def enrich_with_meta(h: Hierarchy, basic: ConceptFeatureSet, m: int) -> Set[str]:

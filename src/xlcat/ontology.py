@@ -252,9 +252,6 @@ class SupportIndex:
     def virtual(self, concept_id: str, language: str):
         return self._virtual.get((concept_id, language))
 
-    def virtual_tables(self) -> list:
-        return [self._virtual[key] for key in sorted(self._virtual)]
-
     def has_real_support(self, concept_id: str, language: str) -> bool:
         return bool(self._articles.get((concept_id, language)))
 

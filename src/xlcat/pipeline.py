@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import config_field, dump_json, envelope, load_json, stable_rng
 from .corpus import (
@@ -91,6 +91,13 @@ class ExperimentConfig:
     stopword_paths: Mapping[str, str] = field(default_factory=dict)
     seeds: Tuple[int, ...] = ()  # optional multi-seed sweep
 
+    def __post_init__(self):
+        n = self.samples_per_category_per_language
+        if n < 1:
+            raise DataError(
+                f"experiment config field 'samples_per_category_per_language' must be >= 1, got {n}"
+            )
+
     def needed_languages(self) -> List[str]:
         return sorted(set(self.source_languages) | set(self.target_languages))
 
@@ -107,8 +114,6 @@ class ExperimentConfig:
             raise SetupViolation("CLTC2 requires single, distinct training and testing languages")
         if self.setup == "CLTC3" and not (len(src) > 1 and len(tgt) == 1):
             raise SetupViolation("CLTC3 requires multiple training languages and one testing language")
-        if self.samples_per_category_per_language < 1:
-            raise SetupViolation("samples_per_category_per_language must be positive")
         for lang in self.source_languages:
             if lang not in self.datasets or "train" not in self.datasets[lang]:
                 raise SetupViolation(f"no training dataset configured for language {lang!r}")
@@ -190,21 +195,32 @@ class ExperimentConfig:
 
 @dataclass
 class Resources:
-    """Loaded-and-filtered inputs, reusable across arms of an ablation."""
+    """Loaded-and-filtered inputs, reusable across arms of an ablation.
+
+    An arm may narrow `basic` and `articles` (see _virtual_docs_curve) but
+    keeps the full hierarchy: basic concepts are leaves, so the edges into
+    concepts outside `basic` change no ancestor set and no path count to a
+    concept inside it, and such concepts hold no support in the arm."""
 
     articles: List[SupportArticle]
-    basic: Set[str]
-    meta: Set[str]
-    edges_by_language: Dict[str, Set[Tuple[str, str]]]
+    basic: AbstractSet[str]
+    hierarchy: Hierarchy
     stopwords: Dict[str, frozenset]
+
+
+def load_ontology(cfg: ExperimentConfig) -> Tuple[Hierarchy, Dict[str, frozenset]]:
+    """The hierarchy merged over every language's edges, with the stopword
+    lists: every shared input but the support corpus."""
+    basic, meta = load_concepts(cfg.concepts_path)
+    h = merge_hierarchies(load_hierarchy_edges(cfg.hierarchy_path), basic, meta)
+    stopwords = {lang: load_stopwords(p) for lang, p in sorted(cfg.stopword_paths.items())}
+    return h, stopwords
 
 
 def load_resources(cfg: ExperimentConfig) -> Resources:
     articles = filter_articles(load_support_corpus(cfg.corpus_path), cfg.filter)
-    basic, meta = load_concepts(cfg.concepts_path)
-    edges = load_hierarchy_edges(cfg.hierarchy_path)
-    stopwords = {lang: load_stopwords(p) for lang, p in sorted(cfg.stopword_paths.items())}
-    return Resources(articles, basic, meta, edges, stopwords)
+    h, stopwords = load_ontology(cfg)
+    return Resources(articles, h.basic, h, stopwords)
 
 
 def _sample_training_docs(
@@ -280,47 +296,22 @@ class Prepared:
     """Semantic resources shared by the preprocessing-stage CLI commands and
     the experiment runner."""
 
-    hierarchy: Hierarchy
-    index: SupportIndex
     virtual_tables: List
     retained: Set[str]
     interpreters: Dict[str, SemanticInterpreter]
 
 
-def prepare_semantic_resources(
-    cfg: ExperimentConfig,
-    res: Resources,
-    allowed_concepts: Optional[Set[str]] = None,
-    dropped_articles: Optional[Set[Tuple[str, str]]] = None,
-) -> Prepared:
-    """Hierarchy merge, virtual-document construction, concept retention and
-    per-language interpreter building. `allowed_concepts` restricts the basic
-    concept universe; `dropped_articles` removes all real support for given
-    (concept, language) pairs. Both exist for the virtual-document ablation
-    protocol."""
-    basic = set(res.basic)
-    edges_by_language = res.edges_by_language
-    if allowed_concepts is not None:
-        basic &= allowed_concepts
-        kept = basic | set(res.meta)
-        edges_by_language = {
-            lang: {(p, c) for (p, c) in edges if c in kept}
-            for lang, edges in edges_by_language.items()
-        }
+def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepared:
+    """Virtual-document construction, concept retention and per-language
+    interpreter building over the articles of res.basic in the needed
+    languages."""
     needed = cfg.needed_languages()
-    articles = [
-        a
-        for a in res.articles
-        if a.concept_id in basic
-        and a.language in needed
-        and not (dropped_articles and (a.concept_id, a.language) in dropped_articles)
-    ]
-    h = merge_hierarchies(edges_by_language, basic, res.meta)
-    idx = SupportIndex(basic, articles)
+    articles = [a for a in res.articles if a.concept_id in res.basic and a.language in needed]
+    idx = SupportIndex(res.basic, articles)
 
     tables = []
     if cfg.virtual_docs:
-        tables = _construct_virtual_docs(cfg, h, idx, res.stopwords)
+        tables = _construct_virtual_docs(cfg, res.hierarchy, idx, res.stopwords)
 
     retained = retained_concepts(idx, needed)
     if not retained:
@@ -330,7 +321,7 @@ def prepare_semantic_resources(
         lang: build_interpreter(idx, lang, retained, hp.k_term, res.stopwords.get(lang))
         for lang in needed
     }
-    return Prepared(h, idx, tables, retained, interpreters)
+    return Prepared(tables, retained, interpreters)
 
 
 def _run(
@@ -338,11 +329,9 @@ def _run(
     res: Resources,
     out_dir: Optional[str | Path] = None,
     workers: int = 1,
-    allowed_concepts: Optional[Set[str]] = None,
-    dropped_articles: Optional[Set[Tuple[str, str]]] = None,
 ) -> dict:
-    prep = prepare_semantic_resources(cfg, res, allowed_concepts, dropped_articles)
-    h, interpreters, tables = prep.hierarchy, prep.interpreters, prep.virtual_tables
+    prep = prepare_semantic_resources(cfg, res)
+    h, interpreters, tables = res.hierarchy, prep.interpreters, prep.virtual_tables
     retained = prep.retained
     hp = cfg.hyperparams
 
@@ -516,19 +505,19 @@ def _virtual_docs_curve(
         allowed = set(ranked[:n_prefix]) | set(added)
         sizes.append(len(allowed))
         dropped = {(c, lang) for c in added for lang in targets}
+        # Every arm sees only the allowed concepts; the virtual and deleted
+        # arms also lose the added concepts' target-language articles.
+        restricted = replace(res, basic=allowed)
+        stripped = replace(restricted, articles=[
+            a for a in res.articles if (a.concept_id, a.language) not in dropped
+        ])
         arms = {
-            "original": (replace(cfg, virtual_docs=False), None),
-            "virtual": (replace(cfg, virtual_docs=True), dropped),
-            "deleted": (replace(cfg, virtual_docs=False), dropped),
+            "original": (False, restricted),
+            "virtual": (True, stripped),
+            "deleted": (False, stripped),
         }
-        for arm, (arm_cfg, arm_dropped) in arms.items():
-            report = _run(
-                arm_cfg,
-                res,
-                workers=workers,
-                allowed_concepts=allowed,
-                dropped_articles=arm_dropped,
-            )
+        for arm, (virtual_docs, arm_res) in arms.items():
+            report = _run(replace(cfg, virtual_docs=virtual_docs), arm_res, workers=workers)
             curve[arm].append(report["results"]["accuracy"])
     return envelope("ablation", {
         "toggle": "virtual_docs",

@@ -110,6 +110,7 @@ BAD_CONFIG_FIELDS = [
     ("source_languages", "l0", "source_languages"),
     ("seed", 1.5, "seed"),
     ("virtual_docs", "false", "virtual_docs"),
+    ("samples_per_category_per_language", 0, "samples_per_category_per_language"),
 ]
 
 
@@ -245,6 +246,16 @@ def _ragged(payload):
     return payload
 
 
+def _integer_concepts(payload):
+    payload["concepts"] = list(range(len(payload["concepts"])))
+    return payload
+
+
+def _duplicate_concept(payload):
+    payload["concepts"][-1] = payload["concepts"][0]
+    return payload
+
+
 # (artifact file, edit of its decoded JSON)
 MALFORMED_ARTIFACTS = {
     "model-list": ("model.json", lambda payload: [1]),
@@ -259,6 +270,8 @@ MALFORMED_ARTIFACTS = {
     "space-version": ("feature_space.json", _edit("version", "1")),
     "space-no-concepts": ("feature_space.json", _drop("concepts")),
     "space-concepts-mixed": ("feature_space.json", _edit("concepts", [1, [2]])),
+    "space-concepts-integers": ("feature_space.json", _integer_concepts),
+    "space-concepts-duplicate": ("feature_space.json", _duplicate_concept),
     "interpreter-list": ("interpreter_l1.json", lambda payload: [1]),
     "interpreter-format": ("interpreter_l1.json", _edit("format", "xlcat-report")),
     "interpreter-version": ("interpreter_l1.json", _edit("version", None)),
@@ -325,7 +338,7 @@ class TestMalformedArtifacts:
             "train", "--config", str(workspace["config"]), "--space", str(space),
             "--vectors", str(artifacts / "train_vectors.jsonl"), "--out-dir", str(tmp_path / "o"),
         )
-        assert_data_error(proc, "out of range for dimension 5")
+        assert_data_error(proc, "out of range for dimension 5", artifacts / "train_vectors.jsonl")
 
     @pytest.mark.parametrize("predicted", [["cat0"], None])
     def test_evaluate_rejects_a_prediction_that_is_not_a_string(self, workspace, tmp_path, predicted):

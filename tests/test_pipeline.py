@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from xlcat import pipeline
 from xlcat.errors import DataError, SetupViolation
+from xlcat.ontology import merge_hierarchies
 from xlcat.pipeline import (
     ExperimentConfig,
     Hyperparams,
@@ -195,6 +197,19 @@ class TestAblation:
             assert len(result["curves"][arm]) == 3
         first = {arm: result["curves"][arm][0] for arm in result["curves"]}
         assert len(set(first.values())) == 1  # identical runs at block 0
+
+    def test_virtual_curve_merges_the_hierarchy_once(self, corpus, monkeypatch):
+        calls = []
+
+        def counting_merge(*args):
+            calls.append(args)
+            return merge_hierarchies(*args)
+
+        monkeypatch.setattr(pipeline, "merge_hierarchies", counting_merge)
+        cfg = make_config(corpus, **default_hp())
+        result = ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
+        assert len(result["curves"]["virtual"]) == 3
+        assert len(calls) == 1
 
     def test_unknown_toggle_rejected(self, corpus):
         cfg = make_config(corpus, **default_hp())

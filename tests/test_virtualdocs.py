@@ -2,10 +2,22 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import layered_dags
 
 from xlcat.corpus import SupportArticle
 from xlcat.interpreter import build_interpreter, interpret
-from xlcat.ontology import Hierarchy, SupportIndex, ancestors, retained_concepts, support_count, support_multiset
+from xlcat.ontology import (
+    Hierarchy,
+    SupportIndex,
+    ancestors,
+    merge_hierarchies,
+    retained_concepts,
+    support_count,
+    support_multiset,
+)
 from xlcat.virtualdocs import (
     InsufficientAncestryError,
     TermCountTable,
@@ -231,3 +243,68 @@ def _depth_scan(h, idx, cid, max_depth=12):
             sum(len(list(support_multiset(h, idx, a, "en").elements())) for a in anc)
         )
     return counts
+
+
+def reference_restricted_merge(edges_by_language, basic, meta, allowed):
+    """The hierarchy each virtual-docs ablation arm used to merge for itself:
+    only the allowed basic concepts, without the edges into the others."""
+    basic = set(basic) & set(allowed)
+    kept = basic | set(meta)
+    edges_by_language = {
+        lang: {(p, c) for (p, c) in edges if c in kept}
+        for lang, edges in edges_by_language.items()
+    }
+    return merge_hierarchies(edges_by_language, basic, meta)
+
+
+def _virtual_outcome(h, idx, cid, lang, p, t):
+    try:
+        return construct_virtual_document(h, idx, cid, lang, p, t)
+    except InsufficientAncestryError as exc:
+        return (exc.concept_id, exc.language, exc.needed, exc.achievable)
+
+
+class TestRestrictedSupportOnTheFullHierarchy:
+    """An ablation arm restricts only its SupportIndex; the full hierarchy
+    must answer every query about the allowed concepts as the restricted
+    merge did."""
+
+    @given(layered_dags(), st.data())
+    def test_matches_the_restricted_merge(self, h, data):
+        langs = ["a", "b"]
+        edges_by_language = {lang: set() for lang in langs}
+        for edge in sorted(h.edges):
+            for lang in data.draw(st.sets(st.sampled_from(langs), min_size=1)):
+                edges_by_language[lang].add(edge)
+        basic = sorted(h.basic)
+        allowed = data.draw(st.sets(st.sampled_from(basic), min_size=1))
+        articles = data.draw(st.lists(
+            st.builds(
+                lambda cid, lang, words: doc(cid, " ".join(words), lang),
+                st.sampled_from(sorted(allowed)),
+                st.sampled_from(langs),
+                st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=5),
+            ),
+            max_size=12,
+        ))
+        p, t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+
+        full = merge_hierarchies(edges_by_language, h.basic, h.meta)
+        restricted = reference_restricted_merge(edges_by_language, h.basic, h.meta, allowed)
+        idx = SupportIndex(allowed, articles)
+        for cid in sorted(allowed | h.meta):
+            for depth in range(6):
+                assert ancestors(full, cid, depth) == ancestors(restricted, cid, depth)
+            for lang in langs:
+                assert support_count(full, idx, cid, lang) == support_count(
+                    restricted, idx, cid, lang
+                )
+                assert support_multiset(full, idx, cid, lang) == support_multiset(
+                    restricted, idx, cid, lang
+                )
+        for cid in sorted(allowed):
+            for lang in langs:
+                if not idx.has_real_support(cid, lang):
+                    assert _virtual_outcome(full, idx, cid, lang, p, t) == _virtual_outcome(
+                        restricted, idx, cid, lang, p, t
+                    )
