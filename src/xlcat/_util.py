@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic RNG streams, ordered parallel map,
-stable JSON writing, the artifact envelope, typed config fields.
+stable JSON writing, the versioned artifact envelope, typed config fields.
 """
 
 from __future__ import annotations
@@ -43,19 +43,37 @@ def load_json(path: str | Path) -> Any:
         return json.load(fh)
 
 
+# The current version of each xlcat file format; load_artifact accepts no other.
+ARTIFACT_VERSIONS = {"interpreter": 2, "feature-space": 1, "model": 1,
+                     "report": 1, "report-aggregate": 1, "ablation": 1}
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder
+
+
 def envelope(kind: str, fields: Mapping[str, Any]) -> dict:
     """`fields` under the header every xlcat file format carries:
-    {"format": "xlcat-<kind>", "version": 1}."""
-    return {"format": "xlcat-" + kind, "version": 1, **fields}
+    {"format": "xlcat-<kind>", "version": ARTIFACT_VERSIONS[kind]}."""
+    return {"format": "xlcat-" + kind, "version": ARTIFACT_VERSIONS[kind], **fields}
 
 
 def dump_artifact(path: str | Path, kind: str, fields: Mapping[str, Any]) -> None:
-    """Write envelope(kind, fields) as compact canonical JSON: sorted keys,
-    UTF-8, no indentation, trailing newline. Streamed to the file, so no
-    second copy of a large artifact is built as one string."""
+    """Write envelope(kind, fields) as the bytes of json.dump(...,
+    sort_keys=True, ensure_ascii=False) plus "\n", dict keys being strings.
+    json.dump never takes the C encoder; here a dict-valued field is encoded
+    entry by entry and every other value whole, so no one string holds it."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(envelope(kind, fields), fh, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        sep = "{"
+        for key, value in sorted(envelope(kind, fields).items()):
+            fh.write(sep + _encode(key) + ": ")
+            if isinstance(value, dict) and value:
+                inner = "{"
+                for k in sorted(value):
+                    fh.write(inner + _encode(k) + ": " + _encode(value[k]))
+                    inner = ", "
+                fh.write("}")
+            else:
+                fh.write(_encode(value))
+            sep = ", "
+        fh.write("}\n")
 
 
 def load_artifact(
@@ -73,7 +91,7 @@ def load_artifact(
     header = envelope(kind, {})
     if not isinstance(payload, dict) or payload.get("format") != header["format"]:
         raise error(f"{path}: not an {header['format']} file")
-    if payload.get("version") != header["version"]:
+    if type(payload.get("version")) is not int or payload["version"] != header["version"]:
         raise error(f"{path}: unsupported {kind} version {payload.get('version')!r}")
     try:
         return convert(payload)

@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SETUP = 3
+_INTERPRETERS_HELP = "directory of saved interpreters; only interpreter_<lang>.json of the dataset's languages is read"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,19 +61,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_interpreters(args, cfg):
-    """Interpreters with the hierarchy and stopwords they are applied with.
-    Saved interpreters from --interpreters need no support corpus, so it is
-    not read; otherwise the interpreters are rebuilt from the config."""
+def _load_interpreters(args, cfg, docs):
+    """Interpreters for the languages of `docs`, with the hierarchy and
+    stopwords they are applied with: from --interpreters only their
+    interpreter_<lang>.json and no support corpus, else rebuilt from cfg."""
     if not args.interpreters:
         res = load_resources(cfg)
         return prepare_semantic_resources(cfg, res).interpreters, res.hierarchy, res.stopwords
     interpreters = {}
-    for path in sorted(Path(args.interpreters).glob("interpreter_*.json")):
-        si = SemanticInterpreter.load(path)
-        interpreters[si.language] = si
-    if not interpreters:
-        raise DataError(f"no interpreter_*.json files under {args.interpreters}")
+    for lang in sorted({d.language for d in docs}):
+        path = Path(args.interpreters) / f"interpreter_{lang}.json"
+        if not path.is_file():
+            raise DataError(f"no interpreter for language {lang!r}: {path} does not exist")
+        interpreters[lang] = si = SemanticInterpreter.load(path)
+        if si.language != lang:
+            raise DataError(f"{path}: holds the interpreter of {si.language!r}, not {lang!r}")
     return (interpreters, *load_ontology(cfg))
 
 
@@ -120,12 +123,10 @@ def _cmd_gen_features(args) -> int:
     cfg = _load_experiment_config(args)
     cfg.validate()
     out = _out_dir(args)
-    interpreters, h, stopwords = _load_interpreters(args, cfg)
-    docs = []
-    for path in args.dataset:
-        docs.extend(load_labeled_dataset(path))
+    docs = [doc for path in args.dataset for doc in load_labeled_dataset(path)]
     if not docs:
         raise DataError("no documents in the given dataset(s)")
+    interpreters, h, stopwords = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
     if args.space:
         space = FeatureSpace.load(args.space)
@@ -180,8 +181,8 @@ def _cmd_classify(args) -> int:
             f"model {args.model} has {model.n_features} features but feature space "
             f"{args.space} has {len(space)}"
         )
-    interpreters, h, stopwords = _load_interpreters(args, cfg)
     docs = load_labeled_dataset(args.dataset)
+    interpreters, h, stopwords = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
     vectors = project_documents(
         space, docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("gen-features", help="generate concept feature vectors for datasets")
     _add_common(sub)
     sub.add_argument("--dataset", action="append", required=True, help="labeled dataset JSONL (repeatable)")
-    sub.add_argument("--interpreters", help="directory with saved interpreter_*.json files")
+    sub.add_argument("--interpreters", help=_INTERPRETERS_HELP)
     sub.add_argument("--space", help="existing feature-space file; project instead of build")
     sub.set_defaults(func=_cmd_gen_features)
 
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True)
     sub.add_argument("--space", required=True)
     sub.add_argument("--dataset", required=True)
-    sub.add_argument("--interpreters", help="directory with saved interpreter_*.json files")
+    sub.add_argument("--interpreters", help=_INTERPRETERS_HELP)
     sub.set_defaults(func=_cmd_classify)
 
     sub = commands.add_parser("evaluate", help="score predictions against labels")

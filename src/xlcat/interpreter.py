@@ -35,40 +35,31 @@ class ConceptFeatureSet:
 
 @dataclass
 class SemanticInterpreter:
-    language: str
-    doc_count: int
-    df: Dict[str, int]
-    term_index: Dict[str, List[Tuple[str, float]]]
-    concept_universe: frozenset
-    k_term: int
+    """One language's inverted index: each term's top k_term (concept, weight) pairs."""
 
-    def idf(self, term: str) -> float:
-        count = self.df.get(term)
-        return log(self.doc_count / count) if count else 0.0
+    language: str
+    k_term: int
+    term_index: Dict[str, List[Tuple[str, float]]]
 
     def save(self, path: str | Path) -> None:
         dump_artifact(path, "interpreter", {
             "language": self.language,
-            "doc_count": self.doc_count,
             "k_term": self.k_term,
-            "df": self.df,
-            "concept_universe": sorted(self.concept_universe),
-            "term_index": {t: [[c, w] for c, w in pairs] for t, pairs in self.term_index.items()},
+            "term_index": self.term_index,
         })
 
     @classmethod
     def load(cls, path: str | Path) -> "SemanticInterpreter":
-        return load_artifact(path, "interpreter", lambda payload: cls(
-            language=payload["language"],
-            doc_count=payload["doc_count"],
-            df={t: int(c) for t, c in payload["df"].items()},
-            term_index={
-                t: [(c, float(w)) for c, w in pairs]
-                for t, pairs in payload["term_index"].items()
-            },
-            concept_universe=frozenset(payload["concept_universe"]),
-            k_term=payload["k_term"],
-        ), InterpreterError)
+        def convert(payload):
+            language, k_term = payload["language"], payload["k_term"]
+            index = {t: [(c, w) for c, w in pairs] for t, pairs in payload["term_index"].items()}
+            if type(language) is not str or type(k_term) is not int or not all(
+                type(c) is str and type(w) is float for pairs in index.values() for c, w in pairs
+            ):
+                raise TypeError("'language', 'k_term' or a [concept id, weight] pair is mistyped")
+            return cls(language, k_term, index)
+
+        return load_artifact(path, "interpreter", convert, InterpreterError)
 
 
 def pseudo_document_counts(
@@ -111,28 +102,17 @@ def build_interpreter(
             raise InterpreterError(f"concept {cid!r} has no support in language {language!r}")
         per_concept[cid] = pseudo_document_counts(idx, cid, language, stopwords)
 
-    df: Dict[str, int] = {}
-    for cid in universe:
-        for term in per_concept[cid]:
-            df[term] = df.get(term, 0) + 1
+    df = Counter(term for counts in per_concept.values() for term in counts)
 
     index: Dict[str, List[Tuple[str, float]]] = {}
     for cid in universe:
         for term, tf in per_concept[cid].items():
-            if df[term] == n:
-                continue
-            index.setdefault(term, []).append((cid, tf * log(n / df[term])))
+            if df[term] < n:
+                index.setdefault(term, []).append((cid, tf * log(n / df[term])))
     for term, pairs in index.items():
         pairs.sort(key=lambda cw: (-cw[1], cw[0]))
         del pairs[k_term:]
-    return SemanticInterpreter(
-        language=language,
-        doc_count=n,
-        df=df,
-        term_index=index,
-        concept_universe=frozenset(universe),
-        k_term=k_term,
-    )
+    return SemanticInterpreter(language=language, k_term=k_term, term_index=index)
 
 
 def interpret(si: SemanticInterpreter, doc: TokenStream) -> SemanticVector:

@@ -513,11 +513,12 @@ def _virtual_docs_curve(
         ])
         arms = {
             "original": (False, restricted),
-            "virtual": (True, stripped),
             "deleted": (False, stripped),
+            "virtual": (True, stripped),
         }
         for arm, (virtual_docs, arm_res) in arms.items():
-            report = _run(replace(cfg, virtual_docs=virtual_docs), arm_res, workers=workers)
+            if arm != "deleted" or dropped:  # else it repeats the original arm's run
+                report = _run(replace(cfg, virtual_docs=virtual_docs), arm_res, workers=workers)
             curve[arm].append(report["results"]["accuracy"])
     return envelope("ablation", {
         "toggle": "virtual_docs",

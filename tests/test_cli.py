@@ -256,6 +256,16 @@ def _duplicate_concept(payload):
     return payload
 
 
+def _first_pair(edit):
+    """Replace the first (concept, weight) pair of the interpreter's
+    alphabetically first term by edit(concept, weight)."""
+    def edit_payload(payload):
+        pairs = payload["term_index"][min(payload["term_index"])]
+        pairs[0] = edit(*pairs[0])
+        return payload
+    return edit_payload
+
+
 # (artifact file, edit of its decoded JSON)
 MALFORMED_ARTIFACTS = {
     "model-list": ("model.json", lambda payload: [1]),
@@ -268,6 +278,7 @@ MALFORMED_ARTIFACTS = {
     "space-list": ("feature_space.json", lambda payload: [1]),
     "space-format": ("feature_space.json", _edit("format", "xlcat-model")),
     "space-version": ("feature_space.json", _edit("version", "1")),
+    "space-version-true": ("feature_space.json", _edit("version", True)),
     "space-no-concepts": ("feature_space.json", _drop("concepts")),
     "space-concepts-mixed": ("feature_space.json", _edit("concepts", [1, [2]])),
     "space-concepts-integers": ("feature_space.json", _integer_concepts),
@@ -275,9 +286,12 @@ MALFORMED_ARTIFACTS = {
     "interpreter-list": ("interpreter_l1.json", lambda payload: [1]),
     "interpreter-format": ("interpreter_l1.json", _edit("format", "xlcat-report")),
     "interpreter-version": ("interpreter_l1.json", _edit("version", None)),
-    "interpreter-no-doc-count": ("interpreter_l1.json", _drop("doc_count")),
-    "interpreter-df-list": ("interpreter_l1.json", _edit("df", [1])),
+    "interpreter-version-1": ("interpreter_l1.json", _edit("version", 1)),
+    "interpreter-version-float": ("interpreter_l1.json", _edit("version", 2.0)),
+    "interpreter-no-term-index": ("interpreter_l1.json", _drop("term_index")),
     "interpreter-term-index-number": ("interpreter_l1.json", _edit("term_index", {"w": 5})),
+    "interpreter-weight-string": ("interpreter_l1.json", _first_pair(lambda c, w: [c, str(w)])),
+    "interpreter-pair-arity": ("interpreter_l1.json", _first_pair(lambda c, w: [c, w, w])),
 }
 
 
@@ -315,6 +329,40 @@ class TestMalformedArtifacts:
         payload = json.loads((files / name).read_text(encoding="utf-8"))
         (files / name).write_text(json.dumps(edit(payload)), encoding="utf-8")
         assert_data_error(self._classify(workspace, files, tmp_path), files / name)
+
+    def test_classify_reads_only_the_dataset_languages_interpreter(
+        self, workspace, artifacts, tmp_path
+    ):
+        files = self._copy(artifacts, tmp_path)
+        (files / "interpreter_l0.json").write_text("{not json", encoding="utf-8")
+        proc = self._classify(workspace, files, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        expected = tmp_path / "intact"
+        assert cli.main([
+            "classify", "--config", str(workspace["config"]),
+            "--model", str(artifacts / "model.json"),
+            "--space", str(artifacts / "feature_space.json"),
+            "--interpreters", str(artifacts),
+            "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+            "--out-dir", str(expected),
+        ]) == 0
+        assert (tmp_path / "pred" / "predictions.jsonl").read_bytes() == (
+            expected / "predictions.jsonl"
+        ).read_bytes()
+
+    def test_classify_rejects_a_missing_interpreter(self, workspace, artifacts, tmp_path):
+        files = self._copy(artifacts, tmp_path)
+        (files / "interpreter_l1.json").unlink()
+        proc = self._classify(workspace, files, tmp_path)
+        assert_data_error(proc, "'l1'", files / "interpreter_l1.json")
+
+    def test_classify_rejects_an_interpreter_of_another_language(
+        self, workspace, artifacts, tmp_path
+    ):
+        files = self._copy(artifacts, tmp_path)
+        shutil.copy(files / "interpreter_l0.json", files / "interpreter_l1.json")
+        proc = self._classify(workspace, files, tmp_path)
+        assert_data_error(proc, files / "interpreter_l1.json", "'l0'", "'l1'")
 
     @pytest.mark.parametrize("extra", [-5, 30])
     def test_classify_rejects_model_and_space_of_other_sizes(
@@ -362,6 +410,30 @@ class TestArtifactRoundTrip:
     def test_load_then_save_writes_the_same_bytes(self, artifacts, tmp_path, cls, name):
         cls.load(artifacts / name).save(tmp_path / name)
         assert (tmp_path / name).read_bytes() == (artifacts / name).read_bytes()
+
+
+# Every file an experiment writes through _util.dump_artifact or as its
+# report: (format, version, top-level keys). A format change edits this table.
+ARTIFACT_FORMATS = {
+    "interpreter_l0.json": ("xlcat-interpreter", 2, {"language", "k_term", "term_index"}),
+    "interpreter_l1.json": ("xlcat-interpreter", 2, {"language", "k_term", "term_index"}),
+    "feature_space.json": ("xlcat-feature-space", 1, {"concepts", "metadata"}),
+    "model.json": (
+        "xlcat-model", 1, {"categories", "lambda", "epochs", "seed", "weights", "bias"},
+    ),
+    "report.json": ("xlcat-report", 1, {"config", "data", "results"}),
+}
+
+
+def test_experiment_artifact_formats(artifacts):
+    assert {p.name for p in artifacts.glob("*.json")} == set(ARTIFACT_FORMATS)
+    for name, (fmt, version, keys) in ARTIFACT_FORMATS.items():
+        text = (artifacts / name).read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert (payload["format"], payload["version"]) == (fmt, version), name
+        assert set(payload) == {"format", "version"} | keys, name
+        if name != "report.json":
+            assert text.count("\n") == 1 and text.endswith("}\n"), name
 
 
 class TestDeterminism:

@@ -211,6 +211,22 @@ class TestAblation:
         assert len(result["curves"]["virtual"]) == 3
         assert len(calls) == 1
 
+    def test_virtual_curve_runs_block_zero_without_deletion_once(self, corpus, monkeypatch):
+        runs = []
+
+        def counting_run(cfg, res, *args, **kwargs):
+            runs.append(cfg.virtual_docs)
+            return run(cfg, res, *args, **kwargs)
+
+        run = pipeline._run
+        monkeypatch.setattr(pipeline, "_run", counting_run)
+        cfg = make_config(corpus, **default_hp())
+        result = ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
+        # three arms at each of three block counts, less the deleted arm at 0
+        assert runs.count(True) == 3
+        assert runs.count(False) == 2 * 3 - 1
+        assert result["curves"]["deleted"][0] == result["curves"]["original"][0]
+
     def test_unknown_toggle_rejected(self, corpus):
         cfg = make_config(corpus, **default_hp())
         with pytest.raises(DataError):

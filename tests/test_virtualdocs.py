@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import layered_dags
 
 from xlcat.corpus import SupportArticle
-from xlcat.interpreter import build_interpreter, interpret
+from xlcat.interpreter import build_interpreter, interpret, pseudo_document_counts
 from xlcat.ontology import (
     Hierarchy,
     SupportIndex,
@@ -190,7 +190,7 @@ class TestConstructVirtualDocument:
         idx_real = SupportIndex({"c", "s"}, arts + [doc("c", real_text)])
         si_real = build_interpreter(idx_real, "en", {"c", "s"}, k_term=100)
         assert si_virtual.term_index == si_real.term_index
-        assert si_virtual.df == si_real.df
+        assert pseudo_document_counts(idx, "c", "en") == pseudo_document_counts(idx_real, "c", "en")
         probe = ["alpha", "beta", "gamma", "alpha"]
         assert interpret(si_virtual, probe) == interpret(si_real, probe)
 
