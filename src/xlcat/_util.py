@@ -47,6 +47,8 @@ def load_json(path: str | Path) -> Any:
 ARTIFACT_VERSIONS = {"interpreter": 2, "feature-space": 1, "model": 1,
                      "report": 1, "report-aggregate": 1, "ablation": 1}
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder
+# Dict entries per encoder call in dump_artifact: 1024 was no faster and held 3x the memory.
+_CHUNK = 128
 
 
 def envelope(kind: str, fields: Mapping[str, Any]) -> dict:
@@ -59,15 +61,16 @@ def dump_artifact(path: str | Path, kind: str, fields: Mapping[str, Any]) -> Non
     """Write envelope(kind, fields) as the bytes of json.dump(...,
     sort_keys=True, ensure_ascii=False) plus "\n", dict keys being strings.
     json.dump never takes the C encoder; here a dict-valued field is encoded
-    entry by entry and every other value whole, so no one string holds it."""
+    in chunks of _CHUNK sorted keys, one C encoder call per chunk, and every
+    other value whole, so no one string holds the file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         sep = "{"
         for key, value in sorted(envelope(kind, fields).items()):
             fh.write(sep + _encode(key) + ": ")
             if isinstance(value, dict) and value:
-                inner = "{"
-                for k in sorted(value):
-                    fh.write(inner + _encode(k) + ": " + _encode(value[k]))
+                keys, inner = sorted(value), "{"
+                for i in range(0, len(keys), _CHUNK):
+                    fh.write(inner + _encode({k: value[k] for k in keys[i:i + _CHUNK]})[1:-1])
                     inner = ", "
                 fh.write("}")
             else:

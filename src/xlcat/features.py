@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -15,7 +16,7 @@ from ._util import dump_artifact, dump_jsonl, load_artifact, ordered_map
 from .corpus import LabeledDocument, _read_jsonl
 from .errors import DataError
 from .interpreter import ConceptFeatureSet, SemanticInterpreter, generate_basic_features
-from .ontology import Hierarchy, ancestors
+from .ontology import Hierarchy
 
 # Active coordinate indices of a binarized document vector.
 BinaryFeatureVector = FrozenSet[int]
@@ -56,12 +57,13 @@ class FeatureSpace:
 
 def enrich_with_meta(h: Hierarchy, basic: ConceptFeatureSet, m: int) -> Set[str]:
     """Add every ancestor within m edges of each generated basic concept;
-    m=0 returns the basic set unchanged."""
+    m=0 returns the basic set unchanged. It unions the frozensets that
+    Hierarchy.ancestors_within caches, so no ancestor set is copied."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     result = set(basic.concepts)
     for cid in basic.concepts:
-        result |= ancestors(h, cid, m)
+        result |= h.ancestors_within(cid, m)
     return result
 
 
@@ -71,11 +73,9 @@ def filter_meta_features(
     """Drop meta features that are not ancestors of at least two distinct
     basic features of the document. Basic features always survive.
 
-    One counting pass over the basic features' ancestor closures, which
-    each Hierarchy caches: O(sum of the closure sizes + |enriched|)."""
-    covered = Counter()
-    for b in basic.concepts:
-        covered.update(h.ancestors_all(b))
+    One C-level Counter over the chained ancestor closures, which each
+    Hierarchy caches: O(sum of the closure sizes + |enriched|)."""
+    covered = Counter(chain.from_iterable(map(h.ancestors_all, basic.concepts)))
     return {cid for cid in enriched if cid in h.basic or covered[cid] >= 2}
 
 
@@ -159,26 +159,22 @@ def information_gain(
     vectors: Sequence[BinaryFeatureVector], labels: Sequence[str], coordinate: int
 ) -> float:
     """Mutual information (bits) between one binary coordinate and the label:
-    H(K) - P(f=1) H(K|f=1) - P(f=0) H(K|f=0), with empirical probabilities."""
+    H(K) - P(f=1) H(K|f=1) - P(f=0) H(K|f=0), with empirical probabilities.
+    The labels are split by the coordinate and each part counted by a C-level
+    Counter in order of first appearance, which fixes every bit of the sums."""
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels must have the same length")
     if not vectors:
         raise ValueError("need at least one example")
     n = len(labels)
-    on = Counter()
-    off = Counter()
-    n_on = 0
+    on, off = [], []
     for vec, label in zip(vectors, labels):
-        if coordinate in vec:
-            on[label] += 1
-            n_on += 1
-        else:
-            off[label] += 1
-    prior = Counter(labels)
+        (on if coordinate in vec else off).append(label)
+    n_on = len(on)
     gain = (
-        _entropy(prior, n)
-        - (n_on / n) * _entropy(on, n_on)
-        - ((n - n_on) / n) * _entropy(off, n - n_on)
+        _entropy(Counter(labels), n)
+        - (n_on / n) * _entropy(Counter(on), n_on)
+        - ((n - n_on) / n) * _entropy(Counter(off), n - n_on)
     )
     return max(gain, 0.0)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import log
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -86,9 +87,10 @@ def build_interpreter(
     """Build the inverted term -> concept index for one language.
 
     tf is the raw count of a term in a concept's pseudo-document, idf is
-    ln(N/df) over the N given concepts, and each term's inverted list keeps
-    only the k_term highest-weighted concepts. Terms occurring in every
-    pseudo-document have zero idf and are omitted entirely.
+    ln(N/df) over the N given concepts (once per term), and each term's
+    inverted list keeps only the k_term highest-weighted concepts, ties to
+    the smaller id by a stable sort of pairs appended in id order. Terms
+    occurring in every pseudo-document have zero idf and are omitted.
     """
     if k_term < 1:
         raise ValueError("k_term must be >= 1")
@@ -103,14 +105,15 @@ def build_interpreter(
         per_concept[cid] = pseudo_document_counts(idx, cid, language, stopwords)
 
     df = Counter(term for counts in per_concept.values() for term in counts)
+    idf = {term: log(n / d) for term, d in df.items() if d < n}
 
     index: Dict[str, List[Tuple[str, float]]] = {}
     for cid in universe:
         for term, tf in per_concept[cid].items():
-            if df[term] < n:
-                index.setdefault(term, []).append((cid, tf * log(n / df[term])))
-    for term, pairs in index.items():
-        pairs.sort(key=lambda cw: (-cw[1], cw[0]))
+            if term in idf:
+                index.setdefault(term, []).append((cid, tf * idf[term]))
+    for pairs in index.values():
+        pairs.sort(key=itemgetter(1), reverse=True)
         del pairs[k_term:]
     return SemanticInterpreter(language=language, k_term=k_term, term_index=index)
 
@@ -122,9 +125,10 @@ def interpret(si: SemanticInterpreter, doc: TokenStream) -> SemanticVector:
     if not doc:
         return {}
     sums: SemanticVector = {}
+    lookup, get = si.term_index.get, sums.get
     for token in doc:
-        for cid, weight in si.term_index.get(token, ()):
-            sums[cid] = sums.get(cid, 0.0) + weight
+        for cid, weight in lookup(token, ()):
+            sums[cid] = get(cid, 0.0) + weight
     inv = 1.0 / len(doc)
     return {cid: total * inv for cid, total in sums.items()}
 

@@ -106,6 +106,27 @@ class Hierarchy:
         self._ancestors_all_cache[concept_id] = frozen
         return frozen
 
+    def ancestors_within(self, concept_id: str, depth: int) -> frozenset:
+        """Nodes reachable by following 1..depth reversed edges, as a shared
+        frozenset: a breadth-first search, O(edges within depth), on the
+        first call for each (concept_id, depth) and a cache lookup after."""
+        cached = self._ancestors_cache.get((concept_id, depth))
+        if cached is not None:
+            return cached
+        if concept_id not in self:
+            raise UnknownConceptError(concept_id)
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        result: Set[str] = set()
+        frontier = {concept_id}
+        for _ in range(depth):
+            frontier = {p for node in frontier for p in self.parents(node)} - result
+            if not frontier:
+                break
+            result |= frontier
+        frozen = self._ancestors_cache[(concept_id, depth)] = frozenset(result)
+        return frozen
+
     def path_counts_from(self, concept_id: str) -> Dict[str, int]:
         """Number of distinct directed paths from concept_id to each
         descendant (and 1 for itself). Multiplicities can grow combinatorially
@@ -195,28 +216,9 @@ def merge_hierarchies(
 
 def ancestors(h: Hierarchy, concept_id: str, depth: int) -> Set[str]:
     """Nodes reachable by following 1..depth reversed edges; depth 0 is empty.
-    Monotone in depth.
-
-    A breadth-first search, O(edges within depth) on the first call for each
-    (concept_id, depth) and O(size of the result) after that: the search
-    result is cached on the Hierarchy, which is immutable. Each call returns
-    a fresh set, so a caller may mutate it."""
-    cached = h._ancestors_cache.get((concept_id, depth))
-    if cached is not None:
-        return set(cached)
-    if concept_id not in h:
-        raise UnknownConceptError(concept_id)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    result: Set[str] = set()
-    frontier = {concept_id}
-    for _ in range(depth):
-        frontier = {p for node in frontier for p in h.parents(node)} - result
-        if not frontier:
-            break
-        result |= frontier
-    h._ancestors_cache[(concept_id, depth)] = frozenset(result)
-    return result
+    Monotone in depth. A fresh copy of the frozenset that
+    Hierarchy.ancestors_within caches, so a caller may mutate it."""
+    return set(h.ancestors_within(concept_id, depth))
 
 
 class SupportIndex:
@@ -298,19 +300,17 @@ def retained_concepts(idx: SupportIndex, langs: Iterable[str]) -> Set[str]:
 
 def load_concepts(path: str | Path) -> Tuple[Set[str], Set[str]]:
     """Concept declarations: JSON lines of {"concept_id", "kind"}; returns
-    (basic, meta) id sets."""
+    (basic, meta) id sets. A concept declared twice, of either kind, is an
+    OntologyError naming the line."""
     basic, meta = set(), set()
     for lineno, obj in _read_jsonl(path):
         cid = _require_str(obj, "concept_id", path, lineno)
         kind = _require_str(obj, "kind", path, lineno)
-        if kind == "basic":
-            basic.add(cid)
-        elif kind == "meta":
-            meta.add(cid)
-        else:
+        if kind not in ("basic", "meta"):
             raise OntologyError(f"{path}:{lineno}: kind must be 'basic' or 'meta', got {kind!r}")
-        if cid in basic and cid in meta:
-            raise OntologyError(f"{path}:{lineno}: concept {cid!r} declared with both kinds")
+        if cid in basic or cid in meta:
+            raise OntologyError(f"{path}:{lineno}: concept {cid!r} declared twice")
+        (basic if kind == "basic" else meta).add(cid)
     return basic, meta
 
 

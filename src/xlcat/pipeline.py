@@ -223,6 +223,20 @@ def load_resources(cfg: ExperimentConfig) -> Resources:
     return Resources(articles, h.basic, h, stopwords)
 
 
+def _load_dataset(cfg: ExperimentConfig, lang: str, split: str) -> List[LabeledDocument]:
+    """The `split` dataset configured for `lang`; a document of any other
+    language is a DataError naming the file, the document and both languages."""
+    path = cfg.datasets[lang][split]
+    docs = load_labeled_dataset(path)
+    for d in docs:
+        if d.language != lang:
+            raise DataError(
+                f"{path}: document {d.doc_id!r} has language {d.language!r}, "
+                f"but paths.datasets.{lang} holds {lang!r} documents"
+            )
+    return docs
+
+
 def _sample_training_docs(
     cfg: ExperimentConfig,
 ) -> Tuple[List[LabeledDocument], List[str]]:
@@ -231,7 +245,7 @@ def _sample_training_docs(
     per_lang_docs: Dict[str, List[LabeledDocument]] = {}
     categories: Set[str] = set()
     for lang in sorted(set(cfg.source_languages)):
-        docs = [d for d in load_labeled_dataset(cfg.datasets[lang]["train"]) if d.label]
+        docs = [d for d in _load_dataset(cfg, lang, "train") if d.label]
         if not docs:
             raise DataError(f"training dataset for {lang!r} has no labeled documents")
         per_lang_docs[lang] = docs
@@ -355,7 +369,7 @@ def _run(
 
     test_docs: List[LabeledDocument] = []
     for lang in sorted(set(cfg.target_languages)):
-        test_docs.extend(load_labeled_dataset(cfg.datasets[lang]["test"]))
+        test_docs.extend(_load_dataset(cfg, lang, "test"))
     unlabeled = [d.doc_id for d in test_docs if d.label is None]
     if unlabeled:
         raise DataError(f"test documents lack labels, e.g. {unlabeled[0]!r}")

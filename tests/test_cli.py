@@ -139,6 +139,41 @@ class TestConfigValidation:
         assert_data_error_naming(tmp_path, cfg, field)
 
 
+def run_experiment_with(workspace, tmp_path, edit):
+    """`xlcat experiment` on the workspace config after edit(config dict)."""
+    cfg = json.loads(workspace["config"].read_text())
+    edit(cfg)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return run_cli("experiment", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+
+
+class TestSilentInputs:
+    @pytest.mark.parametrize("kind", ["basic", "meta"])
+    def test_concept_declared_twice(self, workspace, tmp_path, kind):
+        lines = workspace["corpus"].paths["concepts"].read_text(encoding="utf-8").splitlines()
+        cid = json.loads(lines[0])["concept_id"]
+        lines.append(json.dumps({"concept_id": cid, "kind": kind}))
+        concepts = tmp_path / "concepts.jsonl"
+        concepts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_experiment_with(
+            workspace, tmp_path, lambda cfg: cfg["paths"].update(concepts=str(concepts))
+        )
+        assert_data_error(proc, f"{concepts}:{len(lines)}", repr(cid))
+
+    @pytest.mark.parametrize("lang,split,other", [("l0", "train", "l1"), ("l1", "test", "l0")])
+    def test_dataset_document_in_another_language(self, workspace, tmp_path, lang, split, other):
+        source = workspace["corpus"].paths["datasets"][lang][split]
+        docs = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+        docs[-1]["language"] = other
+        dataset = tmp_path / source.name
+        dataset.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        proc = run_experiment_with(
+            workspace, tmp_path, lambda cfg: cfg["paths"]["datasets"][lang].update({split: str(dataset)})
+        )
+        assert_data_error(proc, dataset, repr(docs[-1]["doc_id"]), repr(lang), repr(other))
+
+
 class TestChainedWorkflow:
     def test_stage_by_stage_pipeline(self, workspace, tmp_path):
         cfg = str(workspace["config"])

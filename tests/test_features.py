@@ -3,10 +3,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import layered_dags
+from xlcat import features
 from xlcat.corpus import LabeledDocument, SupportArticle
 from xlcat.features import (
     FeatureSpace,
@@ -20,7 +21,7 @@ from xlcat.features import (
     select_features,
 )
 from xlcat.interpreter import ConceptFeatureSet, build_interpreter
-from xlcat.ontology import Hierarchy, SupportIndex
+from xlcat.ontology import Hierarchy, SupportIndex, ancestors
 
 
 def diamond():
@@ -101,6 +102,30 @@ class TestFilterMetaFeaturesOracle:
         enriched = enrich_with_meta(h, basic, m)
         expected = reference_filter_meta_features(h, enriched, basic)
         assert filter_meta_features(h, enriched, basic) == expected
+
+
+def reference_enrich_with_meta(h, basic, m):
+    """The union of fresh ancestor sets enrich_with_meta replaced."""
+    result = set(basic.concepts)
+    for cid in basic.concepts:
+        result |= ancestors(h, cid, m)
+    return result
+
+
+class TestEnrichWithMetaOracle:
+    @given(layered_dags(), st.data(), st.integers(0, 3))
+    def test_matches_reference_and_ignores_mutated_ancestor_sets(self, h, data, m):
+        basic = feats(*data.draw(st.sets(st.sampled_from(sorted(h.basic | h.meta)))))
+        expected = reference_enrich_with_meta(h, basic, m)
+        assert enrich_with_meta(h, basic, m) == expected
+        # ancestors() hands out copies: mutating them, or a result, must not
+        # reach the cached sets that later calls read.
+        for cid in basic.concepts:
+            ancestors(h, cid, m).clear()
+            ancestors(h, cid, m).add("intruder")
+        enrich_with_meta(h, basic, m).add("intruder")
+        assert enrich_with_meta(h, basic, m) == expected
+        assert reference_enrich_with_meta(h, basic, m) == expected
 
 
 def two_language_setup():
@@ -209,6 +234,68 @@ class TestInformationGain:
             assert got == pytest.approx(want, abs=1e-12)
             assert got >= 0.0
             assert got <= _entropy_of(labels) + 1e-12
+
+
+def reference_information_gain(vectors, labels, coordinate):
+    """The per-(coordinate, document) Counter increments information_gain
+    replaced. Its Counters meet labels in the same order, so the entropy sums
+    run in the same order and the gains must agree in every bit."""
+    n = len(labels)
+    on = Counter()
+    off = Counter()
+    n_on = 0
+    for vec, label in zip(vectors, labels):
+        if coordinate in vec:
+            on[label] += 1
+            n_on += 1
+        else:
+            off[label] += 1
+    prior = Counter(labels)
+    gain = (
+        features._entropy(prior, n)
+        - (n_on / n) * features._entropy(on, n_on)
+        - ((n - n_on) / n) * features._entropy(off, n - n_on)
+    )
+    return max(gain, 0.0)
+
+
+@st.composite
+def labeled_binary_vectors(draw):
+    """(vectors, labels, k): vectors over coordinates 0..k-1 plus coordinate
+    k, which every vector has; coordinate k + 1 is in none. One to five
+    labels, so a single label is common."""
+    k = draw(st.integers(1, 5))
+    alphabet = ["e", "b", "a", "d", "c"][: draw(st.integers(1, 5))]
+    labels = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40))
+    vectors = [draw(st.frozensets(st.integers(0, k - 1))) | {k} for _ in labels]
+    return vectors, labels, k
+
+
+class TestInformationGainOracle:
+    @given(labeled_binary_vectors())
+    # labels first appear as b, c, a among the documents with coordinate 0,
+    # as a, c, b among those without it, and as a, b, c overall
+    @example(([frozenset({1}), frozenset({0, 1}), frozenset({0, 1}), frozenset({1}),
+               frozenset({1}), frozenset({0, 1}), frozenset({1})],
+              ["a", "b", "c", "c", "b", "a", "a"], 1))
+    def test_same_bits_as_reference(self, drawn):
+        vectors, labels, k = drawn
+        for coordinate in range(k + 2):
+            got = information_gain(vectors, labels, coordinate)
+            assert got.hex() == reference_information_gain(vectors, labels, coordinate).hex()
+
+    def test_select_features_calls_it_once_per_coordinate(self, monkeypatch):
+        calls = []
+
+        def counting(vectors, labels, coordinate):
+            calls.append(coordinate)
+            return information_gain(vectors, labels, coordinate)
+
+        monkeypatch.setattr(features, "information_gain", counting)
+        space = FeatureSpace(concepts=["a", "b", "c", "d"])
+        vectors = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3}), frozenset()]
+        select_features(space, vectors, ["+", "+", "-", "-"], 2)
+        assert calls == [0, 1, 2, 3]
 
 
 class TestSelectFeatures:

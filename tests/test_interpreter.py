@@ -1,8 +1,11 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xlcat.corpus import LabeledDocument, SupportArticle
 from xlcat.interpreter import (
@@ -11,6 +14,7 @@ from xlcat.interpreter import (
     build_interpreter,
     generate_basic_features,
     interpret,
+    pseudo_document_counts,
     top_k_features,
 )
 from xlcat.ontology import SupportIndex
@@ -169,6 +173,72 @@ class TestOracleEquivalence:
                 assert v3[cid] == pytest.approx(3 * v1[cid])
             k = rng.randrange(1, 6)
             assert top_k_features(v1, k, "en") == top_k_features(v3, k, "en")
+
+
+def reference_build_interpreter(idx, language, concepts, k_term):
+    """The term_index of the build_interpreter loop this code replaced: idf
+    computed for each (concept, term) pair and a (-weight, id) sort."""
+    universe = sorted(set(concepts))
+    n = len(universe)
+    per_concept = {cid: pseudo_document_counts(idx, cid, language) for cid in universe}
+    df = Counter(term for counts in per_concept.values() for term in counts)
+    index = {}
+    for cid in universe:
+        for term, tf in per_concept[cid].items():
+            if df[term] < n:
+                index.setdefault(term, []).append((cid, tf * math.log(n / df[term])))
+    for term, pairs in index.items():
+        pairs.sort(key=lambda cw: (-cw[1], cw[0]))
+        del pairs[k_term:]
+    return index
+
+
+def reference_interpret(si, doc):
+    """The interpret loop this code replaced, without bound-method locals."""
+    if not doc:
+        return {}
+    sums = {}
+    for token in doc:
+        for cid, weight in si.term_index.get(token, ()):
+            sums[cid] = sums.get(cid, 0.0) + weight
+    inv = 1.0 / len(doc)
+    return {cid: total * inv for cid, total in sums.items()}
+
+
+def bits(pairs):
+    return [(key, weight.hex()) for key, weight in pairs]
+
+
+VOCAB = ["w0", "w1", "w2", "w3", "w4"]
+
+
+@st.composite
+def tied_corpora(draw):
+    """{concept id: text} where several concepts share one of a few short
+    texts over five words, so equal tf and df, and so equal weights, are
+    common; the ids sort in another order than they are drawn."""
+    shared = draw(st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=6),
+                           min_size=1, max_size=3))
+    ids = draw(st.lists(st.sampled_from(["c10", "c2", "b", "a1", "z", "c1"]),
+                        min_size=2, max_size=6, unique=True))
+    return {cid: " ".join(draw(st.sampled_from(shared))) for cid in ids}
+
+
+class TestFastPathOracles:
+    @given(tied_corpora(), st.integers(1, 4))
+    def test_build_interpreter_matches_reference(self, texts, k_term):
+        idx = make_index(texts)
+        si = build_interpreter(idx, "en", set(texts), k_term=k_term)
+        want = reference_build_interpreter(idx, "en", set(texts), k_term)
+        assert list(si.term_index) == list(want)
+        for term, pairs in want.items():
+            assert bits(si.term_index[term]) == bits(pairs), term
+
+    @given(tied_corpora(), st.integers(1, 4),
+           st.lists(st.sampled_from(VOCAB + ["unknown"]), max_size=12))
+    def test_interpret_matches_reference(self, texts, k_term, doc):
+        si = build_interpreter(make_index(texts), "en", set(texts), k_term=k_term)
+        assert bits(interpret(si, doc).items()) == bits(reference_interpret(si, doc).items())
 
 
 class TestPersistence:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -137,6 +138,38 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report["data"]["n_train"] == 450
         assert report["data"]["n_test"] == 450
+
+
+# sha256 of a tiny CLTC2 run that selects 12 of its 43 features: the
+# report's data and results (as canonical JSON) and each artifact's bytes.
+GOLDEN_RUN_DIGESTS = {
+    "data+results": "354b4df8dac01db9496cd4a2e212a8610d188f3cab7afd40d95f8e87a228e5bb",
+    "feature_space.json": "bec0ca402b0b5aa3fbec09b9970ff6c2774e15bdfbafacaed3a288f20dbb9f94",
+    "interpreter_l0.json": "621937cbcb6349c3407ab5f85981d216c23318c63ec668977e9bd0f41fef794a",
+    "interpreter_l1.json": "f65df2c2a8a2ab254341de765d50b0f907ef3660eb4c087accacf0f6ac3de467",
+    "model.json": "f76f2545aecce97e5078592dfea8971ad7233792cdc7f0391882aaad0f1c4f74",
+}
+
+
+def test_selection_run_matches_golden_digests(tmp_path):
+    """Bit-identity gate on the learning path: interpreter build, meta
+    features, information-gain selection, training and artifact writing."""
+    spec = SyntheticCorpusSpec(
+        n_concepts=24, n_meta_levels=2, branching=3, vocab_size_per_language=400,
+        n_languages=2, n_categories=3, docs_per_category=20, noise_rate=0.05, seed=7,
+    )
+    corpus = make_corpus(tmp_path, spec)
+    cfg = make_config(corpus, seed=3, samples=15, k_term=6, k_doc=6, m=2, p=3, t=12, n_select=12)
+    out = tmp_path / "run"
+    report = run_experiment(cfg, out_dir=out)
+    assert report["data"]["feature_space_size_initial"] == 43
+    assert report["data"]["feature_space_size_selected"] == 12
+    scored = json.dumps({k: report[k] for k in ("data", "results")}, sort_keys=True)
+    digests = {"data+results": hashlib.sha256(scored.encode()).hexdigest()}
+    for name in GOLDEN_RUN_DIGESTS:
+        if name.endswith(".json"):
+            digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digests == GOLDEN_RUN_DIGESTS
 
 
 class TestConfigIO:

@@ -1,9 +1,10 @@
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlcat._util import ARTIFACT_VERSIONS, dump_artifact, envelope
+from xlcat._util import _CHUNK, ARTIFACT_VERSIONS, dump_artifact, envelope
 
 
 def reference_dump_artifact(path, kind, fields):
@@ -41,3 +42,18 @@ class TestDumpArtifact:
         reference_dump_artifact(tmp / "reference.json", kind, fields)
         assert (tmp / "streamed.json").read_bytes() == (tmp / "reference.json").read_bytes()
 
+
+
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 2049])
+def test_dict_field_chunk_boundaries(tmp_path, size):
+    """dump_artifact encodes a dict-valued field _CHUNK sorted keys at a
+    time; at and around chunk boundaries the bytes still equal json.dump's.
+    Keys are inserted out of order and some need escaping."""
+    assert 1024 % _CHUNK == 0  # so 1024 and 2048 end a chunk
+    keys = [f"{'é' if i % 3 else 'a'}\"{(i * 7919) % 10007:05d}" for i in range(size)]
+    term_index = {k: [[f"c{i % 5}", i / 7]] for i, k in enumerate(keys)}
+    fields = {"language": "l0", "k_term": 3, "term_index": term_index, "z": {"b": 1, "a": 2}}
+    dump_artifact(tmp_path / "streamed.json", "interpreter", fields)
+    reference_dump_artifact(tmp_path / "reference.json", "interpreter", fields)
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert len(json.loads((tmp_path / "streamed.json").read_text("utf-8"))["term_index"]) == size
