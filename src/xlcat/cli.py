@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data/format error, 3 setup violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -331,9 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves a parser as it was,
+    and main() may be called many times in one process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except SetupViolation as exc:

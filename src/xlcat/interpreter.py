@@ -66,11 +66,12 @@ class SemanticInterpreter:
 def pseudo_document_counts(
     idx: SupportIndex, concept_id: str, language: str, stopwords: Optional[frozenset] = None
 ) -> Counter:
-    """Term counts of a concept's pseudo-document: its tokenized support
-    articles plus any injected virtual table."""
+    """Term counts of a concept's pseudo-document: its support articles'
+    term counts summed in article order, plus any injected virtual table,
+    in a fresh Counter."""
     counts: Counter = Counter()
     for article in idx.articles(concept_id, language):
-        counts.update(tokenize(article.text, language, stopwords))
+        counts.update(idx.term_counts(article, stopwords))
     table = idx.virtual(concept_id, language)
     if table is not None:
         counts.update(table.terms)

@@ -107,9 +107,15 @@ def train(
     regularized like the weights: it is shrunk by 1 - eta*lambda at every
     step. Deterministic given inputs and seed.
 
-    Each step costs O(n_features) for the shrinkage plus O(nnz) for the
-    margin and update, so training is O(categories * epochs * documents *
-    n_features)."""
+    Every category takes epochs * documents steps, and step t's shrink
+    factor is the same for all of them, so the categories step in lockstep:
+    at step t each computes its margin on the document its own shuffle
+    order picks, then one dense shrink scales every category's weights, and
+    each violating category writes its shrunk-and-updated active weights
+    back. Each step costs O(categories * n_features) for that one shrink
+    plus O(categories * nnz) for the margins and updates, so training is
+    O(epochs * documents * categories * n_features). The result is the same,
+    bit for bit, as training the categories one after another."""
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")
     if not vectors:
@@ -132,23 +138,36 @@ def train(
     ]
     n = len(vectors)
     weights = np.zeros((len(categories), n_features + 1), dtype=np.float64)
-    rng = stable_rng(seed, "train-shuffle")
+    ys = [[1.0 if lab == cat else -1.0 for lab in labels] for cat in categories]
 
-    for k, cat in enumerate(categories):
-        y = np.array([1.0 if lab == cat else -1.0 for lab in labels])
-        w = weights[k]
-        t = 0
+    # Row k holds category k's shuffle orders, drawn in the sequence of
+    # training the categories one after another (all epochs of category 0,
+    # then 1, ...), in the narrowest integer type that holds an index.
+    rng = stable_rng(seed, "train-shuffle")
+    orders = np.empty((len(categories), epochs * n), dtype=np.min_scalar_type(n - 1))
+    for row in orders:
         order = list(range(n))
-        for _ in range(epochs):
+        for e in range(epochs):
             rng.shuffle(order)
-            for i in order:
-                t += 1
-                eta = 1.0 / (lambda_ * t)
+            row[e * n:(e + 1) * n] = order
+
+    rows = list(weights)  # views of each category's weights
+    add = np.add.reduce  # what w[idx].sum() computes: pairwise summation
+    t = 0
+    for e in range(epochs):
+        for picks in orders[:, e * n:(e + 1) * n].T.tolist():
+            t += 1
+            eta = 1.0 / (lambda_ * t)
+            shrink = 1.0 - eta * lambda_
+            updates = []
+            for w, y, i in zip(rows, ys, picks):
                 idx = active[i]
-                margin = y[i] * w[idx].sum()
-                w *= 1.0 - eta * lambda_
-                if margin < 1.0:
-                    w[idx] += eta * y[i]
+                g = w.take(idx)
+                if y[i] * add(g) < 1.0:
+                    updates.append((w, idx, g, eta * y[i]))
+            weights *= shrink
+            for w, idx, g, step in updates:
+                w.put(idx, g * shrink + step)
 
     return LinearModel(
         categories=categories,

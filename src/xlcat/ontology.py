@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import dump_jsonl
-from .corpus import SupportArticle, _read_jsonl, _require_str
+from .corpus import SupportArticle, _read_jsonl, _require_str, tokenize
 from .errors import DataError
 
 Edge = Tuple[str, str]
@@ -225,10 +225,20 @@ class SupportIndex:
     """Per-(basic concept, language) article sets, plus injected virtual
     term tables. Virtual tables count as support for concept retention and
     interpreter construction; multiset aggregation uses real articles only.
+
+    `term_counts` is an optional memo of each article's term Counter,
+    keyed by the article itself, that an index may share with other
+    indexes over the same stopword lists (see pipeline.Resources).
     """
 
-    def __init__(self, basic_concepts: Iterable[str], articles: Iterable[SupportArticle] = ()):
+    def __init__(
+        self,
+        basic_concepts: Iterable[str],
+        articles: Iterable[SupportArticle] = (),
+        term_counts: Optional[Dict[SupportArticle, Counter]] = None,
+    ):
         self.basic_concepts = frozenset(basic_concepts)
+        self._term_counts = term_counts
         self._articles: Dict[Tuple[str, str], list] = {}
         self._virtual: Dict[Tuple[str, str], "object"] = {}
         self._languages: Dict[str, Set[str]] = {}
@@ -247,6 +257,19 @@ class SupportIndex:
             raise UnknownConceptError(table.concept_id)
         self._virtual[(table.concept_id, table.language)] = table
         self._languages.setdefault(table.concept_id, set()).add(table.language)
+
+    def term_counts(self, article: SupportArticle, stopwords: Optional[frozenset] = None) -> Counter:
+        """The article's token counts, in order of first occurrence: the one
+        place an article is tokenized. With a memo, each article is
+        tokenized once and every caller gets the same Counter, which it
+        must not mutate."""
+        memo = self._term_counts
+        if memo is None:
+            return Counter(tokenize(article.text, article.language, stopwords))
+        counts = memo.get(article)
+        if counts is None:
+            counts = memo[article] = Counter(tokenize(article.text, article.language, stopwords))
+        return counts
 
     def articles(self, concept_id: str, language: str) -> list:
         return self._articles.get((concept_id, language), [])

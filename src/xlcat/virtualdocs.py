@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
 from ._util import dump_jsonl
-from .corpus import SupportArticle, _read_jsonl, tokenize
+from .corpus import SupportArticle, _read_jsonl
 from .errors import DataError
 from .ontology import Hierarchy, SupportIndex, ancestors, support_count, support_multiset
 
@@ -92,21 +92,22 @@ def find_ancestor_depth(
 
 
 def prominent_terms(
+    idx: SupportIndex,
     docs: Mapping[SupportArticle, int],
     t: int,
-    language: str,
     stopwords: Optional[frozenset] = None,
 ) -> List[Tuple[str, int]]:
     """The t highest-count terms in the concatenation of a document multiset;
-    token counts are scaled by each document's multiplicity. Ties break
-    toward the smaller term; fewer than t distinct terms yields them all."""
+    each document's term counts (from idx.term_counts) are scaled by its
+    multiplicity. Ties break toward the smaller term; fewer than t distinct
+    terms yields them all."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if not docs:
         raise VirtualDocError("empty document multiset")
     counts: Counter = Counter()
     for article, multiplicity in docs.items():
-        for term, n in Counter(tokenize(article.text, language, stopwords)).items():
+        for term, n in idx.term_counts(article, stopwords).items():
             counts[term] += n * multiplicity
     ranked = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
     return ranked[:t]
@@ -132,7 +133,7 @@ def construct_virtual_document(
         if not docs:
             continue
         contributors.append(ancestor)
-        for term, count in prominent_terms(docs, t, language, stopwords):
+        for term, count in prominent_terms(idx, docs, t, stopwords):
             table[term] += count
     return TermCountTable(
         concept_id=concept_id,

@@ -72,6 +72,39 @@ class TestExitCodes:
         proc = run_cli("experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 3
 
+    def test_main_reuses_one_parser_without_carrying_state(self, workspace, tmp_path, monkeypatch):
+        # A usage error, then a classify in the same process: the shared
+        # parser is built once and the predictions equal a fresh process's.
+        run_dir = tmp_path / "run"
+        assert cli.main(["experiment", "--config", str(workspace["config"]), "--out-dir", str(run_dir)]) == 0
+        argv = [
+            "classify", "--config", str(workspace["config"]),
+            "--model", str(run_dir / "model.json"), "--space", str(run_dir / "feature_space.json"),
+            "--interpreters", str(run_dir),
+            "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+        ]
+        fresh = run_cli(*argv, "--out-dir", str(tmp_path / "fresh"))
+        assert fresh.returncode == 0, fresh.stderr
+
+        built, build_parser = [], cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._shared_parser.cache_clear()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["classify", "--config", str(workspace["config"])])
+            assert exc.value.code == 1
+            assert cli.main([*argv, "--out-dir", str(tmp_path / "reused")]) == 0
+        finally:
+            cli._shared_parser.cache_clear()
+        assert built == [1]
+        predictions = "predictions.jsonl"
+        assert (tmp_path / "reused" / predictions).read_bytes() == (tmp_path / "fresh" / predictions).read_bytes()
+
     def test_success_is_zero(self, workspace, tmp_path):
         proc = run_cli(
             "experiment", "--config", str(workspace["config"]),
@@ -172,6 +205,19 @@ class TestSilentInputs:
             workspace, tmp_path, lambda cfg: cfg["paths"]["datasets"][lang].update({split: str(dataset)})
         )
         assert_data_error(proc, dataset, repr(docs[-1]["doc_id"]), repr(lang), repr(other))
+
+    @pytest.mark.parametrize("flags", [[], ["redirect"]])
+    def test_support_article_of_undeclared_concept(self, workspace, tmp_path, flags):
+        # Rejected whether or not the filter would drop the article.
+        source = workspace["corpus"].paths["corpus"]
+        lines = source.read_text(encoding="utf-8").splitlines()
+        article = dict(json.loads(lines[0]), concept_id="undeclared-concept", flags=flags)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines + [json.dumps(article)]) + "\n", encoding="utf-8")
+        proc = run_experiment_with(
+            workspace, tmp_path, lambda cfg: cfg["paths"].update(corpus=str(corpus))
+        )
+        assert_data_error(proc, corpus, repr("undeclared-concept"))
 
 
 class TestChainedWorkflow:

@@ -3,7 +3,10 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from xlcat._util import stable_rng
 from xlcat.errors import DataError
 from xlcat.learner import (
     LinearModel,
@@ -33,6 +36,86 @@ def _objective(model, vectors, labels, k):
         idx = np.fromiter(sorted(vec) + [n_features], dtype=np.intp, count=len(vec) + 1)
         hinge += max(0.0, 1.0 - y * w[idx].sum())
     return 0.5 * model.lambda_ * float(w @ w) + hinge / len(vectors)
+
+
+def reference_train(vectors, labels, categories, n_features, lambda_, epochs, seed):
+    """The trainer as one Pegasos loop per category, one category after
+    another: the oracle for train's lockstep loop. Returns (weights, bias)."""
+    active = [
+        np.fromiter(sorted(vec) + [n_features], dtype=np.intp, count=len(vec) + 1)
+        for vec in vectors
+    ]
+    n = len(vectors)
+    weights = np.zeros((len(categories), n_features + 1), dtype=np.float64)
+    rng = stable_rng(seed, "train-shuffle")
+    for k, cat in enumerate(categories):
+        y = np.array([1.0 if lab == cat else -1.0 for lab in labels])
+        w = weights[k]
+        t = 0
+        order = list(range(n))
+        for _ in range(epochs):
+            rng.shuffle(order)
+            for i in order:
+                t += 1
+                eta = 1.0 / (lambda_ * t)
+                idx = active[i]
+                margin = y[i] * w[idx].sum()
+                w *= 1.0 - eta * lambda_
+                if margin < 1.0:
+                    w[idx] += eta * y[i]
+    return weights[:, :n_features], weights[:, n_features]
+
+
+@st.composite
+def training_sets(draw):
+    """Binary vectors over 1-5 categories, some empty and some with seven or
+    more active coordinates, whose margins (with the bias) sum eight or more
+    terms, where numpy's pairwise summation differs from a running sum.
+    lambda*t crosses 1 during the 1-3 epochs: lambda is 1/m for a step m,
+    where margins of exactly 1 are common, or else any value in that range."""
+    n_features = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 12))
+    vectors = [draw(st.frozensets(st.integers(0, n_features - 1))) for _ in range(n)]
+    labels = draw(st.permutations([f"c{i % k}" for i in range(n)]))
+    epochs = draw(st.integers(1, 3))
+    steps = epochs * n
+    lambda_ = draw(st.one_of(
+        st.integers(1, steps).map(lambda m: 1.0 / m),
+        st.floats(1.0 / steps, 1.0),
+    ))
+    return vectors, labels, [f"c{i}" for i in range(k)], n_features, lambda_, epochs
+
+
+# Cases at lambda = 1 where a margin of exactly 1 meets a sum of eight or
+# more terms, whose rounding decides whether the step violates: only numpy's
+# pairwise summation order reproduces them. The first fails margins summed by
+# np.add.reduceat, the second margins summed by a running Python sum.
+TIED_MARGIN_CASES = [
+    (
+        [frozenset(v) for v in ([], [0, 1, 2, 3, 6], range(8), [], [4], [2, 3, 6, 7])],
+        ["c1", "c0", "c0", "c1", "c1", "c0"],
+        ["c0", "c1"], 8, 1.0, 1,
+    ),
+    (
+        [frozenset(v) for v in ([0, 1, 2, 3, 4, 5, 10], [], [0, 3, 5, 6, 7], [0, 4, 5, 8], [7])],
+        ["c1", "c0", "c1", "c2", "c0"],
+        ["c0", "c1", "c2"], 11, 1.0, 1,
+    ),
+]
+
+
+class TestLockstepTrain:
+    @settings(max_examples=300)
+    @given(training_sets(), st.integers(0, 3))
+    @example(TIED_MARGIN_CASES[0], 0)
+    @example(TIED_MARGIN_CASES[1], 0)
+    def test_bit_identical_to_one_category_at_a_time(self, case, seed):
+        vectors, labels, categories, n_features, lambda_, epochs = case
+        model = train(vectors, labels, categories, n_features, lambda_=lambda_, epochs=epochs, seed=seed)
+        weights, bias = reference_train(vectors, labels, categories, n_features, lambda_, epochs, seed)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
 
 
 class TestTrain:

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from xlcat import pipeline
+from xlcat.corpus import load_support_corpus, tokenize
 from xlcat.errors import DataError, SetupViolation
-from xlcat.ontology import merge_hierarchies
+from xlcat.ontology import SupportIndex, merge_hierarchies
 from xlcat.pipeline import (
     ExperimentConfig,
     Hyperparams,
@@ -172,6 +175,53 @@ def test_selection_run_matches_golden_digests(tmp_path):
     assert digests == GOLDEN_RUN_DIGESTS
 
 
+# sha256 (canonical JSON, `config` removed since it holds temporary paths) of
+# the three calls that run an experiment more than once over one Resources,
+# on a tiny interleaved CLTC2 corpus whose selecting arm keeps 15 of 20
+# features.
+GOLDEN_MULTI_RUN_DIGESTS = {
+    "virtual_docs": "0ab362ddcc51c30243ff8eb54bcbc4b0752388cb1342c5ab6247c8ce8d73e33d",
+    "meta_features": "73c6cec2b7bb00be04faabd9a5b23d182520509e1abbb26e8550113eb87ebe3a",
+    "run_seeds": "a533bbb4d26e300bcc08ba9e2f6f630922a33090de80f6c2d65f6ced6e6be3b7",
+}
+
+
+def _without_config(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "config"}
+
+
+def _interleaved_corpus(tmp_path):
+    spec = SyntheticCorpusSpec(
+        n_concepts=12, n_meta_levels=1, branching=3, vocab_size_per_language=300,
+        n_languages=2, n_categories=3, docs_per_category=15, noise_rate=0.05,
+        seed=4, category_layout="interleaved",
+    )
+    return make_corpus(tmp_path, spec)
+
+
+def test_multi_run_calls_match_golden_digests(tmp_path):
+    """Bit-identity gate on the virtual-docs ablation curve, the
+    meta-features ablation and a two-seed sweep."""
+    cfg = make_config(_interleaved_corpus(tmp_path), samples=10, k_doc=4, m=1, p=2, t=12, n_select=15)
+    curve = ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
+    meta = ablation(cfg, "meta_features")
+    seeds = run_seeds(cfg, [1, 2])
+    reports = {
+        "virtual_docs": _without_config(curve),
+        "meta_features": {
+            **meta,
+            "with": _without_config(meta["with"]),
+            "without": _without_config(meta["without"]),
+        },
+        "run_seeds": _without_config(seeds),
+    }
+    digests = {
+        name: hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        for name, report in reports.items()
+    }
+    assert digests == GOLDEN_MULTI_RUN_DIGESTS
+
+
 class TestConfigIO:
     def test_round_trip_via_file(self, corpus, tmp_path):
         cfg = make_config(corpus, **default_hp())
@@ -264,3 +314,82 @@ class TestAblation:
         cfg = make_config(corpus, **default_hp())
         with pytest.raises(DataError):
             ablation(cfg, "nonsense")
+
+
+class TestSharedInputs:
+    """What a call that runs several experiments over one Resources computes
+    once, and what a single run keeps."""
+
+    @pytest.fixture
+    def memos(self, monkeypatch):
+        """The term-count memo of every SupportIndex the pipeline builds."""
+        seen = []
+
+        class RecordingIndex(SupportIndex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                seen.append(self._term_counts)
+
+        monkeypatch.setattr(pipeline, "SupportIndex", RecordingIndex)
+        return seen
+
+    @pytest.fixture
+    def dataset_io(self, monkeypatch):
+        """The (language, split) of every dataset load, and the arguments of
+        every training sample drawn."""
+        loads, samples = [], []
+        load, sample = pipeline._load_dataset, pipeline._sample_training_docs
+
+        def counting_load(cfg, lang, split):
+            loads.append((lang, split))
+            return load(cfg, lang, split)
+
+        def counting_sample(*args):
+            samples.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(pipeline, "_load_dataset", counting_load)
+        monkeypatch.setattr(pipeline, "_sample_training_docs", counting_sample)
+        return loads, samples
+
+    def test_virtual_curve_loads_and_samples_once(self, corpus, dataset_io, memos):
+        loads, samples = dataset_io
+        cfg = make_config(corpus, **default_hp())
+        ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
+        assert sorted(loads) == [("l0", "train"), ("l1", "test")]
+        assert len(samples) == 1
+        # eight arms, each preparing its own index over the call's one memo
+        assert len(memos) == 8 and memos[0] and all(m is memos[0] for m in memos)
+
+    @pytest.mark.parametrize("call,n_samples", [
+        (lambda cfg: ablation(cfg, "meta_features"), 1),
+        (lambda cfg: run_seeds(cfg, [1, 2, 3]), 3),
+    ], ids=["meta_features", "run_seeds"])
+    def test_runs_over_the_same_resources_prepare_and_load_once(
+        self, corpus, dataset_io, memos, call, n_samples
+    ):
+        loads, samples = dataset_io
+        call(make_config(corpus, **default_hp()))
+        assert sorted(loads) == [("l0", "train"), ("l1", "test")]
+        assert len(samples) == n_samples
+        assert memos == [None]
+
+    def test_virtual_curve_tokenizes_each_article_at_most_once(self, corpus, monkeypatch):
+        calls = Counter()
+
+        def counting_tokenize(text, *args):
+            calls[text] += 1
+            return tokenize(text, *args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("xlcat") and getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        cfg = make_config(corpus, **default_hp())
+        ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
+        articles = Counter(a.text for a in load_support_corpus(cfg.corpus_path))
+        assert sum(calls[text] for text in articles) > 0
+        assert all(calls[text] <= n for text, n in articles.items())
+
+    def test_run_experiment_keeps_no_term_count_memo(self, corpus, memos):
+        run_experiment(make_config(corpus, **default_hp()))
+        assert memos == [None]

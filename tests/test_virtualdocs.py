@@ -107,23 +107,23 @@ class TestFindAncestorDepth:
 
 class TestProminentTerms:
     def test_single_doc(self):
-        got = prominent_terms(Counter({doc("x", "a a b"): 1}), t=1, language="en")
+        got = prominent_terms(SupportIndex(()), Counter({doc("x", "a a b"): 1}), t=1)
         assert got == [("a", 2)]
 
     def test_multiplicity_weighting(self):
-        got = prominent_terms(Counter({doc("x", "x"): 2}), t=3, language="en")
+        got = prominent_terms(SupportIndex(()), Counter({doc("x", "x"): 2}), t=3)
         assert got == [("x", 2)]
 
     def test_two_docs_tie_by_term(self):
         docs = Counter({doc("x", "a b b"): 1, doc("y", "b c"): 1})
-        assert prominent_terms(docs, t=2, language="en") == [("b", 3), ("a", 1)]
+        assert prominent_terms(SupportIndex(()), docs, t=2) == [("b", 3), ("a", 1)]
 
     def test_empty_multiset_rejected(self):
         with pytest.raises(VirtualDocError):
-            prominent_terms(Counter(), t=1, language="en")
+            prominent_terms(SupportIndex(()), Counter(), t=1)
 
     def test_fewer_than_t_returns_all(self):
-        got = prominent_terms(Counter({doc("x", "a b"): 1}), t=10, language="en")
+        got = prominent_terms(SupportIndex(()), Counter({doc("x", "a b"): 1}), t=10)
         assert got == [("a", 1), ("b", 1)]
 
 
