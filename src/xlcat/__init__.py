@@ -28,7 +28,6 @@ from .features import (
     select_features,
 )
 from .interpreter import (
-    ConceptFeatureSet,
     SemanticInterpreter,
     build_interpreter,
     generate_basic_features,

@@ -63,12 +63,14 @@ def _out_dir(args) -> Path:
 
 
 def _load_interpreters(args, cfg, docs):
-    """Interpreters for the languages of `docs`, with the hierarchy and
-    stopwords they are applied with: from --interpreters only their
-    interpreter_<lang>.json and no support corpus, else rebuilt from cfg."""
+    """Interpreters for the languages of `docs`, with the hierarchy they are
+    applied with: from --interpreters only their interpreter_<lang>.json and
+    no support corpus, each given cfg's stopword list for its language,
+    else rebuilt from cfg."""
     if not args.interpreters:
         res = load_resources(cfg)
-        return prepare_semantic_resources(cfg, res).interpreters, res.hierarchy, res.stopwords
+        return prepare_semantic_resources(cfg, res).interpreters, res.hierarchy
+    h, stopwords = load_ontology(cfg)
     interpreters = {}
     for lang in sorted({d.language for d in docs}):
         path = Path(args.interpreters) / f"interpreter_{lang}.json"
@@ -77,7 +79,8 @@ def _load_interpreters(args, cfg, docs):
         interpreters[lang] = si = SemanticInterpreter.load(path)
         if si.language != lang:
             raise DataError(f"{path}: holds the interpreter of {si.language!r}, not {lang!r}")
-    return (interpreters, *load_ontology(cfg))
+        si.stopwords = stopwords.get(lang, frozenset())
+    return interpreters, h
 
 
 def _cmd_synth(args) -> int:
@@ -127,17 +130,13 @@ def _cmd_gen_features(args) -> int:
     docs = [doc for path in args.dataset for doc in load_labeled_dataset(path)]
     if not docs:
         raise DataError("no documents in the given dataset(s)")
-    interpreters, h, stopwords = _load_interpreters(args, cfg, docs)
+    interpreters, h = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
     if args.space:
         space = FeatureSpace.load(args.space)
-        vectors = project_documents(
-            space, docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
-        )
+        vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m, args.workers)
     else:
-        space, vectors = build_feature_space(
-            docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
-        )
+        space, vectors = build_feature_space(docs, interpreters, h, hp.k_doc, hp.m, args.workers)
         labels = [d.label for d in docs]
         if all(labels):
             space, vectors = select_features(space, vectors, labels, hp.n_select)
@@ -183,11 +182,9 @@ def _cmd_classify(args) -> int:
             f"{args.space} has {len(space)}"
         )
     docs = load_labeled_dataset(args.dataset)
-    interpreters, h, stopwords = _load_interpreters(args, cfg, docs)
+    interpreters, h = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
-    vectors = project_documents(
-        space, docs, interpreters, h, hp.k_doc, hp.m, stopwords, args.workers
-    )
+    vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m, args.workers)
     records = []
     for doc, vec in zip(docs, vectors):
         rec = {"doc_id": doc.doc_id, "predicted": predict(model, vec)}

@@ -256,11 +256,12 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
-def tokenize(text: str, language: str = "", stopwords: Optional[frozenset] = None) -> TokenStream:
+def tokenize(text: str, stopwords: Optional[frozenset] = None) -> TokenStream:
     """Language-neutral tokenization: NFC normalization, Unicode case folding,
     tokens are maximal runs of letter/mark/number characters. Pure-number
-    tokens are dropped; no stemming or diacritic folding. `language` is kept
-    for callers that attach per-language stopword lists.
+    tokens are dropped, and so are the given stopwords (one language's list,
+    which its SupportIndex and SemanticInterpreter own); no stemming or
+    diacritic folding.
 
     Separators are replaced by spaces through the lazily grown `_SEPARATORS`
     table and the result is split on whitespace. That equals the run rule

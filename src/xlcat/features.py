@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from ._util import dump_artifact, dump_jsonl, load_artifact, ordered_map
 from .corpus import LabeledDocument, _read_jsonl
 from .errors import DataError
-from .interpreter import ConceptFeatureSet, SemanticInterpreter, generate_basic_features
+from .interpreter import SemanticInterpreter, generate_basic_features
 from .ontology import Hierarchy
 
 # Active coordinate indices of a binarized document vector.
@@ -55,27 +55,25 @@ class FeatureSpace:
         return load_artifact(path, "feature-space", convert)
 
 
-def enrich_with_meta(h: Hierarchy, basic: ConceptFeatureSet, m: int) -> Set[str]:
+def enrich_with_meta(h: Hierarchy, basic: FrozenSet[str], m: int) -> Set[str]:
     """Add every ancestor within m edges of each generated basic concept;
     m=0 returns the basic set unchanged. It unions the frozensets that
     Hierarchy.ancestors_within caches, so no ancestor set is copied."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    result = set(basic.concepts)
-    for cid in basic.concepts:
+    result = set(basic)
+    for cid in basic:
         result |= h.ancestors_within(cid, m)
     return result
 
 
-def filter_meta_features(
-    h: Hierarchy, enriched: Set[str], basic: ConceptFeatureSet
-) -> Set[str]:
+def filter_meta_features(h: Hierarchy, enriched: Set[str], basic: FrozenSet[str]) -> Set[str]:
     """Drop meta features that are not ancestors of at least two distinct
     basic features of the document. Basic features always survive.
 
     One C-level Counter over the chained ancestor closures, which each
     Hierarchy caches: O(sum of the closure sizes + |enriched|)."""
-    covered = Counter(chain.from_iterable(map(h.ancestors_all, basic.concepts)))
+    covered = Counter(chain.from_iterable(map(h.ancestors_all, basic)))
     return {cid for cid in enriched if cid in h.basic or covered[cid] >= 2}
 
 
@@ -85,11 +83,10 @@ def document_features(
     h: Hierarchy,
     k_doc: int,
     m: int,
-    stopwords: Optional[Mapping[str, frozenset]] = None,
 ) -> Set[str]:
     """Full per-document generation: basic top-k concepts, meta enrichment,
     meta filter."""
-    basic = generate_basic_features(interpreters, doc, k_doc, stopwords)
+    basic = generate_basic_features(interpreters, doc, k_doc)
     enriched = enrich_with_meta(h, basic, m)
     return filter_meta_features(h, enriched, basic)
 
@@ -100,14 +97,13 @@ def build_feature_space(
     h: Hierarchy,
     k_doc: int,
     m: int,
-    stopwords: Optional[Mapping[str, frozenset]] = None,
     workers: int = 1,
 ) -> Tuple[FeatureSpace, List[BinaryFeatureVector]]:
     """Union of the training documents' generated features, ordered by first
     appearance (ties within a document by concept id), plus the documents
     binarized against that space."""
     per_doc = ordered_map(
-        lambda d: document_features(d, interpreters, h, k_doc, m, stopwords),
+        lambda d: document_features(d, interpreters, h, k_doc, m),
         training_docs,
         workers,
     )
@@ -132,12 +128,11 @@ def project_documents(
     h: Hierarchy,
     k_doc: int,
     m: int,
-    stopwords: Optional[Mapping[str, frozenset]] = None,
     workers: int = 1,
 ) -> List[BinaryFeatureVector]:
     """Map documents onto an existing space; concepts outside it are dropped."""
     per_doc = ordered_map(
-        lambda d: document_features(d, interpreters, h, k_doc, m, stopwords),
+        lambda d: document_features(d, interpreters, h, k_doc, m),
         docs,
         workers,
     )

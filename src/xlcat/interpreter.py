@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import log
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ._util import dump_artifact, load_artifact
 from .corpus import LabeledDocument, TokenStream, tokenize
@@ -26,21 +26,17 @@ class InterpreterError(DataError):
     pass
 
 
-@dataclass(frozen=True)
-class ConceptFeatureSet:
-    """Basic concepts generated for one document."""
-
-    concepts: frozenset
-    source_language: str
-
-
 @dataclass
 class SemanticInterpreter:
-    """One language's inverted index: each term's top k_term (concept, weight) pairs."""
+    """One language's inverted index: each term's top k_term (concept, weight)
+    pairs, with the stopword list its SupportIndex dropped from the support
+    articles, which generate_basic_features drops from documents too. The
+    list is not saved: a loaded interpreter has none until one is attached."""
 
     language: str
     k_term: int
     term_index: Dict[str, List[Tuple[str, float]]]
+    stopwords: frozenset = frozenset()
 
     def save(self, path: str | Path) -> None:
         dump_artifact(path, "interpreter", {
@@ -63,15 +59,13 @@ class SemanticInterpreter:
         return load_artifact(path, "interpreter", convert, InterpreterError)
 
 
-def pseudo_document_counts(
-    idx: SupportIndex, concept_id: str, language: str, stopwords: Optional[frozenset] = None
-) -> Counter:
+def pseudo_document_counts(idx: SupportIndex, concept_id: str, language: str) -> Counter:
     """Term counts of a concept's pseudo-document: its support articles'
     term counts summed in article order, plus any injected virtual table,
     in a fresh Counter."""
     counts: Counter = Counter()
     for article in idx.articles(concept_id, language):
-        counts.update(idx.term_counts(article, stopwords))
+        counts.update(idx.term_counts(article))
     table = idx.virtual(concept_id, language)
     if table is not None:
         counts.update(table.terms)
@@ -79,13 +73,10 @@ def pseudo_document_counts(
 
 
 def build_interpreter(
-    idx: SupportIndex,
-    language: str,
-    concepts: Iterable[str],
-    k_term: int,
-    stopwords: Optional[frozenset] = None,
+    idx: SupportIndex, language: str, concepts: Iterable[str], k_term: int
 ) -> SemanticInterpreter:
-    """Build the inverted term -> concept index for one language.
+    """Build the inverted term -> concept index for one language, carrying
+    the language's stopword list from idx.
 
     tf is the raw count of a term in a concept's pseudo-document, idf is
     ln(N/df) over the N given concepts (once per term), and each term's
@@ -103,7 +94,7 @@ def build_interpreter(
     for cid in universe:
         if not idx.has_support(cid, language):
             raise InterpreterError(f"concept {cid!r} has no support in language {language!r}")
-        per_concept[cid] = pseudo_document_counts(idx, cid, language, stopwords)
+        per_concept[cid] = pseudo_document_counts(idx, cid, language)
 
     df = Counter(term for counts in per_concept.values() for term in counts)
     idf = {term: log(n / d) for term, d in df.items() if d < n}
@@ -116,7 +107,7 @@ def build_interpreter(
     for pairs in index.values():
         pairs.sort(key=itemgetter(1), reverse=True)
         del pairs[k_term:]
-    return SemanticInterpreter(language=language, k_term=k_term, term_index=index)
+    return SemanticInterpreter(language, k_term, index, idx.stopwords.get(language, frozenset()))
 
 
 def interpret(si: SemanticInterpreter, doc: TokenStream) -> SemanticVector:
@@ -134,29 +125,21 @@ def interpret(si: SemanticInterpreter, doc: TokenStream) -> SemanticVector:
     return {cid: total * inv for cid, total in sums.items()}
 
 
-def top_k_features(v: SemanticVector, k_doc: int, language: str) -> ConceptFeatureSet:
+def top_k_features(v: SemanticVector, k_doc: int) -> frozenset:
     """The k_doc concepts of maximal weight; ties break toward the smaller
     concept id. Fewer than k_doc nonzero entries yields them all."""
     if k_doc < 1:
         raise ValueError("k_doc must be >= 1")
     ranked = sorted(v.items(), key=lambda cw: (-cw[1], cw[0]))
-    return ConceptFeatureSet(
-        concepts=frozenset(cid for cid, _ in ranked[:k_doc]),
-        source_language=language,
-    )
+    return frozenset(cid for cid, _ in ranked[:k_doc])
 
 
 def generate_basic_features(
-    interpreters: Mapping[str, SemanticInterpreter],
-    doc: LabeledDocument,
-    k_doc: int,
-    stopwords: Optional[Mapping[str, frozenset]] = None,
-) -> ConceptFeatureSet:
+    interpreters: Mapping[str, SemanticInterpreter], doc: LabeledDocument, k_doc: int
+) -> frozenset:
     """Dispatch the document to its language's interpreter and return its
-    top-k basic concept features."""
+    top-k basic concepts, tokenized without the interpreter's stopwords."""
     si = interpreters.get(doc.language)
     if si is None:
         raise InterpreterError(f"no interpreter for {doc.language!r}")
-    words = (stopwords or {}).get(doc.language)
-    tokens = tokenize(doc.text, doc.language, words)
-    return top_k_features(interpret(si, tokens), k_doc, doc.language)
+    return top_k_features(interpret(si, tokenize(doc.text, si.stopwords)), k_doc)

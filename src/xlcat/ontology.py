@@ -73,13 +73,6 @@ class Hierarchy:
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self.basic or concept_id in self.meta
 
-    def kind(self, concept_id: str) -> str:
-        if concept_id in self.basic:
-            return "basic"
-        if concept_id in self.meta:
-            return "meta"
-        raise UnknownConceptError(concept_id)
-
     def parents(self, concept_id: str) -> list:
         if concept_id not in self:
             raise UnknownConceptError(concept_id)
@@ -226,18 +219,23 @@ class SupportIndex:
     term tables. Virtual tables count as support for concept retention and
     interpreter construction; multiset aggregation uses real articles only.
 
-    `term_counts` is an optional memo of each article's term Counter,
-    keyed by the article itself, that an index may share with other
-    indexes over the same stopword lists (see pipeline.Resources).
+    `stopwords` maps a language to its stopword list, which term_counts
+    drops from each article of that language and build_interpreter hands
+    to the language's interpreter. `term_counts` is an optional memo of
+    each article's term Counter, keyed by the article itself, that an index
+    may share with other indexes over the same stopword lists (see
+    pipeline.Resources).
     """
 
     def __init__(
         self,
         basic_concepts: Iterable[str],
         articles: Iterable[SupportArticle] = (),
+        stopwords: Optional[Mapping[str, frozenset]] = None,
         term_counts: Optional[Dict[SupportArticle, Counter]] = None,
     ):
         self.basic_concepts = frozenset(basic_concepts)
+        self.stopwords: Mapping[str, frozenset] = stopwords or {}
         self._term_counts = term_counts
         self._articles: Dict[Tuple[str, str], list] = {}
         self._virtual: Dict[Tuple[str, str], "object"] = {}
@@ -258,17 +256,18 @@ class SupportIndex:
         self._virtual[(table.concept_id, table.language)] = table
         self._languages.setdefault(table.concept_id, set()).add(table.language)
 
-    def term_counts(self, article: SupportArticle, stopwords: Optional[frozenset] = None) -> Counter:
-        """The article's token counts, in order of first occurrence: the one
-        place an article is tokenized. With a memo, each article is
-        tokenized once and every caller gets the same Counter, which it
-        must not mutate."""
+    def term_counts(self, article: SupportArticle) -> Counter:
+        """The article's token counts without its language's stopwords, in
+        order of first occurrence: the one place an article is tokenized.
+        With a memo, each article is tokenized once and every caller gets
+        the same Counter, which it must not mutate."""
         memo = self._term_counts
         if memo is None:
-            return Counter(tokenize(article.text, article.language, stopwords))
+            return Counter(tokenize(article.text, self.stopwords.get(article.language)))
         counts = memo.get(article)
         if counts is None:
-            counts = memo[article] = Counter(tokenize(article.text, article.language, stopwords))
+            words = self.stopwords.get(article.language)
+            counts = memo[article] = Counter(tokenize(article.text, words))
         return counts
 
     def articles(self, concept_id: str, language: str) -> list:

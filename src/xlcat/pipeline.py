@@ -203,15 +203,18 @@ class Resources:
     concepts outside `basic` change no ancestor set and no path count to a
     concept inside it, and such concepts hold no support in the arm.
 
-    `term_counts` memoizes each support article's term Counter (see
-    SupportIndex.term_counts). The virtual-docs ablation prepares semantic
-    resources once per arm over one Resources, so it sets a fresh dict that
-    replace() shares across the arms and that is dropped when the ablation
-    returns; keyed by the article, it cannot serve an arm the counts of an
-    article the arm dropped. Every other call prepares once and leaves it
-    None: there a memo would only save re-counting within one preparation,
-    and memoizing every article of a single run raised `learn_l` peak_rss_mb
-    by 4.8 MiB (68.3 to 73.1 MiB)."""
+    `stopwords` holds the per-language lists that every SupportIndex built
+    from it drops. `term_counts` memoizes each support article's term
+    Counter (see SupportIndex.term_counts), so it is shared only among
+    indexes built from one Resources, and so from one set of stopword
+    lists. The virtual-docs ablation prepares semantic resources once per
+    arm over one Resources, so it sets a fresh dict that replace() shares
+    across the arms and that is dropped when the ablation returns; keyed by
+    the article, it cannot serve an arm the counts of an article the arm
+    dropped. Every other call prepares once and leaves it None: there a
+    memo would only save re-counting within one preparation, and memoizing
+    every article of a single run raised `learn_l` peak_rss_mb by 4.8 MiB
+    (68.3 to 73.1 MiB)."""
 
     articles: List[SupportArticle]
     basic: AbstractSet[str]
@@ -313,7 +316,7 @@ def _load_documents(
     return training, categories, _load_test_docs(cfg)
 
 
-def _construct_virtual_docs(cfg, h, idx, stopwords) -> list:
+def _construct_virtual_docs(cfg, h, idx) -> list:
     """Give every basic concept that has support somewhere a virtual document
     in each needed language it lacks; concepts whose ancestry cannot supply
     enough documents are skipped and simply stay unretained."""
@@ -328,8 +331,7 @@ def _construct_virtual_docs(cfg, h, idx, stopwords) -> list:
                 continue
             try:
                 table = construct_virtual_document(
-                    h, idx, cid, lang, cfg.hyperparams.p, cfg.hyperparams.t,
-                    stopwords.get(lang),
+                    h, idx, cid, lang, cfg.hyperparams.p, cfg.hyperparams.t
                 )
             except InsufficientAncestryError:
                 continue
@@ -369,20 +371,17 @@ def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepare
     languages."""
     needed = cfg.needed_languages()
     articles = [a for a in res.articles if a.concept_id in res.basic and a.language in needed]
-    idx = SupportIndex(res.basic, articles, res.term_counts)
+    idx = SupportIndex(res.basic, articles, res.stopwords, res.term_counts)
 
     tables = []
     if cfg.virtual_docs:
-        tables = _construct_virtual_docs(cfg, res.hierarchy, idx, res.stopwords)
+        tables = _construct_virtual_docs(cfg, res.hierarchy, idx)
 
     retained = retained_concepts(idx, needed)
     if not retained:
         raise DataError("no concepts are supported in every required language")
     hp = cfg.hyperparams
-    interpreters = {
-        lang: build_interpreter(idx, lang, retained, hp.k_term, res.stopwords.get(lang))
-        for lang in needed
-    }
+    interpreters = {lang: build_interpreter(idx, lang, retained, hp.k_term) for lang in needed}
     return Prepared(tables, retained, interpreters)
 
 
@@ -415,9 +414,7 @@ def _run(
     hp = cfg.hyperparams
 
     train_labels = [d.label for d in training]
-    space, train_vecs = build_feature_space(
-        training, interpreters, h, hp.k_doc, hp.m, res.stopwords, workers
-    )
+    space, train_vecs = build_feature_space(training, interpreters, h, hp.k_doc, hp.m, workers)
     space, train_vecs = select_features(space, train_vecs, train_labels, hp.n_select)
     initial_size = space.metadata.get("selected_from", len(space))
 
@@ -433,9 +430,7 @@ def _run(
 
     if test_docs is None:
         test_docs = _load_test_docs(cfg)
-    test_vecs = project_documents(
-        space, test_docs, interpreters, h, hp.k_doc, hp.m, res.stopwords, workers
-    )
+    test_vecs = project_documents(space, test_docs, interpreters, h, hp.k_doc, hp.m, workers)
     report = evaluate(model, test_vecs, [d.label for d in test_docs])
 
     result = envelope("report", {

@@ -11,14 +11,20 @@ concepts from their category's pool and are corrupted by uniform token noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from math import ceil
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from ._util import dump_json, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
+from .errors import DataError
 from .ontology import save_concepts, save_hierarchy_edges
+
+
+# The JSON types a spec field of each annotated type accepts, and their name.
+_SPEC_TYPES = {"int": ((int,), "integer"), "float": ((int, float), "number"),
+               "str": ((str,), "string"), "bool": ((bool,), "boolean")}
 
 
 @dataclass(frozen=True)
@@ -77,10 +83,22 @@ class SyntheticCorpusSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticCorpusSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """The spec of a JSON object. A value of the wrong JSON type is a
+        DataError naming the field: an integer field rejects booleans and
+        floats, a float field accepts integers."""
+        if not isinstance(d, dict):
+            raise DataError("synthetic spec must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ValueError(f"unknown synthetic spec keys: {sorted(unknown)}")
+        for name in fields:
+            if name not in d and fields[name].default is MISSING:
+                raise DataError(f"synthetic spec is missing key {name!r}")
+        for name, value in d.items():
+            types, what = _SPEC_TYPES[fields[name].type]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise DataError(f"synthetic spec field {name!r} must be a JSON {what}, got {value!r}")
         return cls(**d)
 
     def to_dict(self) -> dict:

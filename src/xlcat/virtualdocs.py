@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Tuple
 
 from ._util import dump_jsonl
 from .corpus import SupportArticle, _read_jsonl
@@ -92,10 +92,7 @@ def find_ancestor_depth(
 
 
 def prominent_terms(
-    idx: SupportIndex,
-    docs: Mapping[SupportArticle, int],
-    t: int,
-    stopwords: Optional[frozenset] = None,
+    idx: SupportIndex, docs: Mapping[SupportArticle, int], t: int
 ) -> List[Tuple[str, int]]:
     """The t highest-count terms in the concatenation of a document multiset;
     each document's term counts (from idx.term_counts) are scaled by its
@@ -107,7 +104,7 @@ def prominent_terms(
         raise VirtualDocError("empty document multiset")
     counts: Counter = Counter()
     for article, multiplicity in docs.items():
-        for term, n in idx.term_counts(article, stopwords).items():
+        for term, n in idx.term_counts(article).items():
             counts[term] += n * multiplicity
     ranked = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
     return ranked[:t]
@@ -120,7 +117,6 @@ def construct_virtual_document(
     language: str,
     p: int = 10,
     t: int = 200,
-    stopwords: Optional[frozenset] = None,
 ) -> TermCountTable:
     """Build the virtual document for a concept with no support in the given
     language: per contributing ancestor, take the t most prominent terms of
@@ -133,7 +129,7 @@ def construct_virtual_document(
         if not docs:
             continue
         contributors.append(ancestor)
-        for term, count in prominent_terms(idx, docs, t, stopwords):
+        for term, count in prominent_terms(idx, docs, t):
             table[term] += count
     return TermCountTable(
         concept_id=concept_id,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -170,6 +171,30 @@ class TestConfigValidation:
         cfg = json.loads(workspace["config"].read_text())
         cfg[key] = value
         assert_data_error_naming(tmp_path, cfg, field)
+
+
+# (synth spec, what the error must name)
+BAD_SYNTH_SPECS = [
+    ({"n_concepts": "5"}, "'n_concepts'"),
+    ({"n_concepts": 5, "noise_rate": "x"}, "'noise_rate'"),
+    ({"n_concepts": 5.5}, "'n_concepts'"),
+    ({"n_concepts": True, "n_categories": 1}, "'n_concepts'"),
+    ({"n_concepts": 5, "noise_rate": True}, "'noise_rate'"),
+    ({"n_concepts": 5, "category_layout": 1}, "'category_layout'"),
+    ({"n_concepts": 5, "rotate_train_concepts": 1}, "'rotate_train_concepts'"),
+    ({"n_meta_levels": 2}, "'n_concepts'"),
+    ([5], "JSON object"),
+]
+
+
+class TestSynthSpecValidation:
+    @pytest.mark.parametrize("spec,name", BAD_SYNTH_SPECS)
+    def test_bad_field_is_data_error(self, tmp_path, spec, name):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        proc = run_cli("synth", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+        assert_data_error(proc, name)
+        assert not (tmp_path / "o").exists()
 
 
 def run_experiment_with(workspace, tmp_path, edit):
@@ -567,3 +592,98 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             reports.append(json.loads((out / "report.json").read_text()))
         assert reports[0]["data"]["train_doc_ids"] != reports[1]["data"]["train_doc_ids"]
+
+
+# Each language's stopword list in the stopword runs: the unique words of
+# b0000-b0005, then eight more words of the language's vocabulary.
+STOPWORD_INDICES = [*range(4, 52), *range(100, 108)]
+
+# sha256 of the workspace outputs with those lists configured: the
+# experiment report's data and results (canonical JSON), its interpreter
+# files, the curves of a virtual-docs ablation (prefix 0.5, 2 blocks), and
+# `classify --interpreters` predictions over the stopword run's artifacts
+# and over a run's built without stopwords. Pinned before the lists moved
+# into SupportIndex and SemanticInterpreter.
+GOLDEN_STOPWORD_DIGESTS = {
+    "data+results": "1e6567547ce0222865362298f6ac7121e1d2d072bb0d0ec4d6472cea6365056d",
+    "interpreter_l0.json": "9933ef421369583c9f8a11970c7309eac3458002a511757154da4a460fd7c231",
+    "interpreter_l1.json": "10db2663f7a54c4f259cf43b5d307a6feddbf96a57bfd775622b22c39c90287c",
+    "curves": "9022b599d03224a554dfef5e5126c81fb5b27d3d9262cca5106b8984140bd5e5",
+    "predictions": "84732d564f5910fc921f5500f488d7d2949332243c802ac62dd2ac03c1e9d297",
+    "predictions over plain interpreters": "d5df1712c8ffd6cbc92728a35b0b942599f5c4dd9a2049983f56fe71371b5dce",
+}
+
+
+def _sha256(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def stopword_runs(workspace, tmp_path_factory):
+    """Each output named in GOLDEN_STOPWORD_DIGESTS, as bytes or JSON, for
+    the workspace config ("plain") and the same config with stopwords."""
+    root = tmp_path_factory.mktemp("stopwords")
+    cfg = json.loads(workspace["config"].read_text())
+    cfg["stopwords"] = {}
+    for lang in ("l0", "l1"):
+        path = root / f"stopwords_{lang}.txt"
+        path.write_text("".join(f"{lang}w{i:05d}\n" for i in STOPWORD_INDICES), encoding="utf-8")
+        cfg["stopwords"][lang] = str(path)
+    configs = {"plain": workspace["config"], "stopwords": root / "experiment.json"}
+    configs["stopwords"].write_text(json.dumps(cfg), encoding="utf-8")
+
+    def classify(config, run, out):
+        assert cli.main([
+            "classify", "--config", str(configs[config]),
+            "--model", str(root / run / "model.json"),
+            "--space", str(root / run / "feature_space.json"),
+            "--interpreters", str(root / run),
+            "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+            "--out-dir", str(root / out),
+        ]) == 0
+        return (root / out / "predictions.jsonl").read_bytes()
+
+    outputs = {}
+    for name, config in configs.items():
+        assert cli.main(["experiment", "--config", str(config), "--out-dir", str(root / name)]) == 0
+        assert cli.main([
+            "ablate", "--config", str(config), "--toggle", "virtual_docs",
+            "--prefix-fraction", "0.5", "--blocks", "2", "--out-dir", str(root / f"{name}-ablate"),
+        ]) == 0
+        report = json.loads((root / name / "report.json").read_text(encoding="utf-8"))
+        ablated = json.loads((root / f"{name}-ablate" / "ablation.json").read_text(encoding="utf-8"))
+        outputs[name] = {
+            "data+results": {k: report[k] for k in ("data", "results")},
+            "interpreter_l0.json": (root / name / "interpreter_l0.json").read_bytes(),
+            "interpreter_l1.json": (root / name / "interpreter_l1.json").read_bytes(),
+            "curves": ablated["curves"],
+            "predictions": classify(name, name, f"{name}-classify"),
+        }
+    plain = outputs["plain"]
+    plain["predictions over plain interpreters"] = plain["predictions"]
+    outputs["stopwords"]["predictions over plain interpreters"] = classify(
+        "stopwords", "plain", "stopwords-over-plain-classify"
+    )
+    return outputs
+
+
+class TestStopwords:
+    def test_outputs_match_golden_digests(self, stopword_runs):
+        digests = {name: _sha256(out) for name, out in stopword_runs["stopwords"].items()}
+        assert digests == GOLDEN_STOPWORD_DIGESTS
+
+    def test_every_output_differs_without_stopwords(self, stopword_runs):
+        for name in GOLDEN_STOPWORD_DIGESTS:
+            assert stopword_runs["stopwords"][name] != stopword_runs["plain"][name], name
+        for arm, curve in stopword_runs["stopwords"]["curves"].items():
+            assert curve != stopword_runs["plain"]["curves"][arm], arm
+
+    @pytest.mark.parametrize("lang", ["l0", "l1"])
+    def test_no_stopword_is_indexed(self, stopword_runs, lang):
+        index = json.loads(stopword_runs["stopwords"][f"interpreter_{lang}.json"])["term_index"]
+        plain = json.loads(stopword_runs["plain"][f"interpreter_{lang}.json"])["term_index"]
+        stopwords = {f"{lang}w{i:05d}" for i in STOPWORD_INDICES}
+        assert stopwords & set(plain)
+        assert not stopwords & set(index)

@@ -22,7 +22,7 @@ from xlcat.corpus import (
 )
 
 
-def reference_tokenize(text, language="", stopwords=None):
+def reference_tokenize(text, stopwords=None):
     """The original per-character tokenizer, kept as the oracle for the
     table-driven one in xlcat.corpus."""
     norm = unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).casefold())

@@ -20,7 +20,7 @@ from xlcat.features import (
     save_vectors,
     select_features,
 )
-from xlcat.interpreter import ConceptFeatureSet, build_interpreter
+from xlcat.interpreter import build_interpreter
 from xlcat.ontology import Hierarchy, SupportIndex, ancestors
 
 
@@ -32,8 +32,8 @@ def diamond():
     )
 
 
-def feats(*concepts, lang="en"):
-    return ConceptFeatureSet(concepts=frozenset(concepts), source_language=lang)
+def feats(*concepts):
+    return frozenset(concepts)
 
 
 class TestEnrichWithMeta:
@@ -89,7 +89,7 @@ def reference_filter_meta_features(h, enriched, basic):
         if cid in h.basic:
             kept.add(cid)
             continue
-        covered = sum(1 for b in basic.concepts if cid in h.ancestors_all(b))
+        covered = sum(1 for b in basic if cid in h.ancestors_all(b))
         if covered >= 2:
             kept.add(cid)
     return kept
@@ -106,8 +106,8 @@ class TestFilterMetaFeaturesOracle:
 
 def reference_enrich_with_meta(h, basic, m):
     """The union of fresh ancestor sets enrich_with_meta replaced."""
-    result = set(basic.concepts)
-    for cid in basic.concepts:
+    result = set(basic)
+    for cid in basic:
         result |= ancestors(h, cid, m)
     return result
 
@@ -120,7 +120,7 @@ class TestEnrichWithMetaOracle:
         assert enrich_with_meta(h, basic, m) == expected
         # ancestors() hands out copies: mutating them, or a result, must not
         # reach the cached sets that later calls read.
-        for cid in basic.concepts:
+        for cid in basic:
             ancestors(h, cid, m).clear()
             ancestors(h, cid, m).add("intruder")
         enrich_with_meta(h, basic, m).add("intruder")

@@ -108,27 +108,23 @@ class TestInterpret:
 
 class TestTopK:
     def test_selects_top_two(self):
-        fs = top_k_features({"c1": 0.9, "c2": 0.5, "c3": 0.1}, 2, "en")
-        assert fs.concepts == {"c1", "c2"}
-        assert fs.source_language == "en"
+        assert top_k_features({"c1": 0.9, "c2": 0.5, "c3": 0.1}, 2) == {"c1", "c2"}
 
     def test_tie_breaks_ascending_id(self):
-        fs = top_k_features({"c2": 0.5, "c1": 0.5}, 1, "en")
-        assert fs.concepts == {"c1"}
+        assert top_k_features({"c2": 0.5, "c1": 0.5}, 1) == {"c1"}
 
     def test_empty_vector(self):
-        assert top_k_features({}, 5, "en").concepts == set()
+        assert top_k_features({}, 5) == set()
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
-            top_k_features({"c1": 1.0}, 0, "en")
+            top_k_features({"c1": 1.0}, 0)
 
 
 class TestGenerateBasicFeatures:
     def test_registered_language(self, fruit_si):
         doc = LabeledDocument("d1", "en", "Apple cherry!", "lab")
-        fs = generate_basic_features({"en": fruit_si}, doc, k_doc=2)
-        assert fs.concepts == {"c1", "c2"}
+        assert generate_basic_features({"en": fruit_si}, doc, k_doc=2) == {"c1", "c2"}
 
     def test_unregistered_language_names_it(self, fruit_si):
         doc = LabeledDocument("d1", "xx", "apple", "lab")
@@ -141,7 +137,48 @@ class TestGenerateBasicFeatures:
         d2 = LabeledDocument("d2", "en", "cherry apple... APPLE", "b")
         f1 = generate_basic_features({"en": fruit_si}, d1, k_doc=3)
         f2 = generate_basic_features({"en": fruit_si}, d2, k_doc=3)
-        assert f1.concepts == f2.concepts
+        assert f1 == f2
+
+
+class TestStopwordOwners:
+    """A language's stopword list lives in its SupportIndex and in the
+    interpreter built from that index, and nowhere else."""
+
+    @pytest.mark.parametrize("memo", [None, {}], ids=["no-memo", "memo"])
+    def test_index_drops_each_articles_language_list(self, memo):
+        en = SupportArticle("c1", "en", text="the apple the")
+        fr = SupportArticle("c1", "fr", text="le pomme the")
+        stopwords = {"en": frozenset({"the"}), "fr": frozenset({"le"})}
+        idx = SupportIndex({"c1"}, [en, fr], stopwords, memo)
+        for _ in range(2):
+            assert idx.term_counts(en) == Counter({"apple": 1})
+            assert idx.term_counts(fr) == Counter({"pomme": 1, "the": 1})
+
+    def test_interpreter_carries_its_index_list(self):
+        articles = [
+            SupportArticle("c1", "en", text="apple apple banana"),
+            SupportArticle("c2", "en", text="banana cherry"),
+        ]
+        idx = SupportIndex({"c1", "c2"}, articles, {"en": frozenset({"apple"})})
+        si = build_interpreter(idx, "en", {"c1", "c2"}, k_term=10)
+        assert si.stopwords == frozenset({"apple"})
+        assert set(si.term_index) == {"cherry"}
+        assert build_interpreter(make_index({"c": "x"}), "en", {"c"}, 1).stopwords == frozenset()
+
+    def test_documents_drop_the_interpreter_list(self, fruit_si):
+        doc = LabeledDocument("d1", "en", "apple cherry cherry cherry", "lab")
+        assert generate_basic_features({"en": fruit_si}, doc, k_doc=1) == {"c2"}
+        fruit_si.stopwords = frozenset({"cherry"})
+        assert generate_basic_features({"en": fruit_si}, doc, k_doc=1) == {"c1"}
+
+    def test_the_list_is_not_saved(self, fruit_si, tmp_path):
+        fruit_si.save(tmp_path / "plain.json")
+        fruit_si.stopwords = frozenset({"cherry"})
+        fruit_si.save(tmp_path / "listed.json")
+        assert (tmp_path / "listed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        loaded = SemanticInterpreter.load(tmp_path / "listed.json")
+        assert loaded.stopwords == frozenset()
+        assert loaded.term_index == fruit_si.term_index
 
 
 class TestOracleEquivalence:
@@ -172,7 +209,7 @@ class TestOracleEquivalence:
             for cid in v1:
                 assert v3[cid] == pytest.approx(3 * v1[cid])
             k = rng.randrange(1, 6)
-            assert top_k_features(v1, k, "en") == top_k_features(v3, k, "en")
+            assert top_k_features(v1, k) == top_k_features(v3, k)
 
 
 def reference_build_interpreter(idx, language, concepts, k_term):

@@ -23,6 +23,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticCorpusSpec.from_dict({"n_concepts": 6, "bogus": 1})
 
+    def test_float_field_accepts_an_integer(self):
+        spec = SyntheticCorpusSpec.from_dict({"n_concepts": 6, "noise_rate": 0})
+        assert spec == SyntheticCorpusSpec(n_concepts=6, noise_rate=0.0)
+
     def test_rejects_undersized_vocab(self, tmp_path):
         spec = SyntheticCorpusSpec(n_concepts=50, vocab_size_per_language=10)
         with pytest.raises(ValueError):
