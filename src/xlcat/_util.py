@@ -1,5 +1,6 @@
 """Small shared helpers: deterministic RNG streams, ordered parallel map,
-stable JSON writing, the versioned artifact envelope, typed config fields.
+stable JSON writing, the versioned artifact envelope, and the one type
+check of every JSON field read from a config or a JSON-lines record.
 """
 
 from __future__ import annotations
@@ -7,10 +8,11 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import MISSING
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
-from .errors import DataError
+from .errors import CorpusFormatError, DataError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -109,32 +111,50 @@ def dump_jsonl(records: Iterable[dict], path: str | Path) -> None:
             fh.write("\n")
 
 
-_REQUIRED = object()
-_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", dict: "object", list: "list"}
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object"}
 
 
-def config_field(
-    d: Mapping, key: str, kind: type, default: Any = _REQUIRED, where: str = "",
-    of: Optional[type] = None,
+def json_field(
+    obj: Mapping, key: Optional[str], kind: type, where: str | Path = "", line: int = 0,
+    default: Any = MISSING, *, of: Optional[type] = None, keys: Optional[AbstractSet[str]] = None,
 ) -> Any:
-    """d[key], checked to be a JSON value of `kind` whose items (list) or
-    values (object) are of `of`; a bool is not an integer here. A missing key
-    gives `default`, or a DataError when there is none. Errors name the
-    field as where + key."""
-    name = where + key
-    if key not in d:
-        if default is _REQUIRED:
-            raise DataError(f"experiment config is missing key {name!r}")
-        return default
-    value = d[key]
-    ok = _is(value, kind)
-    if ok and of is not None:
-        ok = all(_is(v, of) for v in (value.values() if isinstance(value, dict) else value))
-    if not ok:
+    """obj[key], or obj itself when key is None, checked to be a JSON value
+    of `kind`: a bool is not an integer, an integer is a number (float). An
+    array's items, or an object's values, must be of type `of`, and an
+    object's keys must lie in `keys`. An absent key gives `default`, as does
+    the default object itself (a null where the default is None); with no
+    default it is an error.
+
+    Errors name their place. A config field (line 0) is named by its dotted
+    key, where + key, in a DataError; a config object read with key None is
+    named by `where` without its final dot. A field of a JSON-lines record
+    is named by its key, at file `where` and line `line`, in a
+    CorpusFormatError. A value of `kind` with no items or keys to check
+    returns at once, so a valid record builds no string; record readers pass
+    `where` and `line` by position, which is the cheaper call."""
+    value = obj if key is None else obj.get(key, default)
+    if type(value) is kind and of is None and keys is None:
+        return value
+    if value is default and default is not MISSING:
+        return value
+    unknown = None
+    if type(value) in ((int, float) if kind is float else (kind,)) and (
+        of is None or set(map(type, value.values() if kind is dict else value)) <= {of}
+    ):
+        unknown = sorted(value.keys() - keys) if keys is not None else None
+        if not unknown:
+            return value
+    if line:
+        name, field = key, ("line" if key is None else f"field {key!r}")
+    else:
+        name = str(where)[:-1] if key is None else f"{where}{key}"
+        field = f"config field {name!r}" if name else "config"
+    if value is MISSING:
+        problem = f"missing required {field}"
+    elif unknown:
+        problem = f"unknown config field {(name + '.' if name else '') + unknown[0]!r}"
+    else:
         what = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[of]}s" if of is not None else "")
-        raise DataError(f"experiment config field {name!r} must be a JSON {what}, got {value!r}")
-    return value
-
-
-def _is(value: Any, kind: type) -> bool:
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+        problem = f"{field} must be a JSON {what}, got {value!r}"
+    raise CorpusFormatError(problem, where, line) if line else DataError(problem)

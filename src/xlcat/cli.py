@@ -16,9 +16,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._util import dump_json, dump_jsonl, load_json
-from .corpus import _read_jsonl, _require_str, load_labeled_dataset
-from .errors import DataError, SetupViolation
+from ._util import dump_json, dump_jsonl, json_field, load_json
+from .corpus import _read_jsonl, load_labeled_dataset
+from .errors import CorpusFormatError, DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
 from .interpreter import SemanticInterpreter
 from .learner import LinearModel, TrainingError, predict, report_from_pairs, train
@@ -199,10 +199,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    predictions = {}
-    for lineno, obj in _read_jsonl(args.predictions):
-        doc_id = _require_str(obj, "doc_id", args.predictions, lineno)
-        predictions[doc_id] = _require_str(obj, "predicted", args.predictions, lineno)
+    predictions, path = {}, args.predictions
+    for lineno, obj in _read_jsonl(path):
+        doc_id = json_field(obj, "doc_id", str, path, lineno)
+        if doc_id in predictions:
+            raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", path, lineno)
+        predictions[doc_id] = json_field(obj, "predicted", str, path, lineno)
     docs = load_labeled_dataset(args.dataset)
     y_true, y_pred = [], []
     for doc in docs:

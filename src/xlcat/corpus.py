@@ -12,23 +12,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ._util import config_field, dump_jsonl
-from .errors import DataError
+from ._util import dump_jsonl, json_field
+from .errors import CorpusFormatError, DataError
 
 # Ordered list of normalized tokens.
 TokenStream = list[str]
 
 ARTICLE_FLAGS = frozenset({"disambiguation", "redirect", "catalog"})
-
-
-class CorpusFormatError(DataError):
-    """A corpus or dataset file violates its schema. Carries the line number."""
-
-    def __init__(self, message: str, path: str | Path = "", line: int = 0):
-        self.path = str(path)
-        self.line = line
-        where = f"{self.path}:{line}: " if line else ""
-        super().__init__(f"{where}{message}")
+_FILTER_KEYS = frozenset({"min_chars", "min_links_in", "min_links_out", "drop_flags"})
 
 
 @dataclass(frozen=True)
@@ -103,9 +94,9 @@ class FilterConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":
         """From the experiment config's "filter" object."""
-        where = "filter."
+        d = json_field(d, None, dict, "filter.", keys=_FILTER_KEYS)
         drop_flags = frozenset(
-            config_field(d, "drop_flags", list, ARTICLE_FLAGS, where=where, of=str)
+            json_field(d, "drop_flags", list, "filter.", default=ARTICLE_FLAGS, of=str)
         )
         if drop_flags - ARTICLE_FLAGS:
             raise DataError(
@@ -113,9 +104,9 @@ class FilterConfig:
                 f"{sorted(drop_flags - ARTICLE_FLAGS)}"
             )
         return cls(
-            min_chars=config_field(d, "min_chars", int, 500, where=where),
-            min_links_in=config_field(d, "min_links_in", int, 5, where=where),
-            min_links_out=config_field(d, "min_links_out", int, 5, where=where),
+            min_chars=json_field(d, "min_chars", int, "filter.", default=500),
+            min_links_in=json_field(d, "min_links_in", int, "filter.", default=5),
+            min_links_out=json_field(d, "min_links_out", int, "filter.", default=5),
             drop_flags=drop_flags,
         )
 
@@ -141,29 +132,7 @@ def _read_jsonl(path: str | Path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
-            if not isinstance(obj, dict):
-                raise CorpusFormatError("line is not a JSON object", path, lineno)
-            yield lineno, obj
-
-
-def _require(obj: dict, key: str, path, lineno: int):
-    if key not in obj or obj[key] is None:
-        raise CorpusFormatError(f"missing required field {key!r}", path, lineno)
-    return obj[key]
-
-
-def _require_str(obj: dict, key: str, path, lineno: int) -> str:
-    val = _require(obj, key, path, lineno)
-    if not isinstance(val, str):
-        raise CorpusFormatError(f"field {key!r} must be a string", path, lineno)
-    return val
-
-
-def _opt_int(obj: dict, key: str, path, lineno: int) -> int:
-    val = obj.get(key, 0)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise CorpusFormatError(f"field {key!r} must be an integer", path, lineno)
-    return val
+            yield lineno, json_field(obj, None, dict, path, lineno)
 
 
 def load_support_corpus(path: str | Path) -> list[SupportArticle]:
@@ -174,19 +143,18 @@ def load_support_corpus(path: str | Path) -> list[SupportArticle]:
     """
     articles = []
     for lineno, obj in _read_jsonl(path):
-        flags = obj.get("flags", [])
-        if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
-            raise CorpusFormatError("field 'flags' must be an array of strings", path, lineno)
         try:
             articles.append(
                 SupportArticle(
-                    concept_id=_require_str(obj, "concept_id", path, lineno),
-                    language=_require_str(obj, "language", path, lineno),
-                    title=obj.get("title", ""),
-                    text=_require_str(obj, "text", path, lineno),
-                    links_in=_opt_int(obj, "links_in", path, lineno),
-                    links_out=_opt_int(obj, "links_out", path, lineno),
-                    flags=frozenset(flags),
+                    concept_id=json_field(obj, "concept_id", str, path, lineno),
+                    language=json_field(obj, "language", str, path, lineno),
+                    title=json_field(obj, "title", str, path, lineno, ""),
+                    text=json_field(obj, "text", str, path, lineno),
+                    links_in=json_field(obj, "links_in", int, path, lineno, 0),
+                    links_out=json_field(obj, "links_out", int, path, lineno, 0),
+                    flags=frozenset(
+                        json_field(obj, "flags", list, path, lineno, (), of=str)
+                    ),
                 )
             )
         except DataError as exc:
@@ -205,19 +173,16 @@ def load_labeled_dataset(path: str | Path) -> list[LabeledDocument]:
     docs = []
     seen = set()
     for lineno, obj in _read_jsonl(path):
-        doc_id = _require_str(obj, "doc_id", path, lineno)
+        doc_id = json_field(obj, "doc_id", str, path, lineno)
         if doc_id in seen:
             raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", path, lineno)
         seen.add(doc_id)
-        label = obj.get("label")
-        if label is not None and not isinstance(label, str):
-            raise CorpusFormatError("field 'label' must be a string when present", path, lineno)
         docs.append(
             LabeledDocument(
                 doc_id=doc_id,
-                language=_require_str(obj, "language", path, lineno),
-                text=_require_str(obj, "text", path, lineno),
-                label=label,
+                language=json_field(obj, "language", str, path, lineno),
+                text=json_field(obj, "text", str, path, lineno),
+                label=json_field(obj, "label", str, path, lineno, None),
             )
         )
     return docs

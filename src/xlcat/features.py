@@ -12,7 +12,7 @@ from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_artifact, dump_jsonl, load_artifact, ordered_map
+from ._util import dump_artifact, dump_jsonl, json_field, load_artifact, ordered_map
 from .corpus import LabeledDocument, _read_jsonl
 from .errors import DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
@@ -220,10 +220,7 @@ def load_vectors(path: str | Path) -> Tuple[List[BinaryFeatureVector], List[Opti
     """Returns (vectors, labels, doc_ids); labels hold None where absent."""
     vectors, labels, ids = [], [], []
     for lineno, obj in _read_jsonl(path):
-        try:
-            vectors.append(frozenset(int(i) for i in obj["active"]))
-            ids.append(obj["doc_id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad vector record: {exc}") from exc
-        labels.append(obj.get("label"))
+        ids.append(json_field(obj, "doc_id", str, path, lineno))
+        vectors.append(frozenset(json_field(obj, "active", list, path, lineno, of=int)))
+        labels.append(json_field(obj, "label", str, path, lineno, None))
     return vectors, labels, ids

@@ -12,8 +12,8 @@ from collections import Counter, deque
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_jsonl
-from .corpus import SupportArticle, _read_jsonl, _require_str, tokenize
+from ._util import dump_jsonl, json_field
+from .corpus import SupportArticle, _read_jsonl, tokenize
 from .errors import DataError
 
 Edge = Tuple[str, str]
@@ -326,8 +326,8 @@ def load_concepts(path: str | Path) -> Tuple[Set[str], Set[str]]:
     OntologyError naming the line."""
     basic, meta = set(), set()
     for lineno, obj in _read_jsonl(path):
-        cid = _require_str(obj, "concept_id", path, lineno)
-        kind = _require_str(obj, "kind", path, lineno)
+        cid = json_field(obj, "concept_id", str, path, lineno)
+        kind = json_field(obj, "kind", str, path, lineno)
         if kind not in ("basic", "meta"):
             raise OntologyError(f"{path}:{lineno}: kind must be 'basic' or 'meta', got {kind!r}")
         if cid in basic or cid in meta:
@@ -346,9 +346,9 @@ def load_hierarchy_edges(path: str | Path) -> Dict[str, Set[Edge]]:
     """Edge declarations: JSON lines of {"parent", "child", "language"}."""
     per_lang: Dict[str, Set[Edge]] = {}
     for lineno, obj in _read_jsonl(path):
-        parent = _require_str(obj, "parent", path, lineno)
-        child = _require_str(obj, "child", path, lineno)
-        lang = _require_str(obj, "language", path, lineno)
+        parent = json_field(obj, "parent", str, path, lineno)
+        child = json_field(obj, "child", str, path, lineno)
+        lang = json_field(obj, "language", str, path, lineno)
         per_lang.setdefault(lang, set()).add((parent, child))
     return per_lang
 

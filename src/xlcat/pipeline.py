@@ -7,12 +7,12 @@ All randomness flows from the config seed through named RNG streams.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple, get_type_hints
 
-from ._util import config_field, dump_json, envelope, load_json, stable_rng
+from ._util import dump_json, envelope, json_field, load_json, stable_rng
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -37,6 +37,11 @@ from .ontology import (
 from .virtualdocs import InsufficientAncestryError, construct_virtual_document, save_virtual_docs
 
 SETUPS = ("CLTC1", "CLTC2", "CLTC3", "UCLTC")
+_CONFIG_KEYS = frozenset({
+    "setup", "source_languages", "target_languages", "samples_per_category_per_language",
+    "seed", "paths", "hyperparams", "virtual_docs", "filter", "stopwords", "seeds",
+})
+_PATHS_KEYS = frozenset({"corpus", "concepts", "hierarchy", "datasets"})
 
 
 @dataclass(frozen=True)
@@ -53,26 +58,29 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):
             val, low = getattr(self, name), 0 if name == "m" else 1
-            if isinstance(val, bool) or not isinstance(val, int) or val < low:
-                raise DataError(f"hyperparameter {name!r} must be an integer >= {low}, got {val!r}")
-        lam = self.lambda_
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 < lam < float("inf"):
-            raise DataError(f"hyperparameter 'lambda' must be a finite number > 0, got {lam!r}")
+            if val < low:
+                raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {val!r}")
+        if not 0 < self.lambda_ < float("inf"):
+            raise DataError(
+                f"config field 'hyperparams.lambda' must be a finite number > 0, got {self.lambda_!r}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
-        d = dict(d)
-        if "lambda" in d:
-            d["lambda_"] = d.pop("lambda")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise DataError(f"unknown hyperparameters: {sorted(unknown)}")
-        return cls(**d)
+        """From the experiment config's "hyperparams" object. The JSON key of
+        each field is its name without a trailing underscore: "lambda"."""
+        hints = get_type_hints(cls)
+        keys = {f.name.rstrip("_") for f in fields(cls)}
+        d = json_field(d, None, dict, "hyperparams.", keys=keys)
+        return cls(**{
+            f.name: json_field(
+                d, f.name.rstrip("_"), hints[f.name], "hyperparams.", default=f.default
+            )
+            for f in fields(cls)
+        })
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        d["lambda"] = d.pop("lambda_")
-        return d
+        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -129,39 +137,38 @@ class ExperimentConfig:
         def resolve(p: str) -> str:
             return str(p) if Path(p).is_absolute() else str(base / p)
 
-        if not isinstance(d, dict):
-            raise DataError("experiment config must be a JSON object")
-        paths = config_field(d, "paths", dict)
-        datasets = config_field(paths, "datasets", dict, where="paths.")
-        seeds = config_field(d, "seeds", list, [], of=int)
+        d = json_field(d, None, dict, keys=_CONFIG_KEYS)
+        paths = json_field(d, "paths", dict, keys=_PATHS_KEYS)
+        datasets = json_field(paths, "datasets", dict, "paths.")
+        seeds = json_field(d, "seeds", list, default=[], of=int)
         if len(set(seeds)) != len(seeds):
             raise DataError(f"experiment config field 'seeds' repeats a seed: {seeds}")
         return cls(
-            setup=config_field(d, "setup", str),
-            source_languages=tuple(config_field(d, "source_languages", list, of=str)),
-            target_languages=tuple(config_field(d, "target_languages", list, of=str)),
-            samples_per_category_per_language=config_field(
+            setup=json_field(d, "setup", str),
+            source_languages=tuple(json_field(d, "source_languages", list, of=str)),
+            target_languages=tuple(json_field(d, "target_languages", list, of=str)),
+            samples_per_category_per_language=json_field(
                 d, "samples_per_category_per_language", int
             ),
-            seed=config_field(d, "seed", int, 0),
-            corpus_path=resolve(config_field(paths, "corpus", str, where="paths.")),
-            concepts_path=resolve(config_field(paths, "concepts", str, where="paths.")),
-            hierarchy_path=resolve(config_field(paths, "hierarchy", str, where="paths.")),
+            seed=json_field(d, "seed", int, default=0),
+            corpus_path=resolve(json_field(paths, "corpus", str, "paths.")),
+            concepts_path=resolve(json_field(paths, "concepts", str, "paths.")),
+            hierarchy_path=resolve(json_field(paths, "hierarchy", str, "paths.")),
             datasets={
                 lang: {
                     split: resolve(p)
-                    for split, p in config_field(
-                        datasets, lang, dict, where="paths.datasets.", of=str
+                    for split, p in json_field(
+                        datasets, lang, dict, "paths.datasets.", of=str, keys={"train", "test"}
                     ).items()
                 }
                 for lang in datasets
             },
-            hyperparams=Hyperparams.from_dict(config_field(d, "hyperparams", dict, {})),
-            virtual_docs=config_field(d, "virtual_docs", bool, True),
-            filter=FilterConfig.from_dict(config_field(d, "filter", dict, {})),
+            hyperparams=Hyperparams.from_dict(d.get("hyperparams", {})),
+            virtual_docs=json_field(d, "virtual_docs", bool, default=True),
+            filter=FilterConfig.from_dict(d.get("filter", {})),
             stopword_paths={
                 lang: resolve(p)
-                for lang, p in config_field(d, "stopwords", dict, {}, of=str).items()
+                for lang, p in json_field(d, "stopwords", dict, default={}, of=str).items()
             },
             seeds=tuple(seeds),
         )

@@ -11,20 +11,14 @@ concepts from their category's pool and are corrupted by uniform token noise.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass, fields
 from math import ceil
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, get_type_hints
 
-from ._util import dump_json, stable_rng
+from ._util import dump_json, json_field, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
-from .errors import DataError
 from .ontology import save_concepts, save_hierarchy_edges
-
-
-# The JSON types a spec field of each annotated type accepts, and their name.
-_SPEC_TYPES = {"int": ((int,), "integer"), "float": ((int, float), "number"),
-               "str": ((str,), "string"), "bool": ((bool,), "boolean")}
 
 
 @dataclass(frozen=True)
@@ -56,22 +50,14 @@ class SyntheticCorpusSpec:
     rotate_train_concepts: bool = False
 
     def __post_init__(self):
-        positive = (
-            self.n_concepts,
-            self.n_meta_levels,
-            self.branching,
-            self.vocab_size_per_language,
-            self.n_languages,
-            self.n_categories,
-            self.docs_per_category,
-            self.words_per_concept,
-            self.support_docs_per_pair,
-            self.support_doc_length,
-            self.doc_length,
-            self.concepts_per_doc,
-        )
-        if min(positive) < 1:
-            raise ValueError("all size parameters must be positive")
+        for name in (
+            "n_concepts", "n_meta_levels", "branching", "vocab_size_per_language",
+            "n_languages", "n_categories", "docs_per_category", "words_per_concept",
+            "support_docs_per_pair", "support_doc_length", "doc_length", "concepts_per_doc",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"synthetic spec field {name!r} must be positive, got {value!r}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError("noise_rate must lie in [0, 1)")
         if self.category_layout not in ("blocked", "interleaved"):
@@ -83,23 +69,13 @@ class SyntheticCorpusSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticCorpusSpec":
-        """The spec of a JSON object. A value of the wrong JSON type is a
-        DataError naming the field: an integer field rejects booleans and
-        floats, a float field accepts integers."""
-        if not isinstance(d, dict):
-            raise DataError("synthetic spec must be a JSON object")
-        fields = cls.__dataclass_fields__
-        unknown = set(d) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        for name in fields:
-            if name not in d and fields[name].default is MISSING:
-                raise DataError(f"synthetic spec is missing key {name!r}")
-        for name, value in d.items():
-            types, what = _SPEC_TYPES[fields[name].type]
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                raise DataError(f"synthetic spec field {name!r} must be a JSON {what}, got {value!r}")
-        return cls(**d)
+        """The spec of a JSON object with only the spec's fields as keys, each
+        of its annotated type (see json_field); n_concepts is required."""
+        hints = get_type_hints(cls)
+        d = json_field(d, None, dict, keys=hints.keys())
+        return cls(**{
+            f.name: json_field(d, f.name, hints[f.name], default=f.default) for f in fields(cls)
+        })
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Tuple
 
-from ._util import dump_jsonl
+from ._util import dump_jsonl, json_field
 from .corpus import SupportArticle, _read_jsonl
-from .errors import DataError
+from .errors import CorpusFormatError, DataError
 from .ontology import Hierarchy, SupportIndex, ancestors, support_count, support_multiset
 
 
@@ -57,15 +57,6 @@ class TermCountTable:
             "provenance": list(self.provenance),
             "virtual": True,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TermCountTable":
-        return cls(
-            concept_id=d["concept_id"],
-            language=d["language"],
-            terms={t: int(c) for t, c in d["terms"].items()},
-            provenance=tuple(d.get("provenance", ())),
-        )
 
 
 def find_ancestor_depth(
@@ -147,7 +138,14 @@ def load_virtual_docs(path: str | Path) -> List[TermCountTable]:
     tables = []
     for lineno, obj in _read_jsonl(path):
         try:
-            tables.append(TermCountTable.from_dict(obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise VirtualDocError(f"{path}:{lineno}: bad virtual document: {exc}") from exc
+            tables.append(TermCountTable(
+                concept_id=json_field(obj, "concept_id", str, path, lineno),
+                language=json_field(obj, "language", str, path, lineno),
+                terms=json_field(obj, "terms", dict, path, lineno, of=int),
+                provenance=tuple(
+                    json_field(obj, "provenance", list, path, lineno, (), of=str)
+                ),
+            ))
+        except VirtualDocError as exc:
+            raise CorpusFormatError(str(exc), path, lineno) from exc
     return tables

@@ -11,6 +11,7 @@ from xlcat import corpus as corpus_module
 from xlcat.features import FeatureSpace
 from xlcat.interpreter import SemanticInterpreter
 from xlcat.learner import LinearModel
+from xlcat.pipeline import ExperimentConfig
 from xlcat.synth import SyntheticCorpusSpec
 
 from conftest import make_config, make_corpus
@@ -127,10 +128,11 @@ BAD_HYPERPARAMS = [
     ("p", None),
     ("t", "40"),
     ("n_select", 0),
+    ("lambda_", 0.2),
 ]
 
 
-# (top-level key, value, the field the error must name)
+# (dotted key, value, the field the error must name)
 BAD_CONFIG_FIELDS = [
     ("samples_per_category_per_language", "5", "samples_per_category_per_language"),
     ("paths", [], "paths"),
@@ -145,6 +147,11 @@ BAD_CONFIG_FIELDS = [
     ("seed", 1.5, "seed"),
     ("virtual_docs", "false", "virtual_docs"),
     ("samples_per_category_per_language", 0, "samples_per_category_per_language"),
+    ("hyperparms", {}, "hyperparms"),
+    ("filter.min_char", 30, "filter.min_char"),
+    ("paths.stopword", {}, "paths.stopword"),
+    ("paths.datasets.l0.tran", "train_l0.jsonl", "paths.datasets.l0.tran"),
+    ("virtual_doc", False, "virtual_doc"),
 ]
 
 
@@ -162,14 +169,18 @@ class TestHyperparamValidation:
     def test_bad_field_is_data_error(self, workspace, tmp_path, field, value):
         cfg = json.loads(workspace["config"].read_text())
         cfg["hyperparams"][field] = value
-        assert_data_error_naming(tmp_path, cfg, field)
+        assert_data_error_naming(tmp_path, cfg, "hyperparams." + field)
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("key,value,field", BAD_CONFIG_FIELDS)
     def test_bad_field_is_data_error(self, workspace, tmp_path, key, value, field):
         cfg = json.loads(workspace["config"].read_text())
-        cfg[key] = value
+        *parents, last = key.split(".")
+        obj = cfg
+        for parent in parents:
+            obj = obj[parent]
+        obj[last] = value
         assert_data_error_naming(tmp_path, cfg, field)
 
 
@@ -184,6 +195,7 @@ BAD_SYNTH_SPECS = [
     ({"n_concepts": 5, "rotate_train_concepts": 1}, "'rotate_train_concepts'"),
     ({"n_meta_levels": 2}, "'n_concepts'"),
     ([5], "JSON object"),
+    ({"n_concepts": 5, "doc_length": 0}, "'doc_length'"),
 ]
 
 
@@ -494,6 +506,36 @@ class TestMalformedArtifacts:
         )
         assert_data_error(proc, "out of range for dimension 5", artifacts / "train_vectors.jsonl")
 
+    @pytest.mark.parametrize("field,value", [
+        ("label", 5), ("active", "12"), ("active", [0.7, 1.7]), ("active", [True]), ("doc_id", 5),
+    ])
+    def test_train_rejects_a_vector_record_of_the_wrong_type(
+        self, workspace, artifacts, tmp_path, field, value
+    ):
+        lines = (artifacts / "train_vectors.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[-1] = json.dumps(dict(json.loads(lines[-1]), **{field: value}))
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli(
+            "train", "--config", str(workspace["config"]),
+            "--space", str(artifacts / "feature_space.json"),
+            "--vectors", str(vectors), "--out-dir", str(tmp_path / "o"),
+        )
+        assert_data_error(proc, f"{vectors}:{len(lines)}", repr(field))
+
+    def test_evaluate_rejects_a_repeated_doc_id(self, workspace, tmp_path):
+        dataset = workspace["corpus"].paths["datasets"]["l1"]["test"]
+        docs = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+        records = [{"doc_id": d["doc_id"], "predicted": d["label"]} for d in docs]
+        records.append({"doc_id": docs[0]["doc_id"], "predicted": "another"})
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        proc = run_cli(
+            "evaluate", "--predictions", str(predictions), "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert_data_error(proc, f"{predictions}:{len(records)}", repr(docs[0]["doc_id"]))
+
     @pytest.mark.parametrize("predicted", [["cat0"], None])
     def test_evaluate_rejects_a_prediction_that_is_not_a_string(self, workspace, tmp_path, predicted):
         dataset = workspace["corpus"].paths["datasets"]["l1"]["test"]
@@ -516,6 +558,12 @@ class TestArtifactRoundTrip:
     def test_load_then_save_writes_the_same_bytes(self, artifacts, tmp_path, cls, name):
         cls.load(artifacts / name).save(tmp_path / name)
         assert (tmp_path / name).read_bytes() == (artifacts / name).read_bytes()
+
+
+def test_report_config_reads_back_as_the_run_config(workspace, artifacts):
+    report = json.loads((artifacts / "report.json").read_text(encoding="utf-8"))
+    config = ExperimentConfig.from_file(workspace["config"])
+    assert ExperimentConfig.from_dict(report["config"]) == config
 
 
 # Every file an experiment writes through _util.dump_artifact or as its

@@ -6,12 +6,15 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xlcat import pipeline
-from xlcat.corpus import load_support_corpus, tokenize
+from xlcat.corpus import ARTICLE_FLAGS, FilterConfig, load_support_corpus, tokenize
 from xlcat.errors import DataError, SetupViolation
 from xlcat.ontology import SupportIndex, merge_hierarchies
 from xlcat.pipeline import (
+    SETUPS,
     ExperimentConfig,
     Hyperparams,
     ablation,
@@ -222,7 +225,49 @@ def test_multi_run_calls_match_golden_digests(tmp_path):
     assert digests == GOLDEN_MULTI_RUN_DIGESTS
 
 
+_names = st.text("abcxyz", min_size=1, max_size=4)
+_paths = st.builds(lambda name, absolute: ("/data/" if absolute else "") + name + ".jsonl",
+                   _names, st.booleans())
+_counts = st.integers(1, 10**6)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig; language tuples sorted, as to_dict writes them."""
+    languages = sorted(draw(st.sets(_names, min_size=1, max_size=3)))
+    splits = st.sets(st.sampled_from(["train", "test"]), min_size=1)
+    return ExperimentConfig(
+        setup=draw(st.sampled_from(SETUPS)),
+        source_languages=tuple(sorted(draw(st.sets(st.sampled_from(languages), min_size=1)))),
+        target_languages=tuple(sorted(draw(st.sets(st.sampled_from(languages), min_size=1)))),
+        samples_per_category_per_language=draw(_counts),
+        seed=draw(st.integers(-2**40, 2**40)),
+        corpus_path=draw(_paths),
+        concepts_path=draw(_paths),
+        hierarchy_path=draw(_paths),
+        datasets={lang: {s: draw(_paths) for s in draw(splits)} for lang in languages},
+        hyperparams=Hyperparams(
+            k_term=draw(_counts), k_doc=draw(_counts), m=draw(st.integers(0, 9)),
+            p=draw(_counts), t=draw(_counts), n_select=draw(_counts), epochs=draw(_counts),
+            lambda_=draw(st.floats(1e-12, 1e6) | st.integers(1, 9)),
+        ),
+        virtual_docs=draw(st.booleans()),
+        filter=FilterConfig(
+            min_chars=draw(st.integers(0, 10**4)), min_links_in=draw(st.integers(0, 99)),
+            min_links_out=draw(st.integers(0, 99)),
+            drop_flags=draw(st.frozensets(st.sampled_from(sorted(ARTICLE_FLAGS)))),
+        ),
+        stopword_paths=draw(st.dictionaries(st.sampled_from(languages), _paths)),
+        seeds=tuple(draw(st.lists(st.integers(0, 99), unique=True, max_size=4))),
+    )
+
+
 class TestConfigIO:
+    @given(experiment_configs())
+    def test_reads_back_what_to_dict_writes(self, cfg):
+        # Unknown keys are rejected, so every key to_dict writes must be one the reader knows.
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_round_trip_via_file(self, corpus, tmp_path):
         cfg = make_config(corpus, **default_hp())
         path = tmp_path / "config.json"
@@ -249,6 +294,8 @@ class TestConfigIO:
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(DataError):
             Hyperparams.from_dict({"bogus": 3})
+        with pytest.raises(DataError):
+            Hyperparams.from_dict({"lambda_": 0.5})
 
     def test_lambda_alias(self):
         hp = Hyperparams.from_dict({"lambda": 0.5})

@@ -1,7 +1,10 @@
+import json
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xlcat.corpus import FilterConfig, filter_articles, load_labeled_dataset, load_support_corpus
 from xlcat.ontology import load_concepts, load_hierarchy_edges, merge_hierarchies, validate_dag
@@ -10,7 +13,33 @@ from xlcat.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 from conftest import make_corpus
 
 
+@st.composite
+def specs(draw):
+    """Any valid SyntheticCorpusSpec."""
+    sizes = st.integers(1, 10**5)
+    weight = draw(st.floats(0.0, 0.99))
+    return SyntheticCorpusSpec(
+        n_concepts=draw(sizes), n_meta_levels=draw(sizes), branching=draw(sizes),
+        vocab_size_per_language=draw(sizes), n_languages=draw(sizes),
+        n_categories=draw(sizes), docs_per_category=draw(sizes),
+        noise_rate=draw(st.floats(0.0, 0.99) | st.just(0)), seed=draw(st.integers(0, 2**32)),
+        words_per_concept=draw(sizes), words_per_group=draw(st.integers(0, 99)),
+        support_docs_per_pair=draw(sizes), support_doc_length=draw(sizes),
+        doc_length=draw(sizes), concepts_per_doc=draw(sizes),
+        group_word_weight=weight,
+        cross_group_word_weight=draw(st.floats(0.0, 0.99 - weight)),
+        background_words=draw(st.integers(0, 99)),
+        category_layout=draw(st.sampled_from(["blocked", "interleaved"])),
+        train_concept_fraction=draw(st.floats(0.01, 1.0)),
+        rotate_train_concepts=draw(st.booleans()),
+    )
+
+
 class TestSpecValidation:
+    @given(specs())
+    def test_reads_back_what_to_dict_writes(self, spec):
+        assert SyntheticCorpusSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SyntheticCorpusSpec(n_concepts=0)
