@@ -61,11 +61,11 @@ class SemanticInterpreter:
 
 def pseudo_document_counts(idx: SupportIndex, concept_id: str, language: str) -> Counter:
     """Term counts of a concept's pseudo-document: its support articles'
-    term counts summed in article order, plus any injected virtual table,
-    in a fresh Counter."""
+    term counts summed in article order (see SupportIndex.count_terms),
+    plus any injected virtual table, in a fresh Counter."""
     counts: Counter = Counter()
     for article in idx.articles(concept_id, language):
-        counts.update(idx.term_counts(article))
+        idx.count_terms(article, counts)
     table = idx.virtual(concept_id, language)
     if table is not None:
         counts.update(table.terms)

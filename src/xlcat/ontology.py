@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import dump_jsonl, json_field
-from .corpus import SupportArticle, _read_jsonl, tokenize
+from .corpus import SupportArticle, TokenStream, _read_jsonl, tokenize
 from .errors import DataError
 
 Edge = Tuple[str, str]
@@ -258,17 +258,28 @@ class SupportIndex:
 
     def term_counts(self, article: SupportArticle) -> Counter:
         """The article's token counts without its language's stopwords, in
-        order of first occurrence: the one place an article is tokenized.
-        With a memo, each article is tokenized once and every caller gets
-        the same Counter, which it must not mutate."""
+        order of first occurrence. With a memo, each article is tokenized
+        once and every caller gets the same Counter, which it must not
+        mutate."""
         memo = self._term_counts
         if memo is None:
-            return Counter(tokenize(article.text, self.stopwords.get(article.language)))
+            return Counter(self._tokens(article))
         counts = memo.get(article)
         if counts is None:
-            words = self.stopwords.get(article.language)
-            counts = memo[article] = Counter(tokenize(article.text, words))
+            counts = memo[article] = Counter(self._tokens(article))
         return counts
+
+    def count_terms(self, article: SupportArticle, counts: Counter) -> None:
+        """Add the article's term counts to `counts`. Without a memo the
+        tokens are counted straight in, with no Counter of the article's."""
+        if self._term_counts is None:
+            counts.update(self._tokens(article))
+        else:
+            counts.update(self.term_counts(article))
+
+    def _tokens(self, article: SupportArticle) -> TokenStream:
+        """The one place a support article is tokenized."""
+        return tokenize(article.text, self.stopwords.get(article.language))
 
     def articles(self, concept_id: str, language: str) -> list:
         return self._articles.get((concept_id, language), [])

@@ -23,9 +23,16 @@ from .corpus import (
     load_support_corpus,
 )
 from .errors import DataError, SetupViolation
-from .features import build_feature_space, project_documents, save_vectors, select_features
+from .features import (
+    BinaryFeatureVector,
+    FeatureSpace,
+    build_feature_space,
+    project_documents,
+    save_vectors,
+    select_features,
+)
 from .interpreter import SemanticInterpreter, build_interpreter
-from .learner import evaluate, train
+from .learner import EvalReport, LinearModel, evaluate, train
 from .ontology import (
     Hierarchy,
     SupportIndex,
@@ -214,14 +221,15 @@ class Resources:
     from it drops. `term_counts` memoizes each support article's term
     Counter (see SupportIndex.term_counts), so it is shared only among
     indexes built from one Resources, and so from one set of stopword
-    lists. The virtual-docs ablation prepares semantic resources once per
-    arm over one Resources, so it sets a fresh dict that replace() shares
+    lists. The virtual-docs ablation builds a support index for each arm
+    over one Resources, so it sets a fresh dict that replace() shares
     across the arms and that is dropped when the ablation returns; keyed by
     the article, it cannot serve an arm the counts of an article the arm
     dropped. Every other call prepares once and leaves it None: there a
     memo would only save re-counting within one preparation, and memoizing
     every article of a single run raised `learn_l` peak_rss_mb by 4.8 MiB
-    (68.3 to 73.1 MiB)."""
+    (68.3 to 73.1 MiB); without one, each article's tokens are counted
+    straight into its concept's pseudo-document."""
 
     articles: List[SupportArticle]
     basic: AbstractSet[str]
@@ -375,7 +383,16 @@ class Prepared:
 def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepared:
     """Virtual-document construction, concept retention and per-language
     interpreter building over the articles of res.basic in the needed
-    languages."""
+    languages: _prepare_support, then _build_interpreters."""
+    idx, tables, retained = _prepare_support(cfg, res)
+    interpreters = _build_interpreters(cfg, idx, retained, cfg.needed_languages())
+    return Prepared(tables, retained, interpreters)
+
+
+def _prepare_support(cfg: ExperimentConfig, res: Resources) -> Tuple[SupportIndex, list, Set[str]]:
+    """The support stage: the SupportIndex over the articles of res.basic in
+    the needed languages, the virtual tables it gained (when cfg enables
+    them) and the concepts it retains."""
     needed = cfg.needed_languages()
     articles = [a for a in res.articles if a.concept_id in res.basic and a.language in needed]
     idx = SupportIndex(res.basic, articles, res.stopwords, res.term_counts)
@@ -387,9 +404,14 @@ def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepare
     retained = retained_concepts(idx, needed)
     if not retained:
         raise DataError("no concepts are supported in every required language")
-    hp = cfg.hyperparams
-    interpreters = {lang: build_interpreter(idx, lang, retained, hp.k_term) for lang in needed}
-    return Prepared(tables, retained, interpreters)
+    return idx, tables, retained
+
+
+def _build_interpreters(
+    cfg: ExperimentConfig, idx: SupportIndex, retained: Set[str], languages: Sequence[str]
+) -> Dict[str, SemanticInterpreter]:
+    k_term = cfg.hyperparams.k_term
+    return {lang: build_interpreter(idx, lang, retained, k_term) for lang in languages}
 
 
 def _run(
@@ -406,39 +428,23 @@ def _run(
     `prep` is prepare_semantic_resources(cfg, res), `training` cfg's sample
     with its `categories`, and `test_docs` the labeled target-language
     documents (see _load_documents), or None to load them after training.
+    It is _fit followed by _score.
 
     A call that runs several experiments computes each input once for all
     its runs that share it. It loads the documents once, and samples the
     training set once per seed. It prepares once unless its runs differ in
     what `prep` is prepared from; the virtual-docs ablation's arms do, and
-    share one term-count memo instead (see Resources). A single run loads
-    the training set after preparing and the test set after training,
-    which keeps each out of the earlier stages' peak memory: loading both
-    before preparing raised `learn_l` peak_rss_mb by 1.7 MiB, and the test
-    set before training by 0.5 MiB."""
-    h, interpreters, tables = res.hierarchy, prep.interpreters, prep.virtual_tables
-    retained = prep.retained
-    hp = cfg.hyperparams
-
-    train_labels = [d.label for d in training]
-    space, train_vecs = build_feature_space(training, interpreters, h, hp.k_doc, hp.m, workers)
-    space, train_vecs = select_features(space, train_vecs, train_labels, hp.n_select)
-    initial_size = space.metadata.get("selected_from", len(space))
-
-    model = train(
-        train_vecs,
-        train_labels,
-        categories,
-        len(space),
-        lambda_=hp.lambda_,
-        epochs=hp.epochs,
-        seed=cfg.seed,
-    )
-
+    share one term-count memo instead (see Resources) and each distinct
+    interpreter, fit and score (see _virtual_docs_curve). A single run
+    loads the training set after preparing and the test set after
+    training, which keeps each out of the earlier stages' peak memory:
+    loading both before preparing raised `learn_l` peak_rss_mb by 1.7 MiB,
+    and the test set before training by 0.5 MiB."""
+    interpreters, tables, retained = prep.interpreters, prep.virtual_tables, prep.retained
+    space, train_vecs, model = _fit(cfg, res.hierarchy, interpreters, training, categories, workers)
     if test_docs is None:
         test_docs = _load_test_docs(cfg)
-    test_vecs = project_documents(space, test_docs, interpreters, h, hp.k_doc, hp.m, workers)
-    report = evaluate(model, test_vecs, [d.label for d in test_docs])
+    report = _score(cfg, res.hierarchy, interpreters, space, model, test_docs, workers)
 
     result = envelope("report", {
         "config": cfg.to_dict(),
@@ -448,7 +454,7 @@ def _run(
             "categories": categories,
             "n_retained_concepts": len(retained),
             "n_virtual_docs": len(tables),
-            "feature_space_size_initial": initial_size,
+            "feature_space_size_initial": space.metadata.get("selected_from", len(space)),
             "feature_space_size_selected": len(space),
             "train_doc_ids": [d.doc_id for d in training],
         },
@@ -466,6 +472,41 @@ def _run(
         model.save(out / "model.json")
         dump_json(result, out / "report.json")
     return result
+
+
+def _fit(
+    cfg: ExperimentConfig, h: Hierarchy, interpreters: Mapping[str, SemanticInterpreter],
+    training: List[LabeledDocument], categories: List[str], workers: int,
+) -> Tuple[FeatureSpace, List[BinaryFeatureVector], LinearModel]:
+    """The fit half of a run: the training set's feature space, selected,
+    with its vectors and the model trained on them. It reads only the
+    source languages' interpreters."""
+    hp = cfg.hyperparams
+    train_labels = [d.label for d in training]
+    space, train_vecs = build_feature_space(training, interpreters, h, hp.k_doc, hp.m, workers)
+    space, train_vecs = select_features(space, train_vecs, train_labels, hp.n_select)
+    model = train(
+        train_vecs,
+        train_labels,
+        categories,
+        len(space),
+        lambda_=hp.lambda_,
+        epochs=hp.epochs,
+        seed=cfg.seed,
+    )
+    return space, train_vecs, model
+
+
+def _score(
+    cfg: ExperimentConfig, h: Hierarchy, interpreters: Mapping[str, SemanticInterpreter],
+    space: FeatureSpace, model: LinearModel, test_docs: List[LabeledDocument], workers: int,
+) -> EvalReport:
+    """The score half of a run: the test documents projected into `space`
+    and evaluated under `model`. It reads only the target languages'
+    interpreters."""
+    hp = cfg.hyperparams
+    test_vecs = project_documents(space, test_docs, interpreters, h, hp.k_doc, hp.m, workers)
+    return evaluate(model, test_vecs, [d.label for d in test_docs])
 
 
 def run_seeds(
@@ -524,7 +565,10 @@ def ablation(
     top prefix keeps real support everywhere, and successive blocks of the
     remainder are added with their target-language support either kept
     (original arm), replaced by constructed virtual documents (virtual arm),
-    or removed with construction disabled (deleted arm).
+    or removed with construction disabled (deleted arm). Each distinct
+    interpreter, model and accuracy is computed once (see
+    _virtual_docs_curve): a deleted arm retains only the prefix, so the
+    deleted curve equals the original arm's at block count 0 throughout.
     """
     cfg.validate()
     if toggle == "meta_features":
@@ -552,9 +596,37 @@ def ablation(
     return result
 
 
+class _Identity:
+    """Hashes and compares the object it holds by identity, and keeps it
+    alive so that its id is not reused: a memo key for TermCountTable,
+    which has no hash since its terms are a dict."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
 def _virtual_docs_curve(
     cfg: ExperimentConfig, workers: int, prefix_fraction: float, n_blocks: int
 ) -> dict:
+    """The virtual-docs ablation. Each arm builds its support index; then
+    each needed language's key is the retained concepts in sorted order,
+    each with its articles and virtual table in that language. An
+    interpreter depends only on its key (stopwords and k_term are fixed per
+    call), the fit only on the source languages' interpreters, and the
+    score only on the fit and the target languages' interpreters. So an arm
+    whose keys all match an earlier arm's takes its accuracy, one whose
+    source keys match takes its (space, model) and builds only the target
+    interpreters, and every other arm builds all and runs _fit and _score.
+    Both memos live for the call only. No interpreter outlives its arm:
+    keeping them would hold every arm's interpreters at once."""
     if not 0.0 < prefix_fraction < 1.0:
         raise DataError("prefix_fraction must lie in (0, 1)")
     if n_blocks < 1:
@@ -578,9 +650,34 @@ def _virtual_docs_curve(
         blocks.append(tail[start : start + size])
         start += size
     blocks = [b for b in blocks if b]
-    docs = _load_documents(cfg)
-
+    training, categories, test_docs = _load_documents(cfg)
+    h, needed, sources = res.hierarchy, cfg.needed_languages(), sorted(set(cfg.source_languages))
     targets = sorted(set(cfg.target_languages))
+    accuracies: Dict[tuple, float] = {}  # all needed languages' keys -> accuracy
+    fits: Dict[tuple, tuple] = {}  # source languages' keys -> (space, model)
+
+    def accuracy(arm_cfg: ExperimentConfig, arm_res: Resources) -> float:
+        idx, _, retained = _prepare_support(arm_cfg, arm_res)
+        keys = {
+            lang: tuple(
+                (c, tuple(idx.articles(c, lang)), _Identity(idx.virtual(c, lang)))
+                for c in sorted(retained)
+            )
+            for lang in needed
+        }
+        score_key = tuple(keys[lang] for lang in needed)
+        if score_key not in accuracies:
+            fit_key = tuple(keys[lang] for lang in sources)
+            fit = fits.get(fit_key)
+            languages = needed if fit is None else targets
+            interpreters = _build_interpreters(cfg, idx, retained, languages)
+            if fit is None:
+                space, _, model = _fit(cfg, h, interpreters, training, categories, workers)
+                fit = fits[fit_key] = (space, model)
+            report = _score(cfg, h, interpreters, *fit, test_docs, workers)
+            accuracies[score_key] = report.accuracy
+        return accuracies[score_key]
+
     curve = {"original": [], "virtual": [], "deleted": []}
     block_counts = list(range(len(blocks) + 1))
     sizes = []
@@ -595,17 +692,9 @@ def _virtual_docs_curve(
         stripped = replace(restricted, articles=[
             a for a in res.articles if (a.concept_id, a.language) not in dropped
         ])
-        arms = {
-            "original": (False, restricted),
-            "deleted": (False, stripped),
-            "virtual": (True, stripped),
-        }
-        for arm, (virtual_docs, arm_res) in arms.items():
-            if arm != "deleted" or dropped:  # else it repeats the original arm's run
-                arm_cfg = replace(cfg, virtual_docs=virtual_docs)
-                prep = prepare_semantic_resources(arm_cfg, arm_res)
-                report = _run(arm_cfg, arm_res, prep, *docs, workers=workers)
-            curve[arm].append(report["results"]["accuracy"])
+        curve["original"].append(accuracy(replace(cfg, virtual_docs=False), restricted))
+        curve["virtual"].append(accuracy(replace(cfg, virtual_docs=True), stripped))
+        curve["deleted"].append(accuracy(replace(cfg, virtual_docs=False), stripped))
     return envelope("ablation", {
         "toggle": "virtual_docs",
         "config": cfg.to_dict(),

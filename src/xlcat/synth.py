@@ -64,6 +64,16 @@ class SyntheticCorpusSpec:
             raise ValueError("category_layout must be 'blocked' or 'interleaved'")
         if not 0.0 < self.train_concept_fraction <= 1.0:
             raise ValueError("train_concept_fraction must lie in (0, 1]")
+        for name in ("group_word_weight", "cross_group_word_weight"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ValueError(
+                    f"synthetic spec field {name!r} must be a finite number >= 0, got {value!r}"
+                )
+        for name in ("words_per_group", "background_words"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"synthetic spec field {name!r} must be >= 0, got {value!r}")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
             raise ValueError("group word weights must sum to less than 1")
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Tuple
 
-from ._util import dump_jsonl, json_field
-from .corpus import SupportArticle, _read_jsonl
-from .errors import CorpusFormatError, DataError
+from ._util import dump_jsonl
+from .corpus import SupportArticle
+from .errors import DataError
 from .ontology import Hierarchy, SupportIndex, ancestors, support_count, support_multiset
 
 
@@ -132,20 +132,3 @@ def construct_virtual_document(
 
 def save_virtual_docs(tables, path: str | Path) -> None:
     dump_jsonl((t.to_dict() for t in tables), path)
-
-
-def load_virtual_docs(path: str | Path) -> List[TermCountTable]:
-    tables = []
-    for lineno, obj in _read_jsonl(path):
-        try:
-            tables.append(TermCountTable(
-                concept_id=json_field(obj, "concept_id", str, path, lineno),
-                language=json_field(obj, "language", str, path, lineno),
-                terms=json_field(obj, "terms", dict, path, lineno, of=int),
-                provenance=tuple(
-                    json_field(obj, "provenance", list, path, lineno, (), of=str)
-                ),
-            ))
-        except VirtualDocError as exc:
-            raise CorpusFormatError(str(exc), path, lineno) from exc
-    return tables

@@ -196,6 +196,11 @@ BAD_SYNTH_SPECS = [
     ({"n_meta_levels": 2}, "'n_concepts'"),
     ([5], "JSON object"),
     ({"n_concepts": 5, "doc_length": 0}, "'doc_length'"),
+    ({"n_concepts": 6, "group_word_weight": float("nan")}, "'group_word_weight'"),
+    ({"n_concepts": 6, "cross_group_word_weight": float("-inf")}, "'cross_group_word_weight'"),
+    ({"n_concepts": 6, "words_per_group": -3}, "'words_per_group'"),
+    ({"n_concepts": 6, "background_words": -2}, "'background_words'"),
+    ({"n_concepts": 6, "group_word_weight": -0.5}, "'group_word_weight'"),
 ]
 
 

@@ -18,6 +18,7 @@ from xlcat.interpreter import (
     top_k_features,
 )
 from xlcat.ontology import SupportIndex
+from xlcat.virtualdocs import TermCountTable
 
 LN2 = math.log(2.0)
 
@@ -276,6 +277,30 @@ class TestFastPathOracles:
     def test_interpret_matches_reference(self, texts, k_term, doc):
         si = build_interpreter(make_index(texts), "en", set(texts), k_term=k_term)
         assert bits(interpret(si, doc).items()) == bits(reference_interpret(si, doc).items())
+
+
+class TestPseudoDocumentCounts:
+    @given(
+        st.lists(st.tuples(st.sampled_from(["c1", "c2"]), st.sampled_from(["en", "fr"]),
+                           st.lists(st.sampled_from(VOCAB + ["the", "le", "7"]), max_size=8)),
+                 max_size=8),
+        st.booleans(),
+    )
+    def test_counting_straight_in_matches_the_memo(self, drawn, virtual):
+        # Without a memo each article's tokens are counted straight into the
+        # pseudo-document; with one, the article's memoized Counter is added.
+        articles = [SupportArticle(cid, lang, text=" ".join(words)) for cid, lang, words in drawn]
+        stopwords = {"en": frozenset({"the"}), "fr": frozenset({"le"})}
+        direct = SupportIndex({"c1", "c2"}, articles, stopwords)
+        memoized = SupportIndex({"c1", "c2"}, articles, stopwords, {})
+        if virtual:
+            for idx in (direct, memoized):
+                idx.add_virtual(TermCountTable("c1", "en", {VOCAB[0]: 2, "zz": 1}))
+        for cid in ("c1", "c2"):
+            for lang in ("en", "fr"):
+                want = pseudo_document_counts(memoized, cid, lang)
+                got = pseudo_document_counts(direct, cid, lang)
+                assert list(got.items()) == list(want.items())
 
 
 class TestPersistence:

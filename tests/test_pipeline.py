@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlcat import pipeline
@@ -22,6 +22,7 @@ from xlcat.pipeline import (
     run_seeds,
 )
 from xlcat.synth import SyntheticCorpusSpec
+from xlcat.virtualdocs import InsufficientAncestryError
 
 from conftest import make_config, make_corpus
 
@@ -341,21 +342,42 @@ class TestAblation:
         assert len(result["curves"]["virtual"]) == 3
         assert len(calls) == 1
 
-    def test_virtual_curve_runs_block_zero_without_deletion_once(self, corpus, monkeypatch):
-        runs = []
+    def test_virtual_curve_trains_and_builds_each_distinct_arm_once(self, corpus, monkeypatch):
+        # On a corpus where every virtual document builds, the virtual arm at
+        # j > 0 has original arm j's source interpreter and so its model, the
+        # virtual arm at 0 builds no table and is original arm 0, and every
+        # deleted arm retains exactly the prefix, as original arm 0 does.
+        counts = Counter()
 
-        def counting_run(cfg, res, *args, **kwargs):
-            runs.append(cfg.virtual_docs)
-            return run(cfg, res, *args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        run = pipeline._run
-        monkeypatch.setattr(pipeline, "_run", counting_run)
+        def constructing(*args):
+            try:
+                return construct(*args)
+            except InsufficientAncestryError:
+                counts["insufficient"] += 1
+                raise
+
+        construct = pipeline.construct_virtual_document
+        monkeypatch.setattr(pipeline, "construct_virtual_document", constructing)
+        monkeypatch.setattr(pipeline, "train", counting("train", pipeline.train))
+        monkeypatch.setattr(
+            pipeline, "build_interpreter", counting("build", pipeline.build_interpreter)
+        )
         cfg = make_config(corpus, **default_hp())
-        result = ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
-        # three arms at each of three block counts, less the deleted arm at 0
-        assert runs.count(True) == 3
-        assert runs.count(False) == 2 * 3 - 1
-        assert result["curves"]["deleted"][0] == result["curves"]["original"][0]
+        n_blocks = 3
+        result = ablation(cfg, "virtual_docs", prefix_fraction=0.5, n_blocks=n_blocks)
+        assert result["block_counts"] == [0, 1, 2, 3]
+        assert counts["insufficient"] == 0
+        assert counts["train"] == n_blocks + 1 == 4
+        assert counts["build"] == 3 * n_blocks + 2 == 11
+        curves = result["curves"]
+        assert curves["deleted"][0] == curves["original"][0]
+        assert curves["deleted"] == [curves["original"][0]] * (n_blocks + 1)
 
     def test_unknown_toggle_rejected(self, corpus):
         cfg = make_config(corpus, **default_hp())
@@ -405,8 +427,8 @@ class TestSharedInputs:
         ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
         assert sorted(loads) == [("l0", "train"), ("l1", "test")]
         assert len(samples) == 1
-        # eight arms, each preparing its own index over the call's one memo
-        assert len(memos) == 8 and memos[0] and all(m is memos[0] for m in memos)
+        # nine arms, each building its own index over the call's one memo
+        assert len(memos) == 9 and memos[0] and all(m is memos[0] for m in memos)
 
     @pytest.mark.parametrize("call,n_samples", [
         (lambda cfg: ablation(cfg, "meta_features"), 1),
@@ -440,3 +462,113 @@ class TestSharedInputs:
     def test_run_experiment_keeps_no_term_count_memo(self, corpus, memos):
         run_experiment(make_config(corpus, **default_hp()))
         assert memos == [None]
+
+
+def reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks):
+    """The curves of a virtual-docs ablation computed with no reuse: every
+    arm, the deleted ones included, is prepared and run in full."""
+    res = replace(pipeline.load_resources(cfg), term_counts={})
+    reference_lang = sorted(cfg.source_languages)[0]
+    lengths = {c: 0 for c in res.basic}
+    for a in res.articles:
+        if a.language == reference_lang and a.concept_id in lengths:
+            lengths[a.concept_id] += len(a.text)
+    ranked = sorted(res.basic, key=lambda c: (-lengths[c], c))
+    n_prefix = max(1, round(prefix_fraction * len(ranked)))
+    tail = ranked[n_prefix:]
+    blocks, start = [], 0
+    base, extra = divmod(len(tail), n_blocks)
+    for b in range(n_blocks):
+        size = base + (1 if b < extra else 0)
+        blocks.append(tail[start : start + size])
+        start += size
+    blocks = [b for b in blocks if b]
+    docs = pipeline._load_documents(cfg)
+    targets = sorted(set(cfg.target_languages))
+    curve = {"original": [], "virtual": [], "deleted": []}
+    for j in range(len(blocks) + 1):
+        added = [c for block in blocks[:j] for c in block]
+        restricted = replace(res, basic=set(ranked[:n_prefix]) | set(added))
+        dropped = {(c, lang) for c in added for lang in targets}
+        stripped = replace(restricted, articles=[
+            a for a in res.articles if (a.concept_id, a.language) not in dropped
+        ])
+        for arm, virtual_docs, arm_res in [
+            ("original", False, restricted), ("deleted", False, stripped), ("virtual", True, stripped)
+        ]:
+            arm_cfg = replace(cfg, virtual_docs=virtual_docs)
+            prep = pipeline.prepare_semantic_resources(arm_cfg, arm_res)
+            report = pipeline._run(arm_cfg, arm_res, prep, *docs)
+            curve[arm].append(report["results"]["accuracy"])
+    return curve
+
+
+# (concept, language) pairs whose support articles the "holey" corpus lacks,
+# so that virtual arms also build tables in source languages.
+_HOLES = {("b0002", "l0"), ("b0007", "l1"), ("b0010", "l0"), ("b0004", "l2")}
+
+
+@pytest.fixture(scope="module")
+def ablation_corpora(tmp_path_factory):
+    """(corpus, support corpus path) of three three-language corpora:
+    blocked categories, interleaved ones, and the blocked corpus without the
+    support articles of _HOLES."""
+    base = dict(
+        n_concepts=12, n_meta_levels=2, branching=3, vocab_size_per_language=300,
+        n_languages=3, n_categories=3, docs_per_category=20, noise_rate=0.05,
+    )
+    blocked = make_corpus(tmp_path_factory.mktemp("blocked"), SyntheticCorpusSpec(**base, seed=11))
+    interleaved = make_corpus(tmp_path_factory.mktemp("interleaved"), SyntheticCorpusSpec(
+        **base, seed=4, category_layout="interleaved"
+    ))
+    holey = tmp_path_factory.mktemp("holey") / "corpus.jsonl"
+    lines = blocked.paths["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    holey.write_text("".join(
+        line for line in lines
+        if (json.loads(line)["concept_id"], json.loads(line)["language"]) not in _HOLES
+    ), encoding="utf-8")
+    return [
+        (blocked, blocked.paths["corpus"]),
+        (interleaved, interleaved.paths["corpus"]),
+        (blocked, holey),
+    ]
+
+
+_SETUP_LANGUAGES = {
+    "CLTC1": (("l0",), ("l0",)),
+    "CLTC2": (("l0",), ("l1",)),
+    "CLTC3": (("l0", "l1"), ("l2",)),
+}
+
+
+class TestMemoizedVirtualCurve:
+    # The larger p, and the smaller the prefix, the more virtual documents
+    # raise InsufficientAncestryError. Where some build and some do not, the
+    # virtual arm retains fewer concepts than the original arm and trains
+    # its own model; the first two examples are such cases (8 built and 4
+    # raised, 2 built and 10 raised). In the third, two virtual arms retain
+    # the same concepts with the same articles but hold different tables, so
+    # a key without the tables reuses the wrong accuracy.
+    @settings(max_examples=30)
+    @given(
+        which=st.integers(0, 2),
+        setup=st.sampled_from(sorted(_SETUP_LANGUAGES)),
+        prefix_fraction=st.floats(0.05, 0.9),
+        n_blocks=st.integers(1, 5),
+        p=st.integers(2, 16),
+    )
+    @example(which=0, setup="CLTC2", prefix_fraction=0.5, n_blocks=3, p=13)
+    @example(which=1, setup="CLTC3", prefix_fraction=0.3, n_blocks=2, p=11)
+    @example(which=2, setup="CLTC3", prefix_fraction=0.45, n_blocks=4, p=10)
+    @example(which=0, setup="CLTC1", prefix_fraction=0.5, n_blocks=3, p=3)
+    def test_curves_equal_running_every_arm(
+        self, ablation_corpora, which, setup, prefix_fraction, n_blocks, p
+    ):
+        sources, targets = _SETUP_LANGUAGES[setup]
+        corpus, support = ablation_corpora[which]
+        cfg = replace(make_config(
+            corpus, setup=setup, sources=sources, targets=targets,
+            samples=10, k_doc=4, m=2, p=p, t=12,
+        ), corpus_path=str(support))
+        result = ablation(cfg, "virtual_docs", prefix_fraction=prefix_fraction, n_blocks=n_blocks)
+        assert result["curves"] == reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks)

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -24,7 +25,6 @@ from xlcat.virtualdocs import (
     VirtualDocError,
     construct_virtual_document,
     find_ancestor_depth,
-    load_virtual_docs,
     prominent_terms,
     save_virtual_docs,
 )
@@ -196,15 +196,21 @@ class TestConstructVirtualDocument:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
+    def test_save_writes_one_record_per_table(self, tmp_path):
         tables = [
-            TermCountTable("c1", "en", {"a": 2, "b": 1}, ("P1",)),
+            TermCountTable("c1", "en", {"b": 1, "a": 2}, ("P1",)),
             TermCountTable("c2", "fr", {"x": 5}, ("P1", "P2")),
         ]
         path = tmp_path / "virtual.jsonl"
         save_virtual_docs(tables, path)
-        loaded = load_virtual_docs(path)
-        assert [t.to_dict() for t in loaded] == [t.to_dict() for t in tables]
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert records == [
+            {"concept_id": "c1", "language": "en", "terms": {"a": 2, "b": 1},
+             "provenance": ["P1"], "virtual": True},
+            {"concept_id": "c2", "language": "fr", "terms": {"x": 5},
+             "provenance": ["P1", "P2"], "virtual": True},
+        ]
+        assert list(records[0]["terms"]) == ["a", "b"]
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(VirtualDocError):
