@@ -10,6 +10,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING
 from pathlib import Path
+from reprlib import repr as abridged
 from typing import AbstractSet, Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import CorpusFormatError, DataError
@@ -86,9 +87,9 @@ def load_artifact(
 ) -> T:
     """convert(payload) for a file written by dump_artifact with this kind.
     A file that is not JSON, not an object, or carries another format or
-    version raises `error` naming the path, and so does a KeyError,
-    TypeError, ValueError or AttributeError from `convert` (a missing or
-    wrongly typed field) or a DataError (a value the loaded class rejects)."""
+    version raises `error` naming the path; so does a DataError of the
+    loaded class. convert reads each field by json_field(payload, key,
+    kind, path, 1), the file being one line."""
     try:
         payload = load_json(path)
     except json.JSONDecodeError as exc:
@@ -100,19 +101,22 @@ def load_artifact(
         raise error(f"{path}: unsupported {kind} version {payload.get('version')!r}")
     try:
         return convert(payload)
-    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
-        raise error(f"{path}: bad {kind} file: {type(exc).__name__}: {exc}") from exc
+    except CorpusFormatError:  # json_field's, already naming path:1
+        raise
+    except DataError as exc:
+        raise error(f"{path}: bad {kind} file: {exc}") from exc
 
 
 def dump_jsonl(records: Iterable[dict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
+            fh.write(_encode(rec))
             fh.write("\n")
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "array", dict: "object"}
+_TYPES = {**{kind: {kind} for kind in _JSON_TYPES}, float: {int, float}}  # json.load's types
 
 
 def json_field(
@@ -121,7 +125,7 @@ def json_field(
 ) -> Any:
     """obj[key], or obj itself when key is None, checked to be a JSON value
     of `kind`: a bool is not an integer, an integer is a number (float). An
-    array's items, or an object's values, must be of type `of`, and an
+    array's items, or an object's values, must be JSON values of `of`, and an
     object's keys must lie in `keys`. An absent key gives `default`, as does
     the default object itself (a null where the default is None); with no
     default it is an error.
@@ -129,18 +133,19 @@ def json_field(
     Errors name their place. A config field (line 0) is named by its dotted
     key, where + key, in a DataError; a config object read with key None is
     named by `where` without its final dot. A field of a JSON-lines record
-    is named by its key, at file `where` and line `line`, in a
-    CorpusFormatError. A value of `kind` with no items or keys to check
-    returns at once, so a valid record builds no string; record readers pass
-    `where` and `line` by position, which is the cheaper call."""
+    or one-line artifact is named by its key, at file `where` and line
+    `line`, in a CorpusFormatError. A wrong value is quoted abridged. A
+    value of `kind` with no items or keys to check returns at once, so a
+    valid record builds no string; record readers pass `where` and `line`
+    by position, which is the cheaper call."""
     value = obj if key is None else obj.get(key, default)
     if type(value) is kind and of is None and keys is None:
         return value
     if value is default and default is not MISSING:
         return value
     unknown = None
-    if type(value) in ((int, float) if kind is float else (kind,)) and (
-        of is None or set(map(type, value.values() if kind is dict else value)) <= {of}
+    if type(value) in _TYPES[kind] and (
+        of is None or set(map(type, value.values() if kind is dict else value)) <= _TYPES[of]
     ):
         unknown = sorted(value.keys() - keys) if keys is not None else None
         if not unknown:
@@ -156,5 +161,5 @@ def json_field(
         problem = f"unknown config field {(name + '.' if name else '') + unknown[0]!r}"
     else:
         what = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[of]}s" if of is not None else "")
-        problem = f"{field} must be a JSON {what}, got {value!r}"
+        problem = f"{field} must be a JSON {what}, got {abridged(value)}"
     raise CorpusFormatError(problem, where, line) if line else DataError(problem)

@@ -31,7 +31,7 @@ class FeatureSpace:
 
     def __post_init__(self):
         if len(set(self.concepts)) != len(self.concepts):
-            raise DataError("feature space has duplicate concepts")
+            raise DataError("'concepts' holds a concept twice")
         self.index = {cid: i for i, cid in enumerate(self.concepts)}
 
     def __len__(self) -> int:
@@ -46,13 +46,10 @@ class FeatureSpace:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureSpace":
-        def convert(payload):
-            concepts = payload["concepts"]
-            if not isinstance(concepts, list) or not all(isinstance(c, str) for c in concepts):
-                raise TypeError("'concepts' must be a list of strings")
-            return cls(concepts=concepts, metadata=payload.get("metadata", {}))
-
-        return load_artifact(path, "feature-space", convert)
+        return load_artifact(path, "feature-space", lambda payload: cls(
+            json_field(payload, "concepts", list, path, 1, of=str),
+            json_field(payload, "metadata", dict, path, 1, {}),
+        ))
 
 
 def enrich_with_meta(h: Hierarchy, basic: FrozenSet[str], m: int) -> Set[str]:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import log
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from ._util import dump_artifact, load_artifact
+from ._util import dump_artifact, json_field, load_artifact
 from .corpus import LabeledDocument, TokenStream, tokenize
 from .errors import DataError
 from .ontology import SupportIndex
@@ -29,9 +30,10 @@ class InterpreterError(DataError):
 @dataclass
 class SemanticInterpreter:
     """One language's inverted index: each term's top k_term (concept, weight)
-    pairs, with the stopword list its SupportIndex dropped from the support
-    articles, which generate_basic_features drops from documents too. The
-    list is not saved: a loaded interpreter has none until one is attached."""
+    pairs (tuples when built, lists when loaded), with the stopword list its
+    SupportIndex dropped from the support articles, which
+    generate_basic_features drops from documents too. The list is not saved:
+    a loaded interpreter has none until one is attached."""
 
     language: str
     k_term: int
@@ -48,13 +50,14 @@ class SemanticInterpreter:
     @classmethod
     def load(cls, path: str | Path) -> "SemanticInterpreter":
         def convert(payload):
-            language, k_term = payload["language"], payload["k_term"]
-            index = {t: [(c, w) for c, w in pairs] for t, pairs in payload["term_index"].items()}
-            if type(language) is not str or type(k_term) is not int or not all(
-                type(c) is str and type(w) is float for pairs in index.values() for c, w in pairs
-            ):
-                raise TypeError("'language', 'k_term' or a [concept id, weight] pair is mistyped")
-            return cls(language, k_term, index)
+            index = json_field(payload, "term_index", dict, path, 1, of=list)
+            for pair in chain.from_iterable(index.values()):
+                if type(pair) is not list or len(pair) != 2 or (
+                    type(pair[0]) is not str or type(pair[1]) is not float
+                ):
+                    raise DataError(f"'term_index' holds {pair!r}, not a [concept id, weight]")
+            return cls(json_field(payload, "language", str, path, 1),
+                       json_field(payload, "k_term", int, path, 1), index)
 
         return load_artifact(path, "interpreter", convert, InterpreterError)
 

@@ -5,12 +5,13 @@ Pegasos-style stochastic subgradient descent, plus evaluation metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ._util import dump_artifact, load_artifact, stable_rng
+from ._util import dump_artifact, json_field, load_artifact, stable_rng
 from .errors import DataError
 from .features import BinaryFeatureVector
 
@@ -33,11 +34,15 @@ class LinearModel:
 
     def __post_init__(self):
         n = len(self.categories)
+        if len(set(self.categories)) != n:
+            raise DataError("'categories' holds a category twice")
         if self.weights.ndim != 2 or self.weights.shape[0] != n or self.bias.shape != (n,):
-            raise ValueError(
-                f"{n} categories but weights of shape {self.weights.shape} "
-                f"and bias of shape {self.bias.shape}"
+            raise DataError(
+                f"{n} categories but 'weights' of shape {self.weights.shape} "
+                f"and 'bias' of shape {self.bias.shape}"
             )
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise DataError("'weights' and 'bias' must be finite numbers")
 
     @property
     def n_features(self) -> int:
@@ -55,14 +60,22 @@ class LinearModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":
-        return load_artifact(path, "model", lambda payload: cls(
-            categories=list(payload["categories"]),
-            weights=np.array(payload["weights"], dtype=np.float64),
-            bias=np.array(payload["bias"], dtype=np.float64),
-            lambda_=payload["lambda"],
-            epochs=payload["epochs"],
-            seed=payload["seed"],
-        ))
+        def convert(payload):
+            get = partial(json_field, payload, where=path, line=1)
+            rows = [json_field({"weights": row}, "weights", list, path, 1, of=float)
+                    for row in get("weights", list, of=list)]  # each row named as the field
+            if len(set(map(len, rows))) > 1:
+                raise DataError("'weights' rows differ in length")
+            return cls(
+                categories=get("categories", list, of=str),
+                weights=np.array(rows, dtype=np.float64),
+                bias=np.array(get("bias", list, of=float), dtype=np.float64),
+                lambda_=get("lambda", float),
+                epochs=get("epochs", int),
+                seed=get("seed", int),
+            )
+
+        return load_artifact(path, "model", convert)
 
 
 @dataclass

@@ -562,13 +562,14 @@ def ablation(
     enrichment (m forced to 0 in the off arm).
 
     virtual_docs: concepts are ranked by source-language support length; the
-    top prefix keeps real support everywhere, and successive blocks of the
-    remainder are added with their target-language support either kept
-    (original arm), replaced by constructed virtual documents (virtual arm),
-    or removed with construction disabled (deleted arm). Each distinct
-    interpreter, model and accuracy is computed once (see
-    _virtual_docs_curve): a deleted arm retains only the prefix, so the
-    deleted curve equals the original arm's at block count 0 throughout.
+    top prefix keeps real support everywhere, and n_blocks successive
+    blocks of the remainder (at most one per concept) are added with their
+    target-language support either kept (original arm), replaced by
+    constructed virtual documents (virtual arm), or removed with
+    construction disabled (deleted arm). Each distinct interpreter, model
+    and accuracy is computed once, keyed by articles and never by virtual
+    tables (see _virtual_docs_curve): a deleted arm retains only the prefix,
+    so the deleted curve equals the original arm's at block count 0.
     """
     cfg.validate()
     if toggle == "meta_features":
@@ -596,37 +597,21 @@ def ablation(
     return result
 
 
-class _Identity:
-    """Hashes and compares the object it holds by identity, and keeps it
-    alive so that its id is not reused: a memo key for TermCountTable,
-    which has no hash since its terms are a dict."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return self.obj is other.obj
-
-
 def _virtual_docs_curve(
     cfg: ExperimentConfig, workers: int, prefix_fraction: float, n_blocks: int
 ) -> dict:
-    """The virtual-docs ablation. Each arm builds its support index; then
-    each needed language's key is the retained concepts in sorted order,
-    each with its articles and virtual table in that language. An
-    interpreter depends only on its key (stopwords and k_term are fixed per
-    call), the fit only on the source languages' interpreters, and the
-    score only on the fit and the target languages' interpreters. So an arm
-    whose keys all match an earlier arm's takes its accuracy, one whose
-    source keys match takes its (space, model) and builds only the target
-    interpreters, and every other arm builds all and runs _fit and _score.
-    Both memos live for the call only. No interpreter outlives its arm:
-    keeping them would hold every arm's interpreters at once."""
+    """The virtual-docs ablation. Each arm builds its support index. Its key
+    over some languages is the retained concepts in sorted order with their
+    articles in each; it has none if a retained concept has a virtual table
+    in one, since every arm builds fresh tables. An interpreter depends only
+    on its language's key (stopwords and k_term are fixed per call), the fit
+    only on the source interpreters, the score only on the fit and the
+    target interpreters. So an arm whose key over all needed languages
+    matches an earlier arm's takes its accuracy; one whose source-language
+    key matches takes its (space, model) and builds only the target
+    interpreters; any other builds all and runs _fit and _score. Both memos
+    live for the call. No interpreter outlives its arm: keeping them would
+    hold every arm's at once. n_blocks is capped at the tail's length."""
     if not 0.0 < prefix_fraction < 1.0:
         raise DataError("prefix_fraction must lie in (0, 1)")
     if n_blocks < 1:
@@ -642,41 +627,37 @@ def _virtual_docs_curve(
     tail = ranked[n_prefix:]
     if not tail:
         raise DataError("prefix covers every concept; nothing to ablate")
-    blocks: List[List[str]] = []
-    base, extra = divmod(len(tail), n_blocks)
-    start = 0
-    for b in range(n_blocks):
-        size = base + (1 if b < extra else 0)
-        blocks.append(tail[start : start + size])
-        start += size
-    blocks = [b for b in blocks if b]
+    n_blocks = min(n_blocks, len(tail))
+    base, extra = divmod(len(tail), n_blocks)  # the first `extra` blocks hold one more
+    bounds = [b * base + min(b, extra) for b in range(n_blocks + 1)]
+    blocks = [tail[i:j] for i, j in zip(bounds, bounds[1:])]
     training, categories, test_docs = _load_documents(cfg)
     h, needed, sources = res.hierarchy, cfg.needed_languages(), sorted(set(cfg.source_languages))
     targets = sorted(set(cfg.target_languages))
     accuracies: Dict[tuple, float] = {}  # all needed languages' keys -> accuracy
     fits: Dict[tuple, tuple] = {}  # source languages' keys -> (space, model)
 
+    def memo_key(idx: SupportIndex, concepts: List[str], languages: List[str]):
+        if any(idx.virtual(c, lang) is not None for lang in languages for c in concepts):
+            return None
+        return tuple((c, tuple(idx.articles(c, lang))) for lang in languages for c in concepts)
+
     def accuracy(arm_cfg: ExperimentConfig, arm_res: Resources) -> float:
         idx, _, retained = _prepare_support(arm_cfg, arm_res)
-        keys = {
-            lang: tuple(
-                (c, tuple(idx.articles(c, lang)), _Identity(idx.virtual(c, lang)))
-                for c in sorted(retained)
-            )
-            for lang in needed
-        }
-        score_key = tuple(keys[lang] for lang in needed)
-        if score_key not in accuracies:
-            fit_key = tuple(keys[lang] for lang in sources)
-            fit = fits.get(fit_key)
-            languages = needed if fit is None else targets
-            interpreters = _build_interpreters(cfg, idx, retained, languages)
-            if fit is None:
-                space, _, model = _fit(cfg, h, interpreters, training, categories, workers)
-                fit = fits[fit_key] = (space, model)
-            report = _score(cfg, h, interpreters, *fit, test_docs, workers)
-            accuracies[score_key] = report.accuracy
-        return accuracies[score_key]
+        score_key, fit_key = (memo_key(idx, sorted(retained), langs) for langs in (needed, sources))
+        if score_key is not None and score_key in accuracies:
+            return accuracies[score_key]
+        fit = None if fit_key is None else fits.get(fit_key)
+        interpreters = _build_interpreters(cfg, idx, retained, needed if fit is None else targets)
+        if fit is None:
+            space, _, model = _fit(cfg, h, interpreters, training, categories, workers)
+            fit = (space, model)
+            if fit_key is not None:
+                fits[fit_key] = fit
+        result = _score(cfg, h, interpreters, *fit, test_docs, workers).accuracy
+        if score_key is not None:
+            accuracies[score_key] = result
+        return result
 
     curve = {"original": [], "virtual": [], "deleted": []}
     block_counts = list(range(len(blocks) + 1))

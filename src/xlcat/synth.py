@@ -70,10 +70,11 @@ class SyntheticCorpusSpec:
                 raise ValueError(
                     f"synthetic spec field {name!r} must be a finite number >= 0, got {value!r}"
                 )
-        for name in ("words_per_group", "background_words"):
+        grouped = self.group_word_weight > 0 or self.cross_group_word_weight > 0
+        for name, least in (("words_per_group", int(grouped)), ("background_words", 0)):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"synthetic spec field {name!r} must be >= 0, got {value!r}")
+            if value < least:
+                raise ValueError(f"synthetic spec field {name!r} must be >= {least}, got {value!r}")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
             raise ValueError("group word weights must sum to less than 1")
 

@@ -3,14 +3,20 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xlcat import cli, pipeline
 from xlcat import corpus as corpus_module
 from xlcat.features import FeatureSpace
-from xlcat.interpreter import SemanticInterpreter
-from xlcat.learner import LinearModel
+from xlcat.interpreter import SemanticInterpreter, interpret
+from xlcat.learner import LinearModel, predict
 from xlcat.pipeline import ExperimentConfig
 from xlcat.synth import SyntheticCorpusSpec
 
@@ -201,6 +207,7 @@ BAD_SYNTH_SPECS = [
     ({"n_concepts": 6, "words_per_group": -3}, "'words_per_group'"),
     ({"n_concepts": 6, "background_words": -2}, "'background_words'"),
     ({"n_concepts": 6, "group_word_weight": -0.5}, "'group_word_weight'"),
+    ({"n_concepts": 6, "words_per_group": 0}, "'words_per_group'"),
 ]
 
 
@@ -389,7 +396,26 @@ def _first_pair(edit):
     return edit_payload
 
 
-# (artifact file, edit of its decoded JSON)
+def _each_weight(edit):
+    """Replace every model weight w by edit(w)."""
+    def edit_payload(payload):
+        payload["weights"] = [[edit(w) for w in row] for row in payload["weights"]]
+        return payload
+    return edit_payload
+
+
+def _integer_categories(payload):
+    payload["categories"] = list(range(len(payload["categories"])))
+    return payload
+
+
+def _duplicate_category(payload):
+    payload["categories"][-1] = payload["categories"][0]
+    return payload
+
+
+# (artifact file, edit of its decoded JSON, *names the error must give
+# besides the file)
 MALFORMED_ARTIFACTS = {
     "model-list": ("model.json", lambda payload: [1]),
     "model-format": ("model.json", _edit("format", "xlcat-feature-space")),
@@ -398,6 +424,15 @@ MALFORMED_ARTIFACTS = {
     "model-weights-string": ("model.json", _edit("weights", "x")),
     "model-weights-ragged": ("model.json", _ragged),
     "model-weights-flat": ("model.json", _edit("weights", [0.5, 1.5])),
+    "model-categories-string": ("model.json", _edit("categories", "abcdefgh"), "'categories'"),
+    "model-categories-integers": ("model.json", _integer_categories, "'categories'"),
+    "model-categories-duplicate": ("model.json", _duplicate_category, "'categories'"),
+    "model-weights-strings": ("model.json", _each_weight(str), "'weights'"),
+    "model-weights-booleans": ("model.json", _each_weight(lambda w: w > 0), "'weights'"),
+    "model-weights-nan": ("model.json", _each_weight(lambda w: float("nan")), "'weights'"),
+    "model-lambda-string": ("model.json", _edit("lambda", "x"), "'lambda'"),
+    "model-epochs-float": ("model.json", _edit("epochs", 10.0), "'epochs'"),
+    "model-seed-null": ("model.json", _edit("seed", None), "'seed'"),
     "space-list": ("feature_space.json", lambda payload: [1]),
     "space-format": ("feature_space.json", _edit("format", "xlcat-model")),
     "space-version": ("feature_space.json", _edit("version", "1")),
@@ -406,6 +441,7 @@ MALFORMED_ARTIFACTS = {
     "space-concepts-mixed": ("feature_space.json", _edit("concepts", [1, [2]])),
     "space-concepts-integers": ("feature_space.json", _integer_concepts),
     "space-concepts-duplicate": ("feature_space.json", _duplicate_concept),
+    "space-metadata-list": ("feature_space.json", _edit("metadata", []), "'metadata'"),
     "interpreter-list": ("interpreter_l1.json", lambda payload: [1]),
     "interpreter-format": ("interpreter_l1.json", _edit("format", "xlcat-report")),
     "interpreter-version": ("interpreter_l1.json", _edit("version", None)),
@@ -447,11 +483,11 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARTIFACTS))
     def test_classify_rejects(self, workspace, artifacts, tmp_path, case):
-        name, edit = MALFORMED_ARTIFACTS[case]
+        name, edit, *names = MALFORMED_ARTIFACTS[case]
         files = self._copy(artifacts, tmp_path)
         payload = json.loads((files / name).read_text(encoding="utf-8"))
         (files / name).write_text(json.dumps(edit(payload)), encoding="utf-8")
-        assert_data_error(self._classify(workspace, files, tmp_path), files / name)
+        assert_data_error(self._classify(workspace, files, tmp_path), files / name, *names)
 
     def test_classify_reads_only_the_dataset_languages_interpreter(
         self, workspace, artifacts, tmp_path
@@ -554,7 +590,46 @@ class TestMalformedArtifacts:
         assert_data_error(proc, predictions, "'predicted'")
 
 
+_names = st.text(min_size=1, max_size=6)
+_numbers = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def saved_objects(draw):
+    """A small random interpreter, feature space or model."""
+    kind = draw(st.sampled_from([SemanticInterpreter, FeatureSpace, LinearModel]))
+    if kind is SemanticInterpreter:
+        pairs = st.lists(st.tuples(_names, _numbers), min_size=1, max_size=4)
+        return kind(draw(_names), draw(st.integers(1, 4)),
+                    draw(st.dictionaries(_names, pairs, max_size=6)))
+    if kind is FeatureSpace:
+        return kind(draw(st.lists(_names, max_size=6, unique=True)),
+                    draw(st.dictionaries(_names, st.integers() | _numbers | _names, max_size=3)))
+    categories = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+    shape = (len(categories), draw(st.integers(1, 5)))
+    return kind(categories, draw(arrays(np.float64, shape, elements=_numbers)),
+                draw(arrays(np.float64, shape[:1], elements=_numbers)),
+                draw(_numbers), draw(st.integers()), draw(st.integers()))
+
+
 class TestArtifactRoundTrip:
+    @settings(max_examples=200)
+    @given(saved_objects(), st.data())
+    def test_drawn_objects_save_load_and_save_the_same_bytes(self, obj, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+            obj.save(first)
+            loaded = type(obj).load(first)
+            loaded.save(second)
+            assert second.read_bytes() == first.read_bytes()
+        if isinstance(obj, SemanticInterpreter):
+            doc = data.draw(st.lists(st.sampled_from(sorted(obj.term_index) or ["x"])))
+            assert repr(interpret(loaded, doc)) == repr(interpret(obj, doc))
+        if isinstance(obj, LinearModel):
+            coordinate = st.integers(0, obj.n_features - 1)
+            for vector in data.draw(st.lists(st.frozensets(coordinate), max_size=5)):
+                assert predict(loaded, vector) == predict(obj, vector)
+
     @pytest.mark.parametrize("cls,name", [
         (SemanticInterpreter, "interpreter_l1.json"),
         (FeatureSpace, "feature_space.json"),

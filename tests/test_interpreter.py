@@ -179,7 +179,7 @@ class TestStopwordOwners:
         assert (tmp_path / "listed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
         loaded = SemanticInterpreter.load(tmp_path / "listed.json")
         assert loaded.stopwords == frozenset()
-        assert loaded.term_index == fruit_si.term_index
+        assert _as_tuples(loaded.term_index) == fruit_si.term_index
 
 
 class TestOracleEquivalence:
@@ -309,7 +309,7 @@ class TestPersistence:
         fruit_si.save(path)
         loaded = SemanticInterpreter.load(path)
         assert (loaded.language, loaded.k_term) == ("en", 10)
-        assert loaded.term_index == fruit_si.term_index
+        assert _as_tuples(loaded.term_index) == fruit_si.term_index
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert set(payload) == {"format", "version", "language", "k_term", "term_index"}
         for doc in (["apple"], ["apple", "cherry"], ["banana"], []):
@@ -320,6 +320,11 @@ class TestPersistence:
         path.write_text('{"format": "something-else"}', encoding="utf-8")
         with pytest.raises(InterpreterError):
             SemanticInterpreter.load(path)
+
+
+def _as_tuples(term_index):
+    """A loaded term index, whose pairs are lists, with tuple pairs as built."""
+    return {term: [tuple(pair) for pair in pairs] for term, pairs in term_index.items()}
 
 
 def _random_corpus(rng, max_concepts, max_terms):

@@ -329,6 +329,13 @@ class TestAblation:
         first = {arm: result["curves"][arm][0] for arm in result["curves"]}
         assert len(set(first.values())) == 1  # identical runs at block 0
 
+    def test_virtual_curve_caps_the_block_count_at_the_tail(self, corpus):
+        cfg = make_config(corpus, **default_hp())
+        capped = ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=10**12)
+        n_tail = capped["n_concepts"][-1] - capped["n_prefix"]
+        assert capped["block_counts"] == list(range(n_tail + 1))
+        assert capped == ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=n_tail)
+
     def test_virtual_curve_merges_the_hierarchy_once(self, corpus, monkeypatch):
         calls = []
 

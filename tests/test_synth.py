@@ -18,16 +18,18 @@ def specs(draw):
     """Any valid SyntheticCorpusSpec."""
     sizes = st.integers(1, 10**5)
     weight = draw(st.floats(0.0, 0.99))
+    cross_weight = draw(st.floats(0.0, 0.99 - weight))
     return SyntheticCorpusSpec(
         n_concepts=draw(sizes), n_meta_levels=draw(sizes), branching=draw(sizes),
         vocab_size_per_language=draw(sizes), n_languages=draw(sizes),
         n_categories=draw(sizes), docs_per_category=draw(sizes),
         noise_rate=draw(st.floats(0.0, 0.99) | st.just(0)), seed=draw(st.integers(0, 2**32)),
-        words_per_concept=draw(sizes), words_per_group=draw(st.integers(0, 99)),
+        words_per_concept=draw(sizes),
+        words_per_group=draw(st.integers(1 if weight or cross_weight else 0, 99)),
         support_docs_per_pair=draw(sizes), support_doc_length=draw(sizes),
         doc_length=draw(sizes), concepts_per_doc=draw(sizes),
         group_word_weight=weight,
-        cross_group_word_weight=draw(st.floats(0.0, 0.99 - weight)),
+        cross_group_word_weight=cross_weight,
         background_words=draw(st.integers(0, 99)),
         category_layout=draw(st.sampled_from(["blocked", "interleaved"])),
         train_concept_fraction=draw(st.floats(0.01, 1.0)),
@@ -43,6 +45,14 @@ class TestSpecValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SyntheticCorpusSpec(n_concepts=0)
+
+    def test_no_group_words_only_without_group_weight(self):
+        SyntheticCorpusSpec(n_concepts=6, words_per_group=0, group_word_weight=0.0,
+                            cross_group_word_weight=0.0)
+        for weights in ((0.1, 0.0), (0.0, 0.1)):
+            with pytest.raises(ValueError, match="'words_per_group'"):
+                SyntheticCorpusSpec(n_concepts=6, words_per_group=0, group_word_weight=weights[0],
+                                    cross_group_word_weight=weights[1])
 
     def test_rejects_noise_out_of_range(self):
         with pytest.raises(ValueError):
