@@ -34,11 +34,42 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> l
         return list(pool.map(fn, items))
 
 
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder
+
+
 def dump_json(obj: Any, path: str | Path) -> None:
-    """Write canonical JSON: sorted keys, UTF-8, trailing newline."""
+    """Write canonical JSON: sorted keys, UTF-8, trailing newline; the bytes
+    of json.dump(obj, sort_keys=True, ensure_ascii=False, indent=2) plus
+    "\n", dict keys being strings. json.dump's indenting encoder is a set of
+    closures that refer to each other, a reference cycle per call; this
+    writer leaves none."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
+        _write_indented(fh.write, obj, "\n")
         fh.write("\n")
+
+
+def _write_indented(write: Callable[[str], Any], obj: Any, newline: str) -> None:
+    """Write obj as json.dump(..., indent=2) does at the depth whose line
+    break is `newline`; a non-empty container's items go one per line, one
+    level deeper, every other value through the C encoder."""
+    if isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            write(sep + _encode(key) + ": ")
+            _write_indented(write, obj[key], inner)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write_indented(write, item, inner)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        write(_encode(obj))
 
 
 def load_json(path: str | Path) -> Any:
@@ -49,7 +80,6 @@ def load_json(path: str | Path) -> Any:
 # The current version of each xlcat file format; load_artifact accepts no other.
 ARTIFACT_VERSIONS = {"interpreter": 2, "feature-space": 1, "model": 1,
                      "report": 1, "report-aggregate": 1, "ablation": 1}
-_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder
 # Dict entries per encoder call in dump_artifact: 1024 was no faster and held 3x the memory.
 _CHUNK = 128
 
@@ -134,10 +164,11 @@ def json_field(
     key, where + key, in a DataError; a config object read with key None is
     named by `where` without its final dot. A field of a JSON-lines record
     or one-line artifact is named by its key, at file `where` and line
-    `line`, in a CorpusFormatError. A wrong value is quoted abridged. A
-    value of `kind` with no items or keys to check returns at once, so a
-    valid record builds no string; record readers pass `where` and `line`
-    by position, which is the cheaper call."""
+    `line`, in a CorpusFormatError. A wrong value is quoted abridged; of an
+    array or object with a wrong item, only the first such item is, with its
+    index or key. A value of `kind` with no items or keys to check returns at
+    once, so a valid record builds no string; record readers pass `where`
+    and `line` by position, which is the cheaper call."""
     value = obj if key is None else obj.get(key, default)
     if type(value) is kind and of is None and keys is None:
         return value
@@ -161,5 +192,10 @@ def json_field(
         problem = f"unknown config field {(name + '.' if name else '') + unknown[0]!r}"
     else:
         what = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[of]}s" if of is not None else "")
-        problem = f"{field} must be a JSON {what}, got {abridged(value)}"
+        got = abridged(value)
+        if of is not None and type(value) in _TYPES[kind]:  # an item is wrong
+            pairs = value.items() if kind is dict else enumerate(value)
+            place, item = next(pair for pair in pairs if type(pair[1]) not in _TYPES[of])
+            got = f"{abridged(item)} at {'key' if kind is dict else 'index'} {abridged(place)}"
+        problem = f"{field} must be a JSON {what}, got {got}"
     raise CorpusFormatError(problem, where, line) if line else DataError(problem)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import ceil
 from pathlib import Path
-from typing import Dict, List, Tuple, get_type_hints
+from typing import Callable, Dict, List, Tuple, get_type_hints
 
 from ._util import dump_json, json_field, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
@@ -92,9 +92,26 @@ class SyntheticCorpusSpec:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
+class _Words(dict):
+    """One language's words by vocabulary index, "<language>w<index:05d>".
+    Filled lazily, one entry per index ever asked for, so a vocabulary far
+    larger than the corpus costs nothing."""
+
+    def __init__(self, language: str):
+        super().__init__()
+        self.language = language
+
+    def __missing__(self, index: int) -> str:
+        word = self[index] = f"{self.language}w{index:05d}"
+        return word
+
+
 class SyntheticCorpus:
     """Generated files plus the exact generative model behind them, so tests
-    can compute distribution-level oracles on the same draw."""
+    can compute distribution-level oracles on the same draw. Words are drawn
+    by one sampler per random stream (see _sampler); ReferenceCorpus in
+    tests/test_synth.py is the per-word randrange generator it replaced and
+    must match byte for byte."""
 
     def __init__(self, spec: SyntheticCorpusSpec, out_dir: Path):
         self.spec = spec
@@ -107,6 +124,7 @@ class SyntheticCorpus:
             spec.cross_group_word_weight > 0.0 and spec.branching <= self.n_stride_groups
         )
         self._vocab_layout()
+        self._words = {lang: _Words(lang) for lang in self.languages}
         self.paths = {
             "corpus": self.out_dir / "corpus.jsonl",
             "concepts": self.out_dir / "concepts.jsonl",
@@ -196,7 +214,7 @@ class SyntheticCorpus:
             )
 
     def word(self, language: str, index: int) -> str:
-        return f"{language}w{index:05d}"
+        return self._words[language][index]
 
     def _weights(self) -> Tuple[float, float, float]:
         spec = self.spec
@@ -204,23 +222,37 @@ class SyntheticCorpus:
         g_stride = spec.cross_group_word_weight if self.stride_enabled else 0.0
         return 1.0 - g_block - g_stride, g_block, g_stride
 
-    def sample_token(self, concept: int, language: str, rng) -> str:
+    def _sampler(self, language: str, rng) -> Callable[[int], str]:
+        """draw(concept): one word of the concept's distribution, drawn from
+        rng. rng.random() picks the unique, block-group or stride-group words
+        by the cumulative weights, and an index below n among them comes from
+        the getrandbits(n.bit_length()) rejection loop that CPython's
+        random.Random.randrange(n) runs, so rng advances exactly as under
+        randrange."""
         spec = self.spec
+        words, random, getrandbits = self._words[language], rng.random, rng.getrandbits
         w_unique, w_block, _ = self._weights()
-        r = rng.random()
-        if r < w_unique:
-            idx = self.off_unique + concept * spec.words_per_concept + rng.randrange(
-                spec.words_per_concept
-            )
-        elif r < w_unique + w_block:
-            idx = self.off_block + self.block_group(concept) * spec.words_per_group + rng.randrange(
-                spec.words_per_group
-            )
-        else:
-            idx = self.off_stride + self.stride_group(concept) * spec.words_per_group + rng.randrange(
-                spec.words_per_group
-            )
-        return self.word(language, idx)
+        w_grouped = w_unique + w_block
+        n_unique, n_group = spec.words_per_concept, spec.words_per_group
+        k_unique, k_group = n_unique.bit_length(), n_group.bit_length()
+        off_unique, off_block, off_stride = self.off_unique, self.off_block, self.off_stride
+        branching, n_stride = spec.branching, self.n_stride_groups
+
+        def draw(concept: int) -> str:
+            r = random()
+            if r < w_unique:
+                j = getrandbits(k_unique)
+                while j >= n_unique:
+                    j = getrandbits(k_unique)
+                return words[off_unique + concept * n_unique + j]
+            j = getrandbits(k_group)
+            while j >= n_group:
+                j = getrandbits(k_group)
+            if r < w_grouped:
+                return words[off_block + concept // branching * n_group + j]
+            return words[off_stride + concept % n_stride * n_group + j]
+
+        return draw
 
     def concept_distribution(self, concept: int, language: str) -> Dict[str, float]:
         """Exact token distribution a concept's documents are drawn from."""
@@ -273,7 +305,8 @@ class SyntheticCorpus:
                     length = spec.support_doc_length + rng.randrange(
                         0, max(1, spec.support_doc_length // 10)
                     )
-                    tokens = [self.sample_token(i, lang, rng) for _ in range(length)]
+                    draw = self._sampler(lang, rng)
+                    tokens = [draw(i) for _ in range(length)]
                     tokens += [
                         self.word(lang, self.off_background + bg)
                         for bg in range(spec.background_words)
@@ -338,6 +371,8 @@ class SyntheticCorpus:
     def _documents(self, language: str, split: str) -> List[LabeledDocument]:
         spec = self.spec
         pools = self.category_pools()
+        words, noise, n_vocab = self._words[language], spec.noise_rate, spec.vocab_size_per_language
+        k_vocab = n_vocab.bit_length()
         docs = []
         for k, pool in enumerate(pools):
             if split == "train" and spec.train_concept_fraction < 1.0:
@@ -347,14 +382,24 @@ class SyntheticCorpus:
             for i in range(spec.docs_per_category):
                 rng = stable_rng(spec.seed, "doc", language, split, k, i)
                 drawn = rng.sample(candidates, min(spec.concepts_per_doc, len(candidates)))
+                draw = self._sampler(language, rng)
+                random, getrandbits = rng.random, rng.getrandbits
+                n_drawn = len(drawn)
+                # An empty pool has no concept word: getrandbits(-1) raises ValueError,
+                # as randrange(0) does.
+                k_drawn = n_drawn.bit_length() if drawn else -1
                 tokens = []
                 for _ in range(spec.doc_length):
-                    if spec.noise_rate and rng.random() < spec.noise_rate:
-                        tokens.append(
-                            self.word(language, rng.randrange(spec.vocab_size_per_language))
-                        )
-                    else:
-                        tokens.append(self.sample_token(drawn[rng.randrange(len(drawn))], language, rng))
+                    if noise and random() < noise:  # a uniform word: randrange(n_vocab)
+                        j = getrandbits(k_vocab)
+                        while j >= n_vocab:
+                            j = getrandbits(k_vocab)
+                        tokens.append(words[j])
+                    else:  # a drawn concept's word: drawn[randrange(n_drawn)]
+                        j = getrandbits(k_drawn)
+                        while j >= n_drawn:
+                            j = getrandbits(k_drawn)
+                        tokens.append(draw(drawn[j]))
                 docs.append(
                     LabeledDocument(
                         doc_id=f"{split}-{language}-cat{k}-{i:04d}",

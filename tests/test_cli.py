@@ -404,6 +404,20 @@ def _each_weight(edit):
     return edit_payload
 
 
+def _middle_term_five(payload):
+    """Map the interpreter's middle term, in sorted order, to 5."""
+    terms = sorted(payload["term_index"])
+    payload["term_index"][terms[len(terms) // 2]] = 5
+    return payload
+
+
+def _middle_weight_string(payload):
+    """Replace the middle weight of the model's middle row by a string."""
+    row = payload["weights"][len(payload["weights"]) // 2]
+    row[len(row) // 2] = "0.5"
+    return payload
+
+
 def _integer_categories(payload):
     payload["categories"] = list(range(len(payload["categories"])))
     return payload
@@ -415,7 +429,7 @@ def _duplicate_category(payload):
 
 
 # (artifact file, edit of its decoded JSON, *names the error must give
-# besides the file)
+# besides the file; a callable name is computed from the edited JSON)
 MALFORMED_ARTIFACTS = {
     "model-list": ("model.json", lambda payload: [1]),
     "model-format": ("model.json", _edit("format", "xlcat-feature-space")),
@@ -430,6 +444,10 @@ MALFORMED_ARTIFACTS = {
     "model-weights-strings": ("model.json", _each_weight(str), "'weights'"),
     "model-weights-booleans": ("model.json", _each_weight(lambda w: w > 0), "'weights'"),
     "model-weights-nan": ("model.json", _each_weight(lambda w: float("nan")), "'weights'"),
+    "model-weights-middle-string": (
+        "model.json", _middle_weight_string, "'weights'",
+        lambda payload: f"'0.5' at index {len(payload['weights'][0]) // 2}",
+    ),
     "model-lambda-string": ("model.json", _edit("lambda", "x"), "'lambda'"),
     "model-epochs-float": ("model.json", _edit("epochs", 10.0), "'epochs'"),
     "model-seed-null": ("model.json", _edit("seed", None), "'seed'"),
@@ -449,6 +467,10 @@ MALFORMED_ARTIFACTS = {
     "interpreter-version-float": ("interpreter_l1.json", _edit("version", 2.0)),
     "interpreter-no-term-index": ("interpreter_l1.json", _drop("term_index")),
     "interpreter-term-index-number": ("interpreter_l1.json", _edit("term_index", {"w": 5})),
+    "interpreter-middle-term-number": (
+        "interpreter_l1.json", _middle_term_five, "'term_index'",
+        lambda payload: f"5 at key {next(t for t, v in payload['term_index'].items() if v == 5)!r}",
+    ),
     "interpreter-weight-string": ("interpreter_l1.json", _first_pair(lambda c, w: [c, str(w)])),
     "interpreter-pair-arity": ("interpreter_l1.json", _first_pair(lambda c, w: [c, w, w])),
 }
@@ -485,8 +507,9 @@ class TestMalformedArtifacts:
     def test_classify_rejects(self, workspace, artifacts, tmp_path, case):
         name, edit, *names = MALFORMED_ARTIFACTS[case]
         files = self._copy(artifacts, tmp_path)
-        payload = json.loads((files / name).read_text(encoding="utf-8"))
-        (files / name).write_text(json.dumps(edit(payload)), encoding="utf-8")
+        payload = edit(json.loads((files / name).read_text(encoding="utf-8")))
+        (files / name).write_text(json.dumps(payload), encoding="utf-8")
+        names = [n(payload) if callable(n) else n for n in names]
         assert_data_error(self._classify(workspace, files, tmp_path), files / name, *names)
 
     def test_classify_reads_only_the_dataset_languages_interpreter(

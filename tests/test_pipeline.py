@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -90,6 +91,25 @@ class TestRunExperiment:
         assert r1 == r2
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
+        ).read_bytes()
+
+    def test_leaves_no_cyclic_garbage(self, corpus, tmp_path):
+        """A run with out_dir frees everything it allocates by reference
+        counting, so the cyclic collector's timing cannot move peak memory."""
+        cfg = make_config(corpus, seed=5, **default_hp())
+        run_experiment(cfg, out_dir=tmp_path / "warm")  # first-use caches and imports
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_experiment(cfg, out_dir=tmp_path / "run")
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+        assert (tmp_path / "run" / "report.json").read_bytes() == (
+            tmp_path / "warm" / "report.json"
         ).read_bytes()
 
     def test_workers_do_not_change_report(self, corpus):

@@ -1,16 +1,133 @@
+import hashlib
 import json
 import math
+import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlcat.corpus import FilterConfig, filter_articles, load_labeled_dataset, load_support_corpus
+from xlcat._util import stable_rng
+from xlcat.corpus import (
+    FilterConfig, LabeledDocument, SupportArticle, filter_articles, load_labeled_dataset,
+    load_support_corpus,
+)
 from xlcat.ontology import load_concepts, load_hierarchy_edges, merge_hierarchies, validate_dag
-from xlcat.synth import SyntheticCorpusSpec, generate_synthetic_corpus
+from xlcat.synth import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus
 
 from conftest import make_corpus
+
+
+class ReferenceCorpus(SyntheticCorpus):
+    """The generator as it was before the per-stream sampler: one
+    sample_token call per token, each drawing through rng.randrange, and
+    every word formatted anew. Same files, same bytes."""
+
+    def word(self, language, index):
+        return f"{language}w{index:05d}"
+
+    def sample_token(self, concept, language, rng):
+        spec = self.spec
+        w_unique, w_block, _ = self._weights()
+        r = rng.random()
+        if r < w_unique:
+            idx = self.off_unique + concept * spec.words_per_concept + rng.randrange(
+                spec.words_per_concept
+            )
+        elif r < w_unique + w_block:
+            idx = self.off_block + self.block_group(concept) * spec.words_per_group + rng.randrange(
+                spec.words_per_group
+            )
+        else:
+            idx = self.off_stride + self.stride_group(concept) * spec.words_per_group + rng.randrange(
+                spec.words_per_group
+            )
+        return self.word(language, idx)
+
+    def _support_articles(self):
+        spec = self.spec
+        articles = []
+        for i in range(spec.n_concepts):
+            cid = self.concept_id(i)
+            for lang in self.languages:
+                for d in range(spec.support_docs_per_pair):
+                    rng = stable_rng(spec.seed, "support", cid, lang, d)
+                    length = spec.support_doc_length + rng.randrange(
+                        0, max(1, spec.support_doc_length // 10)
+                    )
+                    tokens = [self.sample_token(i, lang, rng) for _ in range(length)]
+                    tokens += [
+                        self.word(lang, self.off_background + bg)
+                        for bg in range(spec.background_words)
+                    ]
+                    articles.append(
+                        SupportArticle(
+                            concept_id=cid,
+                            language=lang,
+                            title=f"{cid} ({lang})",
+                            text=" ".join(tokens),
+                            links_in=5 + rng.randrange(40),
+                            links_out=5 + rng.randrange(40),
+                        )
+                    )
+        for lang in self.languages:
+            articles.append(
+                SupportArticle(
+                    concept_id=self.concept_id(0),
+                    language=lang,
+                    title=f"decoy redirect ({lang})",
+                    text=" ".join(self.word(lang, i) for i in range(30)),
+                    links_in=20,
+                    links_out=20,
+                    flags=frozenset({"redirect"}),
+                )
+            )
+            articles.append(
+                SupportArticle(
+                    concept_id=self.concept_id(0),
+                    language=lang,
+                    title=f"decoy catalog ({lang})",
+                    text=self.word(lang, 0),
+                    links_in=0,
+                    links_out=0,
+                    flags=frozenset({"catalog"}),
+                )
+            )
+        return articles
+
+    def _documents(self, language, split):
+        spec = self.spec
+        docs = []
+        for k, pool in enumerate(self.category_pools()):
+            if split == "train" and spec.train_concept_fraction < 1.0:
+                candidates = self._train_candidates(pool, language)
+            else:
+                candidates = pool
+            for i in range(spec.docs_per_category):
+                rng = stable_rng(spec.seed, "doc", language, split, k, i)
+                drawn = rng.sample(candidates, min(spec.concepts_per_doc, len(candidates)))
+                tokens = []
+                for _ in range(spec.doc_length):
+                    if spec.noise_rate and rng.random() < spec.noise_rate:
+                        tokens.append(
+                            self.word(language, rng.randrange(spec.vocab_size_per_language))
+                        )
+                    else:
+                        tokens.append(self.sample_token(drawn[rng.randrange(len(drawn))], language, rng))
+                docs.append(
+                    LabeledDocument(
+                        doc_id=f"{split}-{language}-cat{k}-{i:04d}",
+                        language=language,
+                        text=" ".join(tokens),
+                        label=self.categories[k],
+                    )
+                )
+        return docs
+
+
+def written_files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
 @st.composite
@@ -35,6 +152,127 @@ def specs(draw):
         train_concept_fraction=draw(st.floats(0.01, 1.0)),
         rotate_train_concepts=draw(st.booleans()),
     )
+
+
+# Word counts of 1 (one-bit draws, half rejected), powers of two (none rejected) and others.
+WORD_COUNTS = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16])
+
+
+@st.composite
+def small_specs(draw):
+    """Valid specs of tiny corpora, with every layout and weight case."""
+    weight = draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 0.6))
+    cross_weight = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.99 - weight))
+    grouped = weight > 0 or cross_weight > 0
+    n_concepts, branching = draw(st.integers(1, 14)), draw(st.integers(1, 5))
+    words_per_concept = draw(WORD_COUNTS)
+    words_per_group = draw(WORD_COUNTS if grouped else st.sampled_from([0, 1, 4, 5]))
+    background_words = draw(st.integers(0, 3))
+    n_groups = math.ceil(n_concepts / branching)
+    stride = cross_weight > 0 and branching <= n_groups
+    needed = (background_words + n_concepts * words_per_concept
+              + (1 + stride) * n_groups * words_per_group)
+    return SyntheticCorpusSpec(
+        n_concepts=n_concepts, n_meta_levels=draw(st.integers(1, 3)), branching=branching,
+        vocab_size_per_language=needed + draw(st.integers(0, 40)),
+        n_languages=draw(st.integers(1, 3)), n_categories=draw(st.integers(1, 4)),
+        docs_per_category=draw(st.integers(1, 4)),
+        noise_rate=draw(st.just(0.0) | st.floats(0.01, 0.9)),
+        seed=draw(st.integers(0, 2**32)),
+        words_per_concept=words_per_concept, words_per_group=words_per_group,
+        support_docs_per_pair=draw(st.integers(1, 2)), support_doc_length=draw(st.integers(1, 30)),
+        doc_length=draw(st.integers(1, 20)), concepts_per_doc=draw(st.integers(1, 4)),
+        group_word_weight=weight, cross_group_word_weight=cross_weight,
+        background_words=background_words,
+        category_layout=draw(st.sampled_from(["blocked", "interleaved"])),
+        train_concept_fraction=draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0)),
+        rotate_train_concepts=draw(st.booleans()),
+    )
+
+
+SMALL = dict(n_concepts=9, branching=3, vocab_size_per_language=200, docs_per_category=3,
+             support_doc_length=20, doc_length=15)
+
+
+class TestSamplerOracle:
+    """The per-stream sampler draws every file byte for byte as the
+    reference generator's sample_token path does."""
+
+    @settings(max_examples=60)
+    @given(small_specs())
+    @example(SyntheticCorpusSpec(**SMALL, noise_rate=0.0))
+    @example(SyntheticCorpusSpec(**SMALL, noise_rate=0.5, words_per_group=0, group_word_weight=0.0,
+                                 cross_group_word_weight=0.0))
+    @example(SyntheticCorpusSpec(**SMALL, words_per_concept=1, words_per_group=1))
+    @example(SyntheticCorpusSpec(**SMALL, words_per_concept=4, words_per_group=8))
+    @example(SyntheticCorpusSpec(**SMALL, words_per_concept=3, words_per_group=5))
+    @example(SyntheticCorpusSpec(**SMALL, n_languages=3, category_layout="interleaved",
+                                 train_concept_fraction=0.5, rotate_train_concepts=True))
+    def test_writes_the_reference_bytes(self, tmp_path_factory, spec):
+        """Equal files, or the same exception: a spec with more categories
+        than concepts leaves a pool empty, which neither path can draw from."""
+        tmp = tmp_path_factory.mktemp("oracle")
+        outcomes = []
+        for out, write in ((tmp / "sampler", lambda out: generate_synthetic_corpus(spec, out)),
+                           (tmp / "reference", lambda out: ReferenceCorpus(spec, out).write())):
+            try:
+                write(out)
+            except (ValueError, ZeroDivisionError) as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append(written_files(out))
+        assert outcomes[0] == outcomes[1]
+
+
+# sha256 of every file generate_synthetic_corpus writes, pinned before the
+# per-stream sampler replaced sample_token.
+GOLDEN_DIGESTS = {
+    "small": {
+        "concepts.jsonl": "3efc690682da2f2b94441f2dd6644b2d7aa42e360b3cd64001cead497ddfd720",
+        "corpus.jsonl": "070ac3f908b901b4cdfc0ab575f3f8344cfeabd90e6724dc88ad0d6b33663e32",
+        "hierarchy.jsonl": "46f20476308aab6aa2b9f9e921c7894eb2b8446ce54fce9e6d0d24c528bbeac0",
+        "synth_manifest.json": "ad001d564f09b58a8326581f568b80e01f223aa53cf674477c272498b05a309e",
+        "test_l0.jsonl": "76fdfa0ddb436664cd493dce10cbadea2e076aa84e454613fd3e2e63c0233aea",
+        "test_l1.jsonl": "a0174ec0a9f84392fdf55155b26cb54e814c37c6c3e490c53e7c3de6a21d4a6b",
+        "train_l0.jsonl": "40370f7025485052040b002f931a76ac8160e645d8988f76f953246d990ece10",
+        "train_l1.jsonl": "08855ae7aaf2c3316c2386fe83b8568cd4dbf5a8115e763512f4a87379e6510a",
+    },
+    "mixed": {
+        "concepts.jsonl": "3efc690682da2f2b94441f2dd6644b2d7aa42e360b3cd64001cead497ddfd720",
+        "corpus.jsonl": "1bac0da4229159fc78903aba92a8b631d7ca79b60bacb5bb11f8f19eb9fb0090",
+        "hierarchy.jsonl": "26e38a9bb084a2dadd977ad98fc65b46defe720ef1f3c937c8115fc08ecdfee0",
+        "synth_manifest.json": "6ae51048c49008693371c1d361a54212a3d718ef044643ce3575d20bc9dc7748",
+        "test_l0.jsonl": "0ff3d24533248ac00f261734e1b7bb499fc35e66f6aea29c6b7dbb25c25b4643",
+        "test_l1.jsonl": "9bedefee42771c3b44c4204db1acee6670eb74fd8f52e680b5e1aca31c5d76f3",
+        "test_l2.jsonl": "5278742f6411773323be8658602fb5cf1b2b512671e582776363a8040e185990",
+        "train_l0.jsonl": "3456d979071a1c29082cc989b1c1c584e4da885a6954446e10241624ba558869",
+        "train_l1.jsonl": "f9d4a79487aac0c8fc8bf0a114bcab3817456a8db8bb25dfc8ffdf1cda1cf5f9",
+        "train_l2.jsonl": "6295e35b88eca9bbc327293420c3a5473ab0ee3479976ce8edd406840140cf37",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_written_files_keep_their_digests(tmp_path, small_spec, name):
+    spec = small_spec if name == "small" else replace(
+        small_spec, seed=7, n_languages=3, noise_rate=0.3, category_layout="interleaved",
+        train_concept_fraction=0.5, rotate_train_concepts=True,
+    )
+    corpus = make_corpus(tmp_path, spec)
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in written_files(corpus.out_dir).items()}
+    assert digests == GOLDEN_DIGESTS[name]
+
+
+def test_huge_vocabulary_costs_nothing(tmp_path):
+    """Only the words a corpus uses are ever formatted: noise draws from a
+    vocabulary of 10**9 words without building it."""
+    spec = SyntheticCorpusSpec(n_concepts=4, vocab_size_per_language=10**9, noise_rate=0.5,
+                               n_categories=2, docs_per_category=5, support_doc_length=20,
+                               doc_length=20)
+    start = time.perf_counter()
+    make_corpus(tmp_path, spec)
+    assert time.perf_counter() - start < 1.0
 
 
 class TestSpecValidation:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlcat._util import _CHUNK, ARTIFACT_VERSIONS, dump_artifact, envelope
+from xlcat._util import _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, json_field
+from xlcat.errors import CorpusFormatError
 
 
 def reference_dump_artifact(path, kind, fields):
@@ -43,6 +44,14 @@ class TestDumpArtifact:
         assert (tmp / "streamed.json").read_bytes() == (tmp / "reference.json").read_bytes()
 
 
+class TestDumpJson:
+    @given(values | st.dictionaries(strings, values | st.dictionaries(strings, values)))
+    def test_same_bytes_as_indented_json_dump(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("dump") / "out.json"
+        dump_json(obj, path)
+        expected = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
 
 @pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 2049])
 def test_dict_field_chunk_boundaries(tmp_path, size):
@@ -57,3 +66,13 @@ def test_dict_field_chunk_boundaries(tmp_path, size):
     reference_dump_artifact(tmp_path / "reference.json", "interpreter", fields)
     assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
     assert len(json.loads((tmp_path / "streamed.json").read_text("utf-8"))["term_index"]) == size
+
+
+@pytest.mark.parametrize("value,of,got", [
+    ({"a": [1], "l1w12279": 5, "z": 6, "zz": ["x" * 99]}, list, "got 5 at key 'l1w12279'"),
+    ([0.5, 1, "x", None, "y" * 99], float, "got 'x' at index 2"),
+])
+def test_json_field_quotes_only_the_first_wrong_item(value, of, got):
+    with pytest.raises(CorpusFormatError) as info:
+        json_field({"f": value}, "f", type(value), "file.json", 1, of=of)
+    assert str(info.value).endswith(got)
