@@ -52,10 +52,13 @@ class SemanticInterpreter:
         def convert(payload):
             index = json_field(payload, "term_index", dict, path, 1, of=list)
             for pair in chain.from_iterable(index.values()):
-                if type(pair) is not list or len(pair) != 2 or (
-                    type(pair[0]) is not str or type(pair[1]) is not float
-                ):
-                    raise DataError(f"'term_index' holds {pair!r}, not a [concept id, weight]")
+                if type(pair) is list and len(pair) == 2:
+                    cid, weight = pair
+                    # json reads NaN and Infinity; weight * 0.0 is 0.0 only
+                    # for a finite weight.
+                    if type(cid) is str and type(weight) is float and weight * 0.0 == 0.0:
+                        continue
+                raise DataError(f"'term_index' holds {pair!r}, not a [concept id, finite weight]")
             return cls(json_field(payload, "language", str, path, 1),
                        json_field(payload, "k_term", int, path, 1), index)
 

@@ -7,14 +7,22 @@ two ways: consecutive blocks under one chain of meta levels, and strided
 blocks under a second set of parents, so most concepts have multiple parents
 and the pair of groups pins a concept down. Labeled documents mix a few
 concepts from their category's pool and are corrupted by uniform token noise.
+
+Every support article and dataset document draws from its own random stream,
+so the corpus files are independent of each other given (spec, seed), and
+SyntheticCorpus.write generates them in up to min(CPUs, files) processes.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from dataclasses import dataclass, fields
+from functools import partial
 from math import ceil
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple, get_type_hints
+from typing import Callable, Dict, List, Sequence, Tuple, get_type_hints
 
 from ._util import dump_json, json_field, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
@@ -62,6 +70,11 @@ class SyntheticCorpusSpec:
             raise ValueError("noise_rate must lie in [0, 1)")
         if self.category_layout not in ("blocked", "interleaved"):
             raise ValueError("category_layout must be 'blocked' or 'interleaved'")
+        if self.n_categories > self.n_concepts:
+            raise ValueError(
+                f"synthetic spec field 'n_categories' must be at most 'n_concepts' "
+                f"({self.n_concepts}), got {self.n_categories}: a category would have no concepts"
+            )
         if not 0.0 < self.train_concept_fraction <= 1.0:
             raise ValueError("train_concept_fraction must lie in (0, 1]")
         for name in ("group_word_weight", "cross_group_word_weight"):
@@ -410,19 +423,57 @@ class SyntheticCorpus:
                 )
         return docs
 
+    def _write_dataset(self, language: str, split: str) -> None:
+        save_labeled_dataset(self._documents(language, split), self.paths["datasets"][language][split])
+
     def write(self) -> None:
+        """Write every file of the corpus. The support corpus and each
+        (language, split) dataset are independent tasks, which plan_shares
+        spreads over min(usable CPUs, tasks) processes: forked children and
+        this one, which takes the lightest share; a process that runs
+        another thread forks none. Each process generates and writes whole
+        files, so the bytes do not depend on the number of processes. This
+        one then writes the concept and hierarchy files, and the manifest
+        last, once every child has exited 0; the tasks of a child that
+        failed are run again here, raising what serial generation raises."""
         spec = self.spec
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        save_support_corpus(self._support_articles(), self.paths["corpus"])
-        save_concepts(
-            [self.concept_id(i) for i in range(spec.n_concepts)],
-            self.meta_ids(),
-            self.paths["concepts"],
-        )
-        save_hierarchy_edges(self._edge_languages(), self.paths["hierarchy"])
-        for lang in self.languages:
-            save_labeled_dataset(self._documents(lang, "train"), self.paths["datasets"][lang]["train"])
-            save_labeled_dataset(self._documents(lang, "test"), self.paths["datasets"][lang]["test"])
+        tasks: List[Callable[[], None]] = [
+            lambda: save_support_corpus(self._support_articles(), self.paths["corpus"])
+        ]
+        tasks += [partial(self._write_dataset, lang, split)
+                  for lang in self.languages for split in ("train", "test")]
+        articles = spec.n_concepts * spec.n_languages * spec.support_docs_per_pair
+        docs = spec.n_categories * spec.docs_per_category
+        costs = [articles * (spec.support_doc_length + STREAM_COST)]
+        costs += [docs * (DATASET_WORD_COST * spec.doc_length + STREAM_COST)] * (len(tasks) - 1)
+        # fork() copies only the calling thread; another thread's locks would
+        # stay held in the child.
+        forkable = hasattr(os, "fork") and threading.active_count() == 1
+        *others, own = plan_shares(costs, _usable_cpus() if forkable else 1)
+        children: Dict[int, List[int]] = {}
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            for share in others:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(tasks, share)
+                children[pid] = share
+            for i in own:
+                tasks[i]()
+            save_concepts(
+                [self.concept_id(i) for i in range(spec.n_concepts)],
+                self.meta_ids(),
+                self.paths["concepts"],
+            )
+            save_hierarchy_edges(self._edge_languages(), self.paths["hierarchy"])
+        finally:
+            failed = sorted(i for pid, share in children.items()
+                            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0
+                            for i in share)
+        for i in failed:
+            tasks[i]()
         dump_json(
             {
                 "spec": spec.to_dict(),
@@ -443,9 +494,55 @@ class SyntheticCorpus:
         )
 
 
+# Task costs in units of one support word's draw. A dataset word costs more,
+# since it also draws the noise test and the document concept it comes from,
+# and each article or document first seeds its own stream.
+DATASET_WORD_COST = 1.3
+STREAM_COST = 40
+
+
+def plan_shares(costs: Sequence[float], workers: int) -> List[List[int]]:
+    """Task indices per worker, for min(workers, tasks) workers: each task in
+    order of decreasing cost (ties to the lower index) goes to the worker
+    with the least load so far (ties to the one with fewer tasks, then the
+    lower index), so every planned worker gets a task. Each list ascends,
+    and the lists come in order of decreasing load, the lightest last."""
+    n = min(workers, len(costs))
+    loads, shares = [0.0] * n, [[] for _ in range(n)]
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        w = min(range(n), key=lambda w: (loads[w], len(shares[w]), w))
+        loads[w] += costs[i]
+        shares[w].append(i)
+    return [sorted(shares[w]) for w in sorted(range(n), key=lambda w: -loads[w])]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_child(tasks: Sequence[Callable[[], None]], share: Sequence[int]) -> None:
+    """Run the share's tasks in a forked child and end the child, with exit
+    status 0 if all of them returned and 1 if one raised. It never returns
+    into the caller's frames, and prints nothing: the parent runs a failed
+    share again to raise its error."""
+    code = 1
+    try:
+        for i in share:
+            tasks[i]()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> SyntheticCorpus:
     """Generate and write the corpus, hierarchy, concept declarations and
-    per-language train/test datasets; byte-identical for equal (spec, seed)."""
+    per-language train/test datasets; byte-identical for equal (spec, seed),
+    whatever the number of processes SyntheticCorpus.write generates them in.
+    Every process it starts has exited when it returns or raises."""
     corpus = SyntheticCorpus(spec, Path(out_dir))
     corpus.write()
     return corpus

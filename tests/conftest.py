@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from hypothesis import settings
@@ -13,6 +14,20 @@ from xlcat.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 # example is not a failure.
 settings.register_profile("xlcat", derandomize=True, deadline=None)
 settings.load_profile("xlcat")
+
+
+def pytest_sessionfinish(session):
+    """Fail the run if a test left a child process unreaped, running or not."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    code = os.waitstatus_to_exitcode(status) if pid else None
+    state = "running" if pid == 0 else f"pid {pid}, exit status {code}"
+    writer = session.config.get_terminal_writer()
+    writer.line()
+    writer.line(f"a test left a child process unreaped ({state})", red=True)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def make_corpus(tmp_path, spec: SyntheticCorpusSpec, name="corpus"):

@@ -208,6 +208,9 @@ BAD_SYNTH_SPECS = [
     ({"n_concepts": 6, "background_words": -2}, "'background_words'"),
     ({"n_concepts": 6, "group_word_weight": -0.5}, "'group_word_weight'"),
     ({"n_concepts": 6, "words_per_group": 0}, "'words_per_group'"),
+    ({"n_concepts": 2, "n_categories": 3}, "'n_categories' must be at most 'n_concepts'"),
+    ({"n_concepts": 2, "n_categories": 3, "train_concept_fraction": 0.5,
+      "rotate_train_concepts": True}, "'n_categories' must be at most 'n_concepts'"),
 ]
 
 
@@ -473,6 +476,14 @@ MALFORMED_ARTIFACTS = {
     ),
     "interpreter-weight-string": ("interpreter_l1.json", _first_pair(lambda c, w: [c, str(w)])),
     "interpreter-pair-arity": ("interpreter_l1.json", _first_pair(lambda c, w: [c, w, w])),
+    **{
+        f"interpreter-weight-{name}": (
+            "interpreter_l1.json", _first_pair(lambda c, w, x=x: [c, x]), "'term_index'",
+            "finite weight",
+        )
+        for name, x in (("NaN", float("nan")), ("Infinity", float("inf")),
+                        ("-Infinity", float("-inf")))
+    },
 }
 
 

@@ -1,20 +1,24 @@
 import hashlib
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xlcat import cli, synth
 from xlcat._util import stable_rng
 from xlcat.corpus import (
     FilterConfig, LabeledDocument, SupportArticle, filter_articles, load_labeled_dataset,
     load_support_corpus,
 )
 from xlcat.ontology import load_concepts, load_hierarchy_edges, merge_hierarchies, validate_dag
-from xlcat.synth import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus
+from xlcat.synth import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus, plan_shares
 
 from conftest import make_corpus
 
@@ -136,10 +140,11 @@ def specs(draw):
     sizes = st.integers(1, 10**5)
     weight = draw(st.floats(0.0, 0.99))
     cross_weight = draw(st.floats(0.0, 0.99 - weight))
+    n_concepts = draw(sizes)
     return SyntheticCorpusSpec(
-        n_concepts=draw(sizes), n_meta_levels=draw(sizes), branching=draw(sizes),
+        n_concepts=n_concepts, n_meta_levels=draw(sizes), branching=draw(sizes),
         vocab_size_per_language=draw(sizes), n_languages=draw(sizes),
-        n_categories=draw(sizes), docs_per_category=draw(sizes),
+        n_categories=draw(st.integers(1, n_concepts)), docs_per_category=draw(sizes),
         noise_rate=draw(st.floats(0.0, 0.99) | st.just(0)), seed=draw(st.integers(0, 2**32)),
         words_per_concept=draw(sizes),
         words_per_group=draw(st.integers(1 if weight or cross_weight else 0, 99)),
@@ -175,7 +180,7 @@ def small_specs(draw):
     return SyntheticCorpusSpec(
         n_concepts=n_concepts, n_meta_levels=draw(st.integers(1, 3)), branching=branching,
         vocab_size_per_language=needed + draw(st.integers(0, 40)),
-        n_languages=draw(st.integers(1, 3)), n_categories=draw(st.integers(1, 4)),
+        n_languages=draw(st.integers(1, 3)), n_categories=draw(st.integers(1, min(4, n_concepts))),
         docs_per_category=draw(st.integers(1, 4)),
         noise_rate=draw(st.just(0.0) | st.floats(0.01, 0.9)),
         seed=draw(st.integers(0, 2**32)),
@@ -209,19 +214,10 @@ class TestSamplerOracle:
     @example(SyntheticCorpusSpec(**SMALL, n_languages=3, category_layout="interleaved",
                                  train_concept_fraction=0.5, rotate_train_concepts=True))
     def test_writes_the_reference_bytes(self, tmp_path_factory, spec):
-        """Equal files, or the same exception: a spec with more categories
-        than concepts leaves a pool empty, which neither path can draw from."""
         tmp = tmp_path_factory.mktemp("oracle")
-        outcomes = []
-        for out, write in ((tmp / "sampler", lambda out: generate_synthetic_corpus(spec, out)),
-                           (tmp / "reference", lambda out: ReferenceCorpus(spec, out).write())):
-            try:
-                write(out)
-            except (ValueError, ZeroDivisionError) as exc:
-                outcomes.append(type(exc))
-            else:
-                outcomes.append(written_files(out))
-        assert outcomes[0] == outcomes[1]
+        generate_synthetic_corpus(spec, tmp / "sampler")
+        ReferenceCorpus(spec, tmp / "reference").write()
+        assert written_files(tmp / "sampler") == written_files(tmp / "reference")
 
 
 # sha256 of every file generate_synthetic_corpus writes, pinned before the
@@ -252,16 +248,110 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_written_files_keep_their_digests(tmp_path, small_spec, name):
-    spec = small_spec if name == "small" else replace(
+def golden_spec(small_spec, name):
+    return small_spec if name == "small" else replace(
         small_spec, seed=7, n_languages=3, noise_rate=0.3, category_layout="interleaved",
         train_concept_fraction=0.5, rotate_train_concepts=True,
     )
-    corpus = make_corpus(tmp_path, spec)
-    digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in written_files(corpus.out_dir).items()}
-    assert digests == GOLDEN_DIGESTS[name]
+
+
+def file_digests(out_dir):
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in written_files(out_dir).items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_written_files_keep_their_digests(tmp_path, small_spec, name):
+    corpus = make_corpus(tmp_path, golden_spec(small_spec, name))
+    assert file_digests(corpus.out_dir) == GOLDEN_DIGESTS[name]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelWriter:
+    """SyntheticCorpus.write spreads its files over min(CPUs, files)
+    processes, and the bytes do not depend on how many."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of processes write forks, counted in the caller."""
+        calls, fork = [], os.fork
+
+        def counted_fork():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_process_count_changes_no_byte(self, tmp_path, monkeypatch, forks, small_spec,
+                                           name, cpus):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        corpus = make_corpus(tmp_path, golden_spec(small_spec, name))
+        assert file_digests(corpus.out_dir) == GOLDEN_DIGESTS[name]
+        # One task per dataset file, plus the support corpus.
+        assert len(forks) == min(cpus, 1 + 2 * len(corpus.languages)) - 1
+        assert_no_child_left()
+
+    def test_forks_nothing_beside_another_thread(self, tmp_path, monkeypatch, forks, small_spec):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            corpus = make_corpus(tmp_path, small_spec)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forks
+        assert file_digests(corpus.out_dir) == GOLDEN_DIGESTS["small"]
+
+    @pytest.mark.parametrize(
+        "blocked", ["corpus.jsonl", "train_l0.jsonl", "test_l0.jsonl", "train_l1.jsonl",
+                    "test_l1.jsonl"],
+    )
+    def test_failing_task_raises_the_serial_error(self, tmp_path, monkeypatch, small_spec,
+                                                  blocked):
+        """A file path taken by a directory fails the task that writes it,
+        in this process or in a child; either way write raises what it
+        raises in one process, leaves no child and writes no manifest."""
+        (tmp_path / blocked).mkdir(parents=True)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+            with pytest.raises(IsADirectoryError) as exc:
+                generate_synthetic_corpus(small_spec, tmp_path)
+            errors.append(str(exc.value))
+            assert_no_child_left()
+        assert errors[0] == errors[1]
+        assert not (tmp_path / "synth_manifest.json").exists()
+
+    def test_failing_task_is_a_cli_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"n_concepts": 6}), encoding="utf-8")
+        (tmp_path / "out" / "test_l1.jsonl").mkdir(parents=True)
+        assert cli.main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "test_l1.jsonl" in err and "Traceback" not in err
+        assert_no_child_left()
+
+    @given(st.lists(st.integers(0, 10**6), max_size=40), st.integers(1, 64))
+    def test_plan_assigns_each_task_once(self, costs, cpus):
+        """A pure function: it starts no process."""
+        with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            shares = plan_shares(costs, cpus)
+        assert sorted(i for share in shares for i in share) == list(range(len(costs)))
+        assert len(shares) <= min(cpus, len(costs))
+        assert all(share == sorted(share) for share in shares)
+        loads = [sum(costs[i] for i in share) for share in shares]
+        assert loads == sorted(loads, reverse=True)
 
 
 def test_huge_vocabulary_costs_nothing(tmp_path):
