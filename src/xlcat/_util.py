@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic RNG streams, ordered parallel map,
+"""Small shared helpers: deterministic RNG streams, an ordered serial map,
 stable JSON writing, the versioned artifact envelope, and the one type
 check of every JSON field read from a config or a JSON-lines record.
 """
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING
 from pathlib import Path
 from reprlib import repr as abridged
@@ -27,11 +26,9 @@ def stable_rng(*parts: object) -> random.Random:
 
 
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """Apply fn to items, preserving input order regardless of scheduling."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in one thread whatever `workers` is; the
+    parameter stays only because the benchmark's tracer reads it (ROADMAP item 1)."""
+    return [fn(x) for x in items]
 
 
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder
@@ -72,9 +69,13 @@ def _write_indented(write: Callable[[str], Any], obj: Any, newline: str) -> None
         write(_encode(obj))
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | Path, error: type = DataError) -> Any:
+    """The JSON value in file `path`; JSON it cannot parse raises `error` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise error(f"{path}: malformed JSON: {exc}") from exc
 
 
 # The current version of each xlcat file format; load_artifact accepts no other.
@@ -120,10 +121,7 @@ def load_artifact(
     version raises `error` naming the path; so does a DataError of the
     loaded class. convert reads each field by json_field(payload, key,
     kind, path, 1), the file being one line."""
-    try:
-        payload = load_json(path)
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: malformed JSON: {exc}") from exc
+    payload = load_json(path, error)
     header = envelope(kind, {})
     if not isinstance(payload, dict) or payload.get("format") != header["format"]:
         raise error(f"{path}: not an {header['format']} file")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -267,7 +266,7 @@ def _cmd_ablate(args) -> int:
 def _add_common(sub, config_required=True):
     sub.add_argument("--config", required=config_required, help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--workers", type=int, default=1, help="feature-generation threads; the GIL serializes them (results are identical for any value)")
+    sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (features are generated in one thread)")
     sub.add_argument("--out-dir", required=True, help="output directory")
 
 
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
     except SetupViolation as exc:
         print(f"setup violation: {exc}", file=sys.stderr)
         return EXIT_SETUP
-    except (DataError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

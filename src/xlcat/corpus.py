@@ -132,6 +132,8 @@ def _read_jsonl(path: str | Path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
+            except RecursionError as exc:
+                raise CorpusFormatError(f"malformed JSON: {exc}", path, lineno) from exc
             yield lineno, json_field(obj, None, dict, path, lineno)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import pytest
 from hypothesis import settings
@@ -17,17 +18,36 @@ settings.load_profile("xlcat")
 
 
 def pytest_sessionfinish(session):
-    """Fail the run if a test left a child process unreaped, running or not."""
+    """Fail the run if a test left a child process unreaped, running or not,
+    or a thread other than the main thread alive."""
+    problems = []
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        return
-    code = os.waitstatus_to_exitcode(status) if pid else None
-    state = "running" if pid == 0 else f"pid {pid}, exit status {code}"
-    writer = session.config.get_terminal_writer()
-    writer.line()
-    writer.line(f"a test left a child process unreaped ({state})", red=True)
-    session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        pass
+    else:
+        code = os.waitstatus_to_exitcode(status) if pid else None
+        state = "running" if pid == 0 else f"pid {pid}, exit status {code}"
+        problems.append(f"a test left a child process unreaped ({state})")
+    threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    if threads:
+        problems.append(f"a test left threads alive: {', '.join(threads)}")
+    if problems:
+        writer = session.config.get_terminal_writer()
+        writer.line()
+        for problem in problems:
+            writer.line(problem, red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+@pytest.fixture
+def no_threads(monkeypatch):
+    """threading.Thread.start raises, so code that starts a thread fails."""
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name!r} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 def make_corpus(tmp_path, spec: SyntheticCorpusSpec, name="corpus"):

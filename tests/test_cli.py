@@ -351,6 +351,19 @@ class TestClassifyWithSavedInterpreters:
         predictions = (tmp_path / "saved" / "predictions.jsonl").read_bytes()
         assert predictions == (tmp_path / "rebuilt" / "predictions.jsonl").read_bytes()
 
+    def test_workers_start_no_thread(self, workspace, artifacts, tmp_path, no_threads):
+        for workers in ("4", "1"):
+            assert cli.main([
+                "classify", "--config", str(workspace["config"]),
+                "--model", str(artifacts / "model.json"),
+                "--space", str(artifacts / "feature_space.json"),
+                "--interpreters", str(artifacts),
+                "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+                "--out-dir", str(tmp_path / workers), "--workers", workers,
+            ]) == 0
+        predictions = "predictions.jsonl"
+        assert (tmp_path / "4" / predictions).read_bytes() == (tmp_path / "1" / predictions).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):
@@ -622,6 +635,43 @@ class TestMalformedArtifacts:
             "--out-dir", str(tmp_path / "o"),
         )
         assert_data_error(proc, predictions, "'predicted'")
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # far deeper than the parser's recursion allows
+
+
+class TestDeeplyNestedJson:
+    """JSON nested too deeply to parse exits 2 naming the file, and the line
+    of a JSON-lines file, with no traceback."""
+
+    @pytest.mark.parametrize("command", ["experiment", "synth"])
+    def test_config(self, tmp_path, command):
+        config = tmp_path / "deep.json"
+        config.write_text(DEEP_JSON, encoding="utf-8")
+        proc = run_cli(command, "--config", str(config), "--out-dir", str(tmp_path / "o"))
+        assert_data_error(proc, config)
+
+    def _classify(self, workspace, artifacts, tmp_path, model, dataset):
+        return run_cli(
+            "classify", "--config", str(workspace["config"]),
+            "--model", str(model), "--space", str(artifacts / "feature_space.json"),
+            "--interpreters", str(artifacts), "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "pred"),
+        )
+
+    def test_classify_model(self, workspace, artifacts, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(DEEP_JSON, encoding="utf-8")
+        dataset = workspace["corpus"].paths["datasets"]["l1"]["test"]
+        assert_data_error(self._classify(workspace, artifacts, tmp_path, model, dataset), model)
+
+    def test_classify_dataset_line(self, workspace, artifacts, tmp_path):
+        lines = workspace["corpus"].paths["datasets"]["l1"]["test"].read_text(encoding="utf-8").splitlines()
+        lines[2] = '{"doc_id": ' + DEEP_JSON + "}"
+        dataset = tmp_path / "test.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = self._classify(workspace, artifacts, tmp_path, artifacts / "model.json", dataset)
+        assert_data_error(proc, f"{dataset}:3")
 
 
 _names = st.text(min_size=1, max_size=6)

@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,10 @@ class TestRunExperiment:
     def test_workers_do_not_change_report(self, corpus):
         cfg = make_config(corpus, seed=5, **default_hp())
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
+
+    def test_workers_start_no_thread(self, corpus, no_threads):
+        cfg = make_config(corpus, seed=5, **default_hp())
+        assert run_experiment(cfg, workers=4) == run_experiment(cfg, workers=1)
 
     def test_ucltc_path_subsumes_cltc2(self, corpus):
         hp = default_hp()
@@ -405,6 +410,11 @@ class TestAblation:
         curves = result["curves"]
         assert curves["deleted"][0] == curves["original"][0]
         assert curves["deleted"] == [curves["original"][0]] * (n_blocks + 1)
+
+    def test_virtual_curve_workers_start_no_thread(self, corpus, no_threads):
+        cfg = make_config(corpus, **default_hp())
+        curve = partial(ablation, cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
+        assert curve(workers=4) == curve(workers=1)
 
     def test_unknown_toggle_rejected(self, corpus):
         cfg = make_config(corpus, **default_hp())

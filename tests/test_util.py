@@ -1,10 +1,13 @@
 import json
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xlcat._util import _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, json_field
+from xlcat._util import (
+    _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, json_field, ordered_map,
+)
 from xlcat.errors import CorpusFormatError
 
 
@@ -76,3 +79,16 @@ def test_json_field_quotes_only_the_first_wrong_item(value, of, got):
     with pytest.raises(CorpusFormatError) as info:
         json_field({"f": value}, "f", type(value), "file.json", 1, of=of)
     assert str(info.value).endswith(got)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_ordered_map_calls_fn_once_per_item_in_order_in_this_thread(workers):
+    calls = []
+
+    def fn(x):
+        calls.append((x, threading.get_ident()))
+        return -x
+
+    items = list(range(40))
+    assert ordered_map(fn, items, workers) == [-x for x in items]
+    assert calls == [(x, threading.get_ident()) for x in items]
