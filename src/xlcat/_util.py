@@ -1,16 +1,19 @@
 """Small shared helpers: deterministic RNG streams, an ordered serial map,
-stable JSON writing, the versioned artifact envelope, and the one type
-check of every JSON field read from a config or a JSON-lines record.
+stable JSON writing, the versioned artifact envelope, the one type check
+of every JSON field read from a config or a JSON-lines record, and the
+JsonConfig codec of the config dataclasses built on it.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import MISSING
+from dataclasses import MISSING, fields
 from pathlib import Path
 from reprlib import repr as abridged
-from typing import AbstractSet, Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import (
+    AbstractSet, Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, get_type_hints,
+)
 
 from .errors import CorpusFormatError, DataError
 
@@ -70,11 +73,12 @@ def _write_indented(write: Callable[[str], Any], obj: Any, newline: str) -> None
 
 
 def load_json(path: str | Path, error: type = DataError) -> Any:
-    """The JSON value in file `path`; JSON it cannot parse raises `error` naming the path."""
+    """The JSON value in file `path`; a file that is not UTF-8, or JSON it
+    cannot parse, raises `error` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep, too many digits
             raise error(f"{path}: malformed JSON: {exc}") from exc
 
 
@@ -197,3 +201,28 @@ def json_field(
             got = f"{abridged(item)} at {'key' if kind is dict else 'index'} {abridged(place)}"
         problem = f"{field} must be a JSON {what}, got {got}"
     raise CorpusFormatError(problem, where, line) if line else DataError(problem)
+
+
+class JsonConfig:
+    """from_dict and to_dict of a frozen dataclass as a JSON config object.
+    Each field is stored under its name without a trailing "_" ("lambda_"
+    as "lambda") and read by json_field with its annotated type; a frozenset
+    is a sorted array of strings. An absent key takes the field's default
+    (a field with none is required); errors name the key as _where + key."""
+
+    _where = ""
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> Any:
+        hints, where = get_type_hints(cls), cls._where
+        d = json_field(d, None, dict, where, keys={f.name.rstrip("_") for f in fields(cls)})
+        values = {}
+        for f in fields(cls):
+            kind, of = (list, str) if hints[f.name] is frozenset else (hints[f.name], None)
+            value = json_field(d, f.name.rstrip("_"), kind, where, default=f.default, of=of)
+            values[f.name] = frozenset(value) if of else value
+        return cls(**values)
+
+    def to_dict(self) -> dict:
+        values = {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+        return {k: sorted(v) if isinstance(v, frozenset) else v for k, v in values.items()}

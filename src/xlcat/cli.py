@@ -23,6 +23,8 @@ from .interpreter import SemanticInterpreter
 from .learner import LinearModel, TrainingError, predict, report_from_pairs, train
 from .pipeline import (
     ExperimentConfig,
+    _build_interpreters,
+    _prepare_support,
     ablation,
     load_ontology,
     load_resources,
@@ -97,28 +99,28 @@ def _cmd_synth(args) -> int:
 def _cmd_build_interpreter(args) -> int:
     cfg = _load_experiment_config(args)
     cfg.validate()
-    out = _out_dir(args)
-    prep = prepare_semantic_resources(cfg, load_resources(cfg))
-    languages = args.language or sorted(prep.interpreters)
-    for lang in languages:
-        if lang not in prep.interpreters:
+    needed = cfg.needed_languages()
+    for lang in args.language or ():
+        if lang not in needed:
             raise DataError(f"language {lang!r} is not part of this experiment")
+    out = _out_dir(args)
+    idx, _, retained = _prepare_support(cfg, load_resources(cfg))
+    for lang, si in _build_interpreters(cfg, idx, retained, args.language or needed).items():
         path = out / f"interpreter_{lang}.json"
-        prep.interpreters[lang].save(path)
-        print(f"wrote {path} ({len(prep.retained)} concepts)")
+        si.save(path)
+        print(f"wrote {path} ({len(retained)} concepts)")
     return EXIT_OK
 
 
 def _cmd_make_virtual_docs(args) -> int:
     cfg = _load_experiment_config(args)
     cfg.validate()
-    if not cfg.virtual_docs:
-        cfg = replace(cfg, virtual_docs=True)
+    cfg = replace(cfg, virtual_docs=True)
     out = _out_dir(args)
-    prep = prepare_semantic_resources(cfg, load_resources(cfg))
+    _, tables, _ = _prepare_support(cfg, load_resources(cfg))
     path = out / "virtual_docs.jsonl"
-    save_virtual_docs(prep.virtual_tables, path)
-    print(f"wrote {path} ({len(prep.virtual_tables)} virtual documents)")
+    save_virtual_docs(tables, path)
+    print(f"wrote {path} ({len(tables)} virtual documents)")
     return EXIT_OK
 
 

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ._util import dump_jsonl, json_field
+from ._util import JsonConfig, dump_jsonl, json_field
 from .errors import CorpusFormatError, DataError
 
 # Ordered list of normalized tokens.
 TokenStream = list[str]
 
 ARTICLE_FLAGS = frozenset({"disambiguation", "redirect", "catalog"})
-_FILTER_KEYS = frozenset({"min_chars", "min_links_in", "min_links_out", "drop_flags"})
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,10 @@ class LabeledDocument:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(JsonConfig):
     """Thresholds for pruning extraneous support articles."""
+
+    _where = "filter."
 
     min_chars: int = 500
     min_links_in: int = 5
@@ -87,54 +88,43 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("min_chars", "min_links_in", "min_links_out"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"filter threshold {name!r} must be nonnegative, got {getattr(self, name)}")
+            if (value := getattr(self, name)) < 0:
+                raise DataError(f"config field {self._where + name!r} must be >= 0, got {value!r}")
         object.__setattr__(self, "drop_flags", frozenset(self.drop_flags))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterConfig":
-        """From the experiment config's "filter" object."""
-        d = json_field(d, None, dict, "filter.", keys=_FILTER_KEYS)
-        drop_flags = frozenset(
-            json_field(d, "drop_flags", list, "filter.", default=ARTICLE_FLAGS, of=str)
-        )
-        if drop_flags - ARTICLE_FLAGS:
+        if self.drop_flags - ARTICLE_FLAGS:
             raise DataError(
-                f"experiment config field 'filter.drop_flags' has unknown flags: "
-                f"{sorted(drop_flags - ARTICLE_FLAGS)}"
+                f"config field 'filter.drop_flags' has unknown flags: "
+                f"{sorted(self.drop_flags - ARTICLE_FLAGS)}"
             )
-        return cls(
-            min_chars=json_field(d, "min_chars", int, "filter.", default=500),
-            min_links_in=json_field(d, "min_links_in", int, "filter.", default=5),
-            min_links_out=json_field(d, "min_links_out", int, "filter.", default=5),
-            drop_flags=drop_flags,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "min_chars": self.min_chars,
-            "min_links_in": self.min_links_in,
-            "min_links_out": self.min_links_out,
-            "drop_flags": sorted(self.drop_flags),
-        }
 
 
 def _read_jsonl(path: str | Path):
+    """(line number, object) of each nonblank line; a line that is not UTF-8
+    or not a JSON object is a CorpusFormatError naming path:line."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise CorpusFormatError(f"cannot open file: {exc}", path) from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
-            except RecursionError as exc:
-                raise CorpusFormatError(f"malformed JSON: {exc}", path, lineno) from exc
-            yield lineno, json_field(obj, None, dict, path, lineno)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
+                except (ValueError, RecursionError) as exc:  # too deep, or too many digits
+                    raise CorpusFormatError(f"malformed JSON: {exc}", path, lineno) from exc
+                yield lineno, json_field(obj, None, dict, path, lineno)
+        except UnicodeDecodeError:  # decoded ahead of the lines read: find the byte's line
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise CorpusFormatError(f"not UTF-8: {exc}", path, lineno) from exc
+            raise
 
 
 def load_support_corpus(path: str | Path) -> list[SupportArticle]:
@@ -251,11 +241,16 @@ def tokenize(text: str, stopwords: Optional[frozenset] = None) -> TokenStream:
 
 
 def load_stopwords(path: str | Path) -> frozenset:
-    """One token per line; normalized the same way tokenize() normalizes."""
-    words = set()
+    """One token per line; normalized the same way tokenize() normalizes. A
+    file that is not UTF-8 is a DataError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                words.add(unicodedata.normalize("NFC", unicodedata.normalize("NFC", word).casefold()))
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8: {exc}") from exc
+    words = set()
+    for line in lines:
+        word = line.strip()
+        if word:
+            words.add(unicodedata.normalize("NFC", unicodedata.normalize("NFC", word).casefold()))
     return frozenset(words)

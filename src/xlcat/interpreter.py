@@ -59,8 +59,10 @@ class SemanticInterpreter:
                     if type(cid) is str and type(weight) is float and weight * 0.0 == 0.0:
                         continue
                 raise DataError(f"'term_index' holds {pair!r}, not a [concept id, finite weight]")
-            return cls(json_field(payload, "language", str, path, 1),
-                       json_field(payload, "k_term", int, path, 1), index)
+            k_term = json_field(payload, "k_term", int, path, 1)
+            if k_term < 1:
+                raise DataError(f"'k_term' must be >= 1, got {k_term}")
+            return cls(json_field(payload, "language", str, path, 1), k_term, index)
 
         return load_artifact(path, "interpreter", convert, InterpreterError)
 

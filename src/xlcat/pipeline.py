@@ -7,12 +7,12 @@ All randomness flows from the config seed through named RNG streams.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple, get_type_hints
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_json, envelope, json_field, load_json, stable_rng
+from ._util import JsonConfig, dump_json, envelope, json_field, load_json, stable_rng
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -52,7 +52,9 @@ _PATHS_KEYS = frozenset({"corpus", "concepts", "hierarchy", "datasets"})
 
 
 @dataclass(frozen=True)
-class Hyperparams:
+class Hyperparams(JsonConfig):
+    _where = "hyperparams."
+
     k_term: int = 5000
     k_doc: int = 100
     m: int = 3
@@ -67,27 +69,10 @@ class Hyperparams:
             val, low = getattr(self, name), 0 if name == "m" else 1
             if val < low:
                 raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {val!r}")
-        if not 0 < self.lambda_ < float("inf"):
-            raise DataError(
-                f"config field 'hyperparams.lambda' must be a finite number > 0, got {self.lambda_!r}"
-            )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparams":
-        """From the experiment config's "hyperparams" object. The JSON key of
-        each field is its name without a trailing underscore: "lambda"."""
-        hints = get_type_hints(cls)
-        keys = {f.name.rstrip("_") for f in fields(cls)}
-        d = json_field(d, None, dict, "hyperparams.", keys=keys)
-        return cls(**{
-            f.name: json_field(
-                d, f.name.rstrip("_"), hints[f.name], "hyperparams.", default=f.default
-            )
-            for f in fields(cls)
-        })
-
-    def to_dict(self) -> dict:
-        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+        # The trainer's first step is 1/lambda, inf for a subnormal lambda (1 / an int is exact).
+        if not (0 < self.lambda_ < float("inf") and 1 / self.lambda_ < float("inf")):
+            raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
+                            f"a finite inverse, got {self.lambda_!r}")
 
 
 @dataclass(frozen=True)

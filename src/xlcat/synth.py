@@ -18,19 +18,19 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from math import ceil
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._util import dump_json, json_field, stable_rng
+from ._util import JsonConfig, dump_json, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
 from .ontology import save_concepts, save_hierarchy_edges
 
 
 @dataclass(frozen=True)
-class SyntheticCorpusSpec:
+class SyntheticCorpusSpec(JsonConfig):
     n_concepts: int
     n_meta_levels: int = 2
     branching: int = 3
@@ -90,19 +90,6 @@ class SyntheticCorpusSpec:
                 raise ValueError(f"synthetic spec field {name!r} must be >= {least}, got {value!r}")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
             raise ValueError("group word weights must sum to less than 1")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticCorpusSpec":
-        """The spec of a JSON object with only the spec's fields as keys, each
-        of its annotated type (see json_field); n_concepts is required."""
-        hints = get_type_hints(cls)
-        d = json_field(d, None, dict, keys=hints.keys())
-        return cls(**{
-            f.name: json_field(d, f.name, hints[f.name], default=f.default) for f in fields(cls)
-        })
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 class _Words(dict):
@@ -266,44 +253,6 @@ class SyntheticCorpus:
             return words[off_stride + concept % n_stride * n_group + j]
 
         return draw
-
-    def concept_distribution(self, concept: int, language: str) -> Dict[str, float]:
-        """Exact token distribution a concept's documents are drawn from."""
-        spec = self.spec
-        w_unique, w_block, w_stride = self._weights()
-        dist: Dict[str, float] = {}
-        for off in range(spec.words_per_concept):
-            idx = self.off_unique + concept * spec.words_per_concept + off
-            dist[self.word(language, idx)] = w_unique / spec.words_per_concept
-        for off in range(spec.words_per_group):
-            idx = self.off_block + self.block_group(concept) * spec.words_per_group + off
-            dist[self.word(language, idx)] = dist.get(self.word(language, idx), 0.0) + (
-                w_block / spec.words_per_group
-            )
-        if self.stride_enabled:
-            for off in range(spec.words_per_group):
-                idx = self.off_stride + self.stride_group(concept) * spec.words_per_group + off
-                dist[self.word(language, idx)] = dist.get(self.word(language, idx), 0.0) + (
-                    w_stride / spec.words_per_group
-                )
-        return dist
-
-    def category_distribution(self, category: int, language: str) -> Dict[str, float]:
-        """Marginal token distribution of a test document of this category,
-        noise included: uniform concept choice within the pool, then the
-        concept's distribution."""
-        spec = self.spec
-        pool = self.category_pools()[category]
-        dist: Dict[str, float] = {}
-        for concept in pool:
-            for word, prob in self.concept_distribution(concept, language).items():
-                dist[word] = dist.get(word, 0.0) + prob / len(pool)
-        if spec.noise_rate:
-            uniform = spec.noise_rate / spec.vocab_size_per_language
-            for idx in range(spec.vocab_size_per_language):
-                word = self.word(language, idx)
-                dist[word] = dist.get(word, 0.0) * (1.0 - spec.noise_rate) + uniform
-        return dist
 
     # -- generation --------------------------------------------------------
 

@@ -43,7 +43,6 @@ class TermCountTable:
     language: str
     terms: Mapping[str, int]
     provenance: Tuple[str, ...] = ()
-    virtual: bool = True
 
     def __post_init__(self):
         if any(count < 1 for count in self.terms.values()):

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from typing import Dict
 
 import pytest
 from hypothesis import settings
@@ -84,12 +85,52 @@ def make_config(
     )
 
 
+def concept_distribution(corpus, concept: int, language: str) -> Dict[str, float]:
+    """Exact token distribution a concept's documents are drawn from."""
+    spec = corpus.spec
+    w_unique, w_block, w_stride = corpus._weights()
+    dist: Dict[str, float] = {}
+    for off in range(spec.words_per_concept):
+        idx = corpus.off_unique + concept * spec.words_per_concept + off
+        dist[corpus.word(language, idx)] = w_unique / spec.words_per_concept
+    for off in range(spec.words_per_group):
+        idx = corpus.off_block + corpus.block_group(concept) * spec.words_per_group + off
+        dist[corpus.word(language, idx)] = dist.get(corpus.word(language, idx), 0.0) + (
+            w_block / spec.words_per_group
+        )
+    if corpus.stride_enabled:
+        for off in range(spec.words_per_group):
+            idx = corpus.off_stride + corpus.stride_group(concept) * spec.words_per_group + off
+            dist[corpus.word(language, idx)] = dist.get(corpus.word(language, idx), 0.0) + (
+                w_stride / spec.words_per_group
+            )
+    return dist
+
+
+def category_distribution(corpus, category: int, language: str) -> Dict[str, float]:
+    """Marginal token distribution of a test document of this category,
+    noise included: uniform concept choice within the pool, then the
+    concept's distribution."""
+    spec = corpus.spec
+    pool = corpus.category_pools()[category]
+    dist: Dict[str, float] = {}
+    for concept in pool:
+        for word, prob in concept_distribution(corpus, concept, language).items():
+            dist[word] = dist.get(word, 0.0) + prob / len(pool)
+    if spec.noise_rate:
+        uniform = spec.noise_rate / spec.vocab_size_per_language
+        for idx in range(spec.vocab_size_per_language):
+            word = corpus.word(language, idx)
+            dist[word] = dist.get(word, 0.0) * (1.0 - spec.noise_rate) + uniform
+    return dist
+
+
 def bayes_accuracy(corpus, language, split="test"):
     """Generative-model classifier over the generator's true per-category
     marginal token distributions; independent of every pipeline component."""
     log_probs = []
     for k in range(corpus.spec.n_categories):
-        dist = corpus.category_distribution(k, language)
+        dist = category_distribution(corpus, k, language)
         log_probs.append({w: math.log(p) for w, p in dist.items() if p > 0})
     docs = load_labeled_dataset(corpus.paths["datasets"][language][split])
     floor = math.log(1e-12)

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from xlcat import cli, pipeline
 from xlcat import corpus as corpus_module
 from xlcat.features import FeatureSpace
-from xlcat.interpreter import SemanticInterpreter, interpret
+from xlcat.interpreter import SemanticInterpreter, build_interpreter, interpret
 from xlcat.learner import LinearModel, predict
 from xlcat.pipeline import ExperimentConfig
 from xlcat.synth import SyntheticCorpusSpec
@@ -135,6 +135,7 @@ BAD_HYPERPARAMS = [
     ("t", "40"),
     ("n_select", 0),
     ("lambda_", 0.2),
+    ("lambda", 1e-310),  # subnormal: 1/lambda is inf
 ]
 
 
@@ -144,7 +145,7 @@ BAD_CONFIG_FIELDS = [
     ("paths", [], "paths"),
     ("filter", {"min_chars": "5"}, "filter.min_chars"),
     ("filter", {"drop_flags": "redirect"}, "filter.drop_flags"),
-    ("filter", {"min_links_in": -1}, "min_links_in"),
+    ("filter", {"min_links_in": -1}, "filter.min_links_in"),
     ("hyperparams", [1], "hyperparams"),
     ("seeds", 3, "seeds"),
     ("seeds", [1, 1], "seeds"),
@@ -365,6 +366,36 @@ class TestClassifyWithSavedInterpreters:
         assert (tmp_path / "4" / predictions).read_bytes() == (tmp_path / "1" / predictions).read_bytes()
 
 
+class TestStageCommands:
+    """make-virtual-docs builds no interpreter, and build-interpreter only
+    those of the --language flags given; each writes the bytes the
+    experiment writes."""
+
+    @pytest.mark.parametrize("command,languages", [
+        ("make-virtual-docs", []), ("build-interpreter", ["l1"]),
+        ("build-interpreter", ["l1", "l0"]),
+    ])
+    def test_compute_only_what_they_write(
+        self, workspace, artifacts, tmp_path, monkeypatch, command, languages
+    ):
+        built = []
+
+        def counting_build_interpreter(idx, language, *args):
+            built.append(language)
+            return build_interpreter(idx, language, *args)
+
+        monkeypatch.setattr(pipeline, "build_interpreter", counting_build_interpreter)
+        flags = [arg for lang in languages for arg in ("--language", lang)]
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(workspace["config"]), "--out-dir", str(out),
+                         *flags]) == 0
+        assert built == languages
+        expected = [f"interpreter_{lang}.json" for lang in languages] or ["virtual_docs.jsonl"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(expected)
+        for name in expected:
+            assert (out / name).read_bytes() == (artifacts / name).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):
     """The interpreters, feature space, model and train vectors of one run."""
@@ -489,6 +520,7 @@ MALFORMED_ARTIFACTS = {
     ),
     "interpreter-weight-string": ("interpreter_l1.json", _first_pair(lambda c, w: [c, str(w)])),
     "interpreter-pair-arity": ("interpreter_l1.json", _first_pair(lambda c, w: [c, w, w])),
+    "interpreter-k-term-zero": ("interpreter_l1.json", _edit("k_term", 0), "'k_term'"),
     **{
         f"interpreter-weight-{name}": (
             "interpreter_l1.json", _first_pair(lambda c, w, x=x: [c, x]), "'term_index'",
@@ -672,6 +704,49 @@ class TestDeeplyNestedJson:
         dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
         proc = self._classify(workspace, artifacts, tmp_path, artifacts / "model.json", dataset)
         assert_data_error(proc, f"{dataset}:3")
+
+
+# A file that is not UTF-8, and JSON with an integer of more digits than int() converts.
+UNDECODABLE = {"not-utf8": b'{"doc_id": "d\xff"}', "huge-int": b'{"doc_id": ' + b"1" * 5000 + b"}"}
+
+
+class TestUndecodableInput:
+    """Input that cannot be decoded exits 2 naming the file, and the line of
+    a JSON-lines file, with no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    @pytest.mark.parametrize("command", ["experiment", "synth"])
+    def test_config(self, tmp_path, command, case):
+        config = tmp_path / "bad.json"
+        config.write_bytes(UNDECODABLE[case])
+        proc = run_cli(command, "--config", str(config), "--out-dir", str(tmp_path / "o"))
+        assert_data_error(proc, config)
+
+    # The decoder reads ahead of the lines: the last line fails after others were read.
+    @pytest.mark.parametrize("index", [2, 44])
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_classify_dataset_line(self, workspace, artifacts, tmp_path, case, index):
+        lines = workspace["corpus"].paths["datasets"]["l1"]["test"].read_bytes().splitlines()
+        assert len(lines) == 45
+        lines[index] = UNDECODABLE[case]
+        dataset = tmp_path / "test.jsonl"
+        dataset.write_bytes(b"\n".join(lines) + b"\n")
+        proc = run_cli(
+            "classify", "--config", str(workspace["config"]),
+            "--model", str(artifacts / "model.json"),
+            "--space", str(artifacts / "feature_space.json"),
+            "--interpreters", str(artifacts), "--dataset", str(dataset),
+            "--out-dir", str(tmp_path / "pred"),
+        )
+        assert_data_error(proc, f"{dataset}:{index + 1}:")
+
+    def test_stopword_file(self, workspace, tmp_path):
+        stopwords = tmp_path / "stopwords_l0.txt"
+        stopwords.write_bytes(b"the\n\xff\n")
+        proc = run_experiment_with(
+            workspace, tmp_path, lambda cfg: cfg["stopwords"].update(l0=str(stopwords))
+        )
+        assert_data_error(proc, stopwords)
 
 
 _names = st.text(min_size=1, max_size=6)

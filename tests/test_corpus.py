@@ -20,6 +20,7 @@ from xlcat.corpus import (
     save_support_corpus,
     tokenize,
 )
+from xlcat.errors import DataError
 
 
 def reference_tokenize(text, stopwords=None):
@@ -220,6 +221,13 @@ class TestFilterArticles:
         assert filter_articles(once, cfg) == once
         it = iter(arts)
         assert all(a in it for a in once)  # subsequence, order preserved
+
+    @pytest.mark.parametrize("field,value", [
+        ("drop_flags", {"bogus", "redirect"}), ("min_chars", -1), ("min_links_out", -5),
+    ])
+    def test_built_config_rejects_a_bad_field_naming_its_dotted_key(self, field, value):
+        with pytest.raises(DataError, match=f"'filter.{field}'"):
+            FilterConfig(**{field: value})
 
 
 class TestTokenize:

@@ -20,7 +20,7 @@ from xlcat.corpus import (
 from xlcat.ontology import load_concepts, load_hierarchy_edges, merge_hierarchies, validate_dag
 from xlcat.synth import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus, plan_shares
 
-from conftest import make_corpus
+from conftest import category_distribution, concept_distribution, make_corpus
 
 
 class ReferenceCorpus(SyntheticCorpus):
@@ -434,7 +434,7 @@ class TestGeneratedStructure:
     def test_concept_distributions_aligned_across_languages(self, tmp_path, small_spec):
         corpus = make_corpus(tmp_path, small_spec)
         for concept in (0, small_spec.n_concepts - 1):
-            dists = [corpus.concept_distribution(concept, lang) for lang in corpus.languages]
+            dists = [concept_distribution(corpus, concept, lang) for lang in corpus.languages]
             # same index layout and probabilities, different word surface
             stripped = [
                 sorted((w.split("w", 1)[1], p) for w, p in d.items()) for d in dists
@@ -495,7 +495,7 @@ class TestGeneratedStructure:
     def test_category_distribution_sums_to_one(self, tmp_path, small_spec):
         corpus = make_corpus(tmp_path, small_spec)
         for k in range(small_spec.n_categories):
-            dist = corpus.category_distribution(k, corpus.languages[0])
+            dist = category_distribution(corpus, k, corpus.languages[0])
             assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_noise_free_disjoint_mixtures_are_bayes_separable(self, tmp_path, small_spec):

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from xlcat._util import (
     _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, json_field, ordered_map,
 )
-from xlcat.errors import CorpusFormatError
+from xlcat.corpus import FilterConfig
+from xlcat.errors import CorpusFormatError, DataError
+from xlcat.pipeline import Hyperparams
+from xlcat.synth import SyntheticCorpusSpec
 
 
 def reference_dump_artifact(path, kind, fields):
@@ -92,3 +96,16 @@ def test_ordered_map_calls_fn_once_per_item_in_order_in_this_thread(workers):
     items = list(range(40))
     assert ordered_map(fn, items, workers) == [-x for x in items]
     assert calls == [(x, threading.get_ident()) for x in items]
+
+
+@pytest.mark.parametrize("config", [
+    Hyperparams(k_doc=7, m=0, lambda_=0.5),
+    FilterConfig(min_chars=0, drop_flags=frozenset({"redirect", "catalog"})),
+    SyntheticCorpusSpec(n_concepts=9, noise_rate=0.0, category_layout="interleaved"),
+], ids=lambda config: type(config).__name__)
+def test_json_config_reads_back_what_it_writes_and_names_an_unknown_key(config):
+    cls, written = type(config), config.to_dict()
+    assert cls.from_dict(json.loads(json.dumps(written))) == config
+    assert list(written) == [f.rstrip("_") for f in cls.__dataclass_fields__]
+    with pytest.raises(DataError, match=re.escape(repr(cls._where + "bogus"))):
+        cls.from_dict({**written, "bogus": 1})

@@ -134,7 +134,7 @@ class TestConstructVirtualDocument:
         table = construct_virtual_document(h, idx, "c", "en", p=1, t=2)
         assert table.terms == {"a": 2, "b": 1}
         assert table.provenance == ("P",)
-        assert table.virtual
+        assert table.to_dict()["virtual"] is True
 
     def test_two_parents_merge_top_one(self):
         h = Hierarchy(
