@@ -1,15 +1,19 @@
 """One-vs-rest linear SVM over binary feature vectors, trained by
 Pegasos-style stochastic subgradient descent, plus evaluation metrics.
+
+Only `train` imports numpy; a model is lists of floats. A score adds the
+active weights left to right from 0.0, then the bias, in an explicit loop
+(see predict): the builtin sum() adds floats with compensation from Python
+3.12 on, and the project supports 3.10 and later.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from ._util import dump_artifact, json_field, load_artifact, stable_rng
 from .errors import DataError
@@ -26,8 +30,8 @@ class TrainingError(DataError):
 @dataclass
 class LinearModel:
     categories: List[str]
-    weights: np.ndarray  # shape (n_categories, n_features)
-    bias: np.ndarray  # shape (n_categories,)
+    weights: List[List[float]]  # one row of n_features weights per category
+    bias: List[float]  # one per category
     lambda_: float
     epochs: int
     seed: int
@@ -36,17 +40,24 @@ class LinearModel:
         n = len(self.categories)
         if len(set(self.categories)) != n:
             raise DataError("'categories' holds a category twice")
-        if self.weights.ndim != 2 or self.weights.shape[0] != n or self.bias.shape != (n,):
-            raise DataError(
-                f"{n} categories but 'weights' of shape {self.weights.shape} "
-                f"and 'bias' of shape {self.bias.shape}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise DataError("'weights' and 'bias' must be finite numbers")
+        widths = set(map(len, self.weights))
+        if not n or len(self.weights) != n or len(widths) != 1 or len(self.bias) != n:
+            raise DataError(f"{n} categories but {len(self.weights)} 'weights' rows of "
+                            f"lengths {sorted(widths)} and {len(self.bias)} 'bias' values")
+        for cat, row, b in zip(self.categories, self.weights, self.bias):
+            total = 0.0  # added like a score, |b| last, so it bounds every partial score
+            try:
+                for w in [*row, b]:
+                    total += abs(w)
+            except OverflowError:  # an integer too large for a float
+                total = math.inf
+            if not math.isfinite(total):
+                raise DataError(f"'weights' and 'bias' of category {cat!r} must be finite "
+                                "numbers whose absolute values have a finite sum")
 
     @property
     def n_features(self) -> int:
-        return self.weights.shape[1]
+        return len(self.weights[0])
 
     def save(self, path: str | Path) -> None:
         dump_artifact(path, "model", {
@@ -64,12 +75,10 @@ class LinearModel:
             get = partial(json_field, payload, where=path, line=1)
             rows = [json_field({"weights": row}, "weights", list, path, 1, of=float)
                     for row in get("weights", list, of=list)]  # each row named as the field
-            if len(set(map(len, rows))) > 1:
-                raise DataError("'weights' rows differ in length")
             return cls(
                 categories=get("categories", list, of=str),
-                weights=np.array(rows, dtype=np.float64),
-                bias=np.array(get("bias", list, of=float), dtype=np.float64),
+                weights=rows,
+                bias=get("bias", list, of=float),
                 lambda_=get("lambda", float),
                 epochs=get("epochs", int),
                 seed=get("seed", int),
@@ -129,6 +138,7 @@ def train(
     plus O(categories * nnz) for the margins and updates, so training is
     O(epochs * documents * categories * n_features). The result is the same,
     bit for bit, as training the categories one after another."""
+    import numpy as np
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")
     if not vectors:
@@ -166,12 +176,13 @@ def train(
 
     rows = list(weights)  # views of each category's weights
     add = np.add.reduce  # what w[idx].sum() computes: pairwise summation
+    rate = float(lambda_)  # an integer lambda times t may be too large for a float
     t = 0
     for e in range(epochs):
         for picks in orders[:, e * n:(e + 1) * n].T.tolist():
             t += 1
-            eta = 1.0 / (lambda_ * t)
-            shrink = 1.0 - eta * lambda_
+            eta = 1.0 / (rate * t)
+            shrink = 1.0 - eta * rate
             updates = []
             for w, y, i in zip(rows, ys, picks):
                 idx = active[i]
@@ -184,24 +195,34 @@ def train(
 
     return LinearModel(
         categories=categories,
-        weights=weights[:, :n_features].copy(),
-        bias=weights[:, n_features].copy(),
+        weights=weights[:, :n_features].tolist(),
+        bias=weights[:, n_features].tolist(),
         lambda_=lambda_,
         epochs=epochs,
         seed=seed,
     )
 
 
-def decision_values(model: LinearModel, vector: BinaryFeatureVector) -> np.ndarray:
+def decision_values(model: LinearModel, vector: BinaryFeatureVector) -> List[float]:
     _check_vectors([vector], model.n_features)
-    idx = np.fromiter(sorted(vector), dtype=np.intp, count=len(vector))
-    return model.weights[:, idx].sum(axis=1) + model.bias
+    idx = sorted(vector)
+    scores = []
+    for row, b in zip(model.weights, model.bias):
+        score = 0.0
+        for i in idx:
+            score += row[i]
+        scores.append(score + b)
+    return scores
 
 
 def predict(model: LinearModel, vector: BinaryFeatureVector) -> str:
-    """Highest-scoring category; ties resolve to the earliest-declared one."""
+    """Highest-scoring category; ties resolve to the earliest-declared one.
+    A category's score adds its weights at the active coordinates in
+    increasing order, left to right from 0.0, then its bias: with two or more
+    categories, numpy's `weights[:, idx].sum(axis=1) + bias`. The loop is
+    explicit because sum() compensates from Python 3.12 on."""
     scores = decision_values(model, vector)
-    return model.categories[int(np.argmax(scores))]
+    return model.categories[scores.index(max(scores))]
 
 
 def report_from_pairs(

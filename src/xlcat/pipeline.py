@@ -6,13 +6,14 @@ All randomness flows from the config seed through named RNG streams.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import mean, stdev
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import JsonConfig, dump_json, envelope, json_field, load_json, stable_rng
+from ._util import JsonConfig, abridged, dump_json, envelope, json_field, load_json, stable_rng
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -69,10 +70,10 @@ class Hyperparams(JsonConfig):
             val, low = getattr(self, name), 0 if name == "m" else 1
             if val < low:
                 raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {val!r}")
-        # The trainer's first step is 1/lambda, inf for a subnormal lambda (1 / an int is exact).
-        if not (0 < self.lambda_ < float("inf") and 1 / self.lambda_ < float("inf")):
+        # The trainer's first step is 1/lambda, inf for a subnormal lambda; an int compares exactly.
+        if not (0 < self.lambda_ <= sys.float_info.max and 1 / self.lambda_ < float("inf")):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
-                            f"a finite inverse, got {self.lambda_!r}")
+                            f"a finite inverse, got {abridged(self.lambda_)}")
 
 
 @dataclass(frozen=True)

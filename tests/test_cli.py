@@ -6,11 +6,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from xlcat import cli, pipeline
 from xlcat import corpus as corpus_module
@@ -136,6 +134,7 @@ BAD_HYPERPARAMS = [
     ("n_select", 0),
     ("lambda_", 0.2),
     ("lambda", 1e-310),  # subnormal: 1/lambda is inf
+    pytest.param("lambda", 10**400, id="lambda-10**400"),  # an integer too large for a float
 ]
 
 
@@ -491,6 +490,8 @@ MALFORMED_ARTIFACTS = {
     "model-weights-strings": ("model.json", _each_weight(str), "'weights'"),
     "model-weights-booleans": ("model.json", _each_weight(lambda w: w > 0), "'weights'"),
     "model-weights-nan": ("model.json", _each_weight(lambda w: float("nan")), "'weights'"),
+    "model-weights-overflowing": ("model.json", _each_weight(lambda w: 1e308), "finite sum"),
+    "model-weights-huge-integer": ("model.json", _each_weight(lambda w: 10**400), "finite sum"),
     "model-weights-middle-string": (
         "model.json", _middle_weight_string, "'weights'",
         lambda payload: f"'0.5' at index {len(payload['weights'][0]) // 2}",
@@ -751,6 +752,7 @@ class TestUndecodableInput:
 
 _names = st.text(min_size=1, max_size=6)
 _numbers = st.floats(allow_nan=False, allow_infinity=False)
+_weights = st.floats(-1e307, 1e307)  # a model row of up to 6 sums to a finite number
 
 
 @st.composite
@@ -765,9 +767,10 @@ def saved_objects(draw):
         return kind(draw(st.lists(_names, max_size=6, unique=True)),
                     draw(st.dictionaries(_names, st.integers() | _numbers | _names, max_size=3)))
     categories = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
-    shape = (len(categories), draw(st.integers(1, 5)))
-    return kind(categories, draw(arrays(np.float64, shape, elements=_numbers)),
-                draw(arrays(np.float64, shape[:1], elements=_numbers)),
+    k, n_features = len(categories), draw(st.integers(1, 5))
+    row = st.lists(_weights, min_size=n_features, max_size=n_features)
+    return kind(categories, draw(st.lists(row, min_size=k, max_size=k)),
+                draw(st.lists(_weights, min_size=k, max_size=k)),
                 draw(_numbers), draw(st.integers()), draw(st.integers()))
 
 
@@ -797,6 +800,32 @@ class TestArtifactRoundTrip:
     def test_load_then_save_writes_the_same_bytes(self, artifacts, tmp_path, cls, name):
         cls.load(artifacts / name).save(tmp_path / name)
         assert (tmp_path / name).read_bytes() == (artifacts / name).read_bytes()
+
+
+class TestNumpyOnlyInTheTrainer:
+    """Only training imports numpy. Checked in a fresh interpreter, since
+    this one has numpy loaded already."""
+
+    def _imports_numpy(self, code):
+        probe = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_import_and_classify_do_not(self, workspace, artifacts, tmp_path):
+        argv = [
+            "classify", "--config", str(workspace["config"]),
+            "--model", str(artifacts / "model.json"),
+            "--space", str(artifacts / "feature_space.json"), "--interpreters", str(artifacts),
+            "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+            "--out-dir", str(tmp_path / "pred"),
+        ]
+        assert not self._imports_numpy("import xlcat")
+        assert not self._imports_numpy(f"from xlcat import cli\nassert cli.main({argv!r}) == 0")
+        assert (tmp_path / "pred" / "predictions.jsonl").is_file()
+
+    def test_train_does(self):
+        assert self._imports_numpy("from xlcat.learner import train\ntrain([frozenset()], ['A'], ['A'], 1)")
 
 
 def test_report_config_reads_back_as_the_run_config(workspace, artifacts):

@@ -11,6 +11,7 @@ from xlcat.errors import DataError
 from xlcat.learner import (
     LinearModel,
     TrainingError,
+    decision_values,
     evaluate,
     predict,
     report_from_pairs,
@@ -28,7 +29,7 @@ def separable_toy(n_per_class=10):
 def _objective(model, vectors, labels, k):
     """Regularized hinge objective of category k's binary SVM, with the bias
     as an always-on coordinate that is regularized like the weights."""
-    w = np.append(model.weights[k], model.bias[k])
+    w = np.array(model.weights[k] + [model.bias[k]])
     n_features = model.n_features
     hinge = 0.0
     for vec, label in zip(vectors, labels):
@@ -114,8 +115,9 @@ class TestLockstepTrain:
         vectors, labels, categories, n_features, lambda_, epochs = case
         model = train(vectors, labels, categories, n_features, lambda_=lambda_, epochs=epochs, seed=seed)
         weights, bias = reference_train(vectors, labels, categories, n_features, lambda_, epochs, seed)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.bias.tobytes() == bias.tobytes()
+        # repr round-trips every float and tells -0.0 from 0.0 and a float from np.float64
+        assert repr(model.weights) == repr(weights.tolist())
+        assert repr(model.bias) == repr(bias.tolist())
 
 
 class TestTrain:
@@ -135,8 +137,8 @@ class TestTrain:
         vectors, labels = separable_toy(15)
         m1 = train(vectors, labels, ["A", "B"], n_features=2, seed=9)
         m2 = train(vectors, labels, ["A", "B"], n_features=2, seed=9)
-        assert np.array_equal(m1.weights, m2.weights)
-        assert np.array_equal(m1.bias, m2.bias)
+        assert repr(m1.weights) == repr(m2.weights)
+        assert repr(m1.bias) == repr(m2.bias)
 
     def test_empty_category_rejected(self):
         vectors, labels = separable_toy()
@@ -150,6 +152,16 @@ class TestTrain:
     def test_out_of_range_coordinate_rejected(self):
         with pytest.raises(TrainingError):
             train([frozenset({5})], ["A"], ["A"], n_features=2)
+
+    def test_integer_lambda_steps_as_its_float(self):
+        # Steps use float(lambda): for 10**308, lambda * t exceeds the largest
+        # float from t = 2. The model keeps the integer, which it saves.
+        vectors, labels = separable_toy()
+        huge = train(vectors, labels, ["A", "B"], n_features=2, lambda_=10**308, epochs=1)
+        assert type(huge.lambda_) is int
+        one = train(vectors, labels, ["A", "B"], n_features=2, lambda_=1)
+        as_float = train(vectors, labels, ["A", "B"], n_features=2, lambda_=1.0)
+        assert repr((one.weights, one.bias)) == repr((as_float.weights, as_float.bias))
 
     def test_bias_is_regularized(self):
         # Featureless documents are fit through the bias alone. Pegasos with
@@ -181,8 +193,8 @@ class TestPredict:
     def test_all_zero_vector_takes_largest_bias(self):
         model = LinearModel(
             categories=["A", "B"],
-            weights=np.zeros((2, 3)),
-            bias=np.array([0.1, 0.7]),
+            weights=[[0.0] * 3, [0.0] * 3],
+            bias=[0.1, 0.7],
             lambda_=1e-4,
             epochs=1,
             seed=0,
@@ -192,8 +204,8 @@ class TestPredict:
     def test_signed_weights(self):
         model = LinearModel(
             categories=["A", "B"],
-            weights=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            bias=np.zeros(2),
+            weights=[[1.0, 0.0], [-1.0, 0.0]],
+            bias=[0.0, 0.0],
             lambda_=1e-4,
             epochs=1,
             seed=0,
@@ -203,8 +215,8 @@ class TestPredict:
     def test_ties_resolve_to_declaration_order(self):
         model = LinearModel(
             categories=["Z", "A"],
-            weights=np.zeros((2, 2)),
-            bias=np.zeros(2),
+            weights=[[0.0, 0.0], [0.0, 0.0]],
+            bias=[0.0, 0.0],
             lambda_=1e-4,
             epochs=1,
             seed=0,
@@ -213,28 +225,29 @@ class TestPredict:
 
     def test_inactive_coordinates_ignored(self):
         rng = random.Random(4)
-        weights = np.array([[rng.uniform(-1, 1) for _ in range(6)] for _ in range(2)])
+        weights = [[rng.uniform(-1, 1) for _ in range(6)] for _ in range(2)]
         model = LinearModel(
-            categories=["A", "B"], weights=weights.copy(), bias=np.zeros(2),
+            categories=["A", "B"], weights=weights, bias=[0.0, 0.0],
             lambda_=1e-4, epochs=1, seed=0,
         )
         before = predict(model, frozenset({1, 2}))
-        model.weights[:, 4] = 99.0  # untouched coordinate
+        for row in model.weights:
+            row[4] = 99.0  # untouched coordinate
         assert predict(model, frozenset({1, 2})) == before
 
     def test_consistent_relabeling_invariance(self):
         rng = random.Random(8)
         n = 10
-        weights = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(3)])
+        weights = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(3)]
         model = LinearModel(
-            categories=["A", "B", "C"], weights=weights, bias=np.array([0.1, -0.2, 0.3]),
+            categories=["A", "B", "C"], weights=weights, bias=[0.1, -0.2, 0.3],
             lambda_=1e-4, epochs=1, seed=0,
         )
         perm = list(range(n))
         rng.shuffle(perm)
         permuted = LinearModel(
             categories=model.categories,
-            weights=model.weights[:, perm],
+            weights=[[row[p] for p in perm] for row in model.weights],
             bias=model.bias,
             lambda_=1e-4, epochs=1, seed=0,
         )
@@ -243,6 +256,50 @@ class TestPredict:
             vec = frozenset(rng.sample(range(n), rng.randrange(0, n)))
             mapped = frozenset(inverse[i] for i in vec)
             assert predict(model, vec) == predict(permuted, mapped)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A model of 1-9 categories over enough features for a vector of 0-300
+    active coordinates. Drawn rows have weights over twelve orders of
+    magnitude, so the order of addition shows in the last bits; a tied row
+    repeats an earlier row and its bias; a zero row holds signed zeros."""
+    k, nnz = draw(st.integers(1, 9)), draw(st.integers(0, 300))
+    n_features = max(1, nnz + draw(st.integers(0, 20)))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def number():
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)
+
+    weights, bias = [], []
+    for kind in draw(st.lists(st.sampled_from(["drawn", "tied", "zero"]), min_size=k, max_size=k)):
+        if kind == "tied" and weights:
+            j = rng.randrange(len(weights))
+            weights.append(list(weights[j]))
+            bias.append(bias[j])
+        elif kind == "zero":
+            weights.append([rng.choice([0.0, -0.0]) for _ in range(n_features)])
+            bias.append(rng.choice([0.0, -0.0]))
+        else:
+            weights.append([number() for _ in range(n_features)])
+            bias.append(number())
+    model = LinearModel([f"c{i}" for i in range(k)], weights, bias, 1e-4, 1, 0)
+    return model, frozenset(rng.sample(range(n_features), nnz))
+
+
+class TestScoringOracle:
+    """Pure-Python scores against numpy's weights[:, idx].sum(axis=1) + bias."""
+
+    @settings(max_examples=300)
+    @given(scoring_cases())
+    def test_scores_and_predictions_match_numpy(self, case):
+        model, vector = case
+        idx = np.fromiter(sorted(vector), dtype=np.intp, count=len(vector))
+        expected = np.array(model.weights)[:, idx].sum(axis=1) + np.array(model.bias)
+        if len(model.categories) >= 2:  # one category sums pairwise; its argmax is 0 anyway
+            scores = decision_values(model, vector)
+            assert [s.hex() for s in scores] == [float(s).hex() for s in expected]
+        assert predict(model, vector) == model.categories[int(np.argmax(expected))]
 
 
 class TestEvaluate:
@@ -315,8 +372,8 @@ class TestPersistence:
         path = tmp_path / "model.json"
         model.save(path)
         loaded = LinearModel.load(path)
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.bias, model.bias)
+        assert repr(loaded.weights) == repr(model.weights)
+        assert repr(loaded.bias) == repr(model.bias)
         for vec in vectors:
             assert predict(loaded, vec) == predict(model, vec)
 
