@@ -1,18 +1,24 @@
 """Small shared helpers: deterministic RNG streams, an ordered serial map,
-stable JSON writing, the versioned artifact envelope, the one type check
-of every JSON field read from a config or a JSON-lines record, and the
-JsonConfig codec of the config dataclasses built on it.
+tasks forked to run beside the caller, stable JSON writing, the versioned
+artifact envelope, the one type check of every JSON field read from a
+config or a JSON-lines record, and the JsonConfig codec of the config
+dataclasses built on it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from reprlib import repr as abridged
 from typing import (
-    AbstractSet, Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, get_type_hints,
+    AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar,
+    get_type_hints,
 )
 
 from .errors import CorpusFormatError, DataError
@@ -32,6 +38,47 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> l
     """[fn(x) for x in items], in one thread whatever `workers` is; the
     parameter stays only because the benchmark's tracer reads it (ROADMAP item 1)."""
     return [fn(x) for x in items]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def fork_workers() -> int:
+    """The processes `forked` may use, this one included: the usable CPUs, or
+    1 without os.fork or beside another live thread (fork() copies only the
+    calling thread, and another's locks would stay held in the child)."""
+    return _usable_cpus() if hasattr(os, "fork") and threading.active_count() == 1 else 1
+
+
+@contextmanager
+def forked(tasks: Sequence[Callable[[], None]]) -> Iterator[None]:
+    """Run each task in a forked child while the with body runs here, and
+    reap every child on the way out, also when the body raises. Then run
+    here again, in order, each task whose child exited non-zero, to raise
+    the error that the task raises here. With fork_workers() 1 it forks
+    nothing and runs the tasks after the body. A task shares no memory with
+    this process, so it may only write files that the body does not touch."""
+    forking, children = fork_workers() > 1, {}
+    try:
+        for task in tasks if forking else ():
+            sys.stdout.flush()  # else the child would print what is buffered again
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:  # the child: exit 0 if the task returns, 1 if it raises
+                try:
+                    task()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = task
+        yield
+    finally:
+        failed = [task for pid, task in children.items()
+                  if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0]
+    for task in failed if forking else tasks:
+        task()
 
 
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder

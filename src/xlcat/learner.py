@@ -10,12 +10,13 @@ active weights left to right from 0.0, then the bias, in an explicit loop
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from ._util import dump_artifact, json_field, load_artifact, stable_rng
+from ._util import abridged, dump_artifact, json_field, load_artifact, stable_rng
 from .errors import DataError
 from .features import BinaryFeatureVector
 
@@ -25,6 +26,12 @@ DEFAULT_EPOCHS = 20
 
 class TrainingError(DataError):
     pass
+
+
+def lambda_ok(lambda_: float) -> bool:
+    """Whether train can step with lambda_: a number in (0, largest float]
+    whose first step 1/lambda_ is finite; an int compares exactly."""
+    return 0 < lambda_ <= sys.float_info.max and 1 / lambda_ < math.inf
 
 
 @dataclass
@@ -138,6 +145,9 @@ def train(
     plus O(categories * nnz) for the margins and updates, so training is
     O(epochs * documents * categories * n_features). The result is the same,
     bit for bit, as training the categories one after another."""
+    if not lambda_ok(lambda_):
+        raise TrainingError(f"lambda must be a number > 0 with a finite inverse, "
+                            f"got {abridged(lambda_)}")
     import numpy as np
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")

@@ -6,14 +6,15 @@ All randomness flows from the config seed through named RNG streams.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import mean, stdev
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import JsonConfig, abridged, dump_json, envelope, json_field, load_json, stable_rng
+from ._util import (
+    JsonConfig, abridged, dump_json, envelope, forked, json_field, load_json, stable_rng,
+)
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -33,7 +34,7 @@ from .features import (
     select_features,
 )
 from .interpreter import SemanticInterpreter, build_interpreter
-from .learner import EvalReport, LinearModel, evaluate, train
+from .learner import EvalReport, LinearModel, evaluate, lambda_ok, train
 from .ontology import (
     Hierarchy,
     SupportIndex,
@@ -70,8 +71,7 @@ class Hyperparams(JsonConfig):
             val, low = getattr(self, name), 0 if name == "m" else 1
             if val < low:
                 raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {val!r}")
-        # The trainer's first step is 1/lambda, inf for a subnormal lambda; an int compares exactly.
-        if not (0 < self.lambda_ <= sys.float_info.max and 1 / self.lambda_ < float("inf")):
+        if not lambda_ok(self.lambda_):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
                             f"a finite inverse, got {abridged(self.lambda_)}")
 
@@ -425,12 +425,29 @@ def _run(
     loads the training set after preparing and the test set after
     training, which keeps each out of the earlier stages' peak memory:
     loading both before preparing raised `learn_l` peak_rss_mb by 1.7 MiB,
-    and the test set before training by 0.5 MiB."""
+    and the test set before training by 0.5 MiB.
+
+    With out_dir, the interpreter and virtual-docs files, complete before
+    _fit and read by neither stage, are written by a forked child while
+    _fit and _score run (see _util.forked); the other files follow, the
+    report last. So a run that fails in _fit or _score may leave the
+    interpreter files, but never a report."""
     interpreters, tables, retained = prep.interpreters, prep.virtual_tables, prep.retained
-    space, train_vecs, model = _fit(cfg, res.hierarchy, interpreters, training, categories, workers)
-    if test_docs is None:
-        test_docs = _load_test_docs(cfg)
-    report = _score(cfg, res.hierarchy, interpreters, space, model, test_docs, workers)
+
+    def save_interpreters() -> None:
+        for lang, si in sorted(interpreters.items()):
+            si.save(out / f"interpreter_{lang}.json")
+        save_virtual_docs(tables, out / "virtual_docs.jsonl")
+
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    with forked([] if out_dir is None else [save_interpreters]):
+        space, train_vecs, model = _fit(cfg, res.hierarchy, interpreters, training, categories,
+                                        workers)
+        if test_docs is None:
+            test_docs = _load_test_docs(cfg)
+        report = _score(cfg, res.hierarchy, interpreters, space, model, test_docs, workers)
 
     result = envelope("report", {
         "config": cfg.to_dict(),
@@ -448,11 +465,6 @@ def _run(
     })
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for lang, si in sorted(interpreters.items()):
-            si.save(out / f"interpreter_{lang}.json")
-        save_virtual_docs(tables, out / "virtual_docs.jsonl")
         space.save(out / "feature_space.json")
         save_vectors(train_vecs, training, out / "train_vectors.jsonl")
         model.save(out / "model.json")
@@ -471,15 +483,8 @@ def _fit(
     train_labels = [d.label for d in training]
     space, train_vecs = build_feature_space(training, interpreters, h, hp.k_doc, hp.m, workers)
     space, train_vecs = select_features(space, train_vecs, train_labels, hp.n_select)
-    model = train(
-        train_vecs,
-        train_labels,
-        categories,
-        len(space),
-        lambda_=hp.lambda_,
-        epochs=hp.epochs,
-        seed=cfg.seed,
-    )
+    model = train(train_vecs, train_labels, categories, len(space),
+                  lambda_=hp.lambda_, epochs=hp.epochs, seed=cfg.seed)
     return space, train_vecs, model
 
 

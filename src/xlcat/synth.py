@@ -15,16 +15,13 @@ SyntheticCorpus.write generates them in up to min(CPUs, files) processes.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from math import ceil
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._util import JsonConfig, dump_json, stable_rng
+from ._util import JsonConfig, dump_json, fork_workers, forked, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
 from .ontology import save_concepts, save_hierarchy_edges
 
@@ -378,13 +375,14 @@ class SyntheticCorpus:
     def write(self) -> None:
         """Write every file of the corpus. The support corpus and each
         (language, split) dataset are independent tasks, which plan_shares
-        spreads over min(usable CPUs, tasks) processes: forked children and
-        this one, which takes the lightest share; a process that runs
-        another thread forks none. Each process generates and writes whole
-        files, so the bytes do not depend on the number of processes. This
-        one then writes the concept and hierarchy files, and the manifest
-        last, once every child has exited 0; the tasks of a child that
-        failed are run again here, raising what serial generation raises."""
+        spreads over fork_workers() processes at most: this one takes the
+        lightest share and each other share runs in a child (see
+        _util.forked). Each process generates and writes whole files, so the
+        bytes do not depend on the number of processes. This one also writes
+        the concept and hierarchy files while the children run, and the
+        manifest last, once every child has exited 0; the share of a child
+        that failed is run again here, raising what serial generation
+        raises."""
         spec = self.spec
         self.out_dir.mkdir(parents=True, exist_ok=True)
         tasks: List[Callable[[], None]] = [
@@ -396,51 +394,18 @@ class SyntheticCorpus:
         docs = spec.n_categories * spec.docs_per_category
         costs = [articles * (spec.support_doc_length + STREAM_COST)]
         costs += [docs * (DATASET_WORD_COST * spec.doc_length + STREAM_COST)] * (len(tasks) - 1)
-        # fork() copies only the calling thread; another thread's locks would
-        # stay held in the child.
-        forkable = hasattr(os, "fork") and threading.active_count() == 1
-        *others, own = plan_shares(costs, _usable_cpus() if forkable else 1)
-        children: Dict[int, List[int]] = {}
-        sys.stdout.flush()
-        sys.stderr.flush()
-        try:
-            for share in others:
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(tasks, share)
-                children[pid] = share
-            for i in own:
-                tasks[i]()
-            save_concepts(
-                [self.concept_id(i) for i in range(spec.n_concepts)],
-                self.meta_ids(),
-                self.paths["concepts"],
-            )
+        *others, own = plan_shares(costs, fork_workers())
+        with forked([partial(_run_share, tasks, share) for share in others]):
+            _run_share(tasks, own)
+            save_concepts([self.concept_id(i) for i in range(spec.n_concepts)], self.meta_ids(),
+                          self.paths["concepts"])
             save_hierarchy_edges(self._edge_languages(), self.paths["hierarchy"])
-        finally:
-            failed = sorted(i for pid, share in children.items()
-                            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0
-                            for i in share)
-        for i in failed:
-            tasks[i]()
-        dump_json(
-            {
-                "spec": spec.to_dict(),
-                "languages": self.languages,
-                "categories": self.categories,
-                "category_pools": self.category_pools(),
-                "files": {
-                    "corpus": self.paths["corpus"].name,
-                    "concepts": self.paths["concepts"].name,
-                    "hierarchy": self.paths["hierarchy"].name,
-                    "datasets": {
-                        lang: {split: p.name for split, p in per.items()}
-                        for lang, per in self.paths["datasets"].items()
-                    },
-                },
-            },
-            self.paths["manifest"],
-        )
+        files = {key: self.paths[key].name for key in ("corpus", "concepts", "hierarchy")}
+        files["datasets"] = {lang: {split: p.name for split, p in per.items()}
+                             for lang, per in self.paths["datasets"].items()}
+        dump_json({"spec": spec.to_dict(), "languages": self.languages, "files": files,
+                   "categories": self.categories, "category_pools": self.category_pools()},
+                  self.paths["manifest"])
 
 
 # Task costs in units of one support word's draw. A dataset word costs more,
@@ -465,26 +430,9 @@ def plan_shares(costs: Sequence[float], workers: int) -> List[List[int]]:
     return [sorted(shares[w]) for w in sorted(range(n), key=lambda w: -loads[w])]
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _run_child(tasks: Sequence[Callable[[], None]], share: Sequence[int]) -> None:
-    """Run the share's tasks in a forked child and end the child, with exit
-    status 0 if all of them returned and 1 if one raised. It never returns
-    into the caller's frames, and prints nothing: the parent runs a failed
-    share again to raise its error."""
-    code = 1
-    try:
-        for i in share:
-            tasks[i]()
-        code = 0
-    finally:
-        os._exit(code)
+def _run_share(tasks: Sequence[Callable[[], None]], share: Sequence[int]) -> None:
+    for i in share:
+        tasks[i]()
 
 
 def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir: str | Path) -> SyntheticCorpus:

@@ -51,6 +51,36 @@ def no_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork, counted in the caller."""
+    calls, fork = [], os.fork
+
+    def counted_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+@pytest.fixture
+def another_thread():
+    """A second thread, alive for the whole test, then joined."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    yield thread
+    done.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def make_corpus(tmp_path, spec: SyntheticCorpusSpec, name="corpus"):
     return generate_synthetic_corpus(spec, tmp_path / name)
 

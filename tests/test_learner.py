@@ -1,11 +1,14 @@
+import math
 import random
 import statistics
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xlcat import learner
 from xlcat._util import stable_rng
 from xlcat.errors import DataError
 from xlcat.learner import (
@@ -17,6 +20,7 @@ from xlcat.learner import (
     report_from_pairs,
     train,
 )
+from xlcat.pipeline import Hyperparams
 
 
 def separable_toy(n_per_class=10):
@@ -162,6 +166,40 @@ class TestTrain:
         one = train(vectors, labels, ["A", "B"], n_features=2, lambda_=1)
         as_float = train(vectors, labels, ["A", "B"], n_features=2, lambda_=1.0)
         assert repr((one.weights, one.bias)) == repr((as_float.weights, as_float.bias))
+
+    @pytest.mark.parametrize("lambda_", [0.0, -1.0, 1e-310, 10**400, math.nan, math.inf, -math.inf])
+    def test_bad_lambda_rejected_before_any_step(self, monkeypatch, lambda_):
+        """A TrainingError naming lambda, raised before the shuffle streams
+        are drawn: no ZeroDivisionError, numpy warning or OverflowError."""
+
+        def no_stream(*parts):
+            raise AssertionError("train drew a random stream")
+
+        monkeypatch.setattr(learner, "stable_rng", no_stream)
+        vectors, labels = separable_toy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="lambda"):
+                train(vectors, labels, ["A", "B"], n_features=2, lambda_=lambda_)
+
+    @given(st.floats(allow_nan=True) | st.integers(-10, 10) | st.integers(10**307, 10**310))
+    @example(1e-310)
+    @example(5e-324)
+    @example(10**308)
+    def test_train_and_hyperparams_accept_the_same_lambda(self, lambda_):
+        vectors, labels = separable_toy(1)
+        try:
+            Hyperparams(lambda_=lambda_)
+        except DataError:
+            accepted = False
+        else:
+            accepted = True
+        try:
+            train(vectors, labels, ["A", "B"], n_features=2, lambda_=lambda_, epochs=1)
+        except TrainingError:
+            assert not accepted
+        else:
+            assert accepted
 
     def test_bias_is_regularized(self):
         # Featureless documents are fit through the bias alone. Pegasos with

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlcat import pipeline
+from xlcat import _util, cli, pipeline
 from xlcat.corpus import ARTICLE_FLAGS, FilterConfig, load_support_corpus, tokenize
 from xlcat.errors import DataError, SetupViolation
 from xlcat.ontology import SupportIndex, merge_hierarchies
@@ -26,7 +26,7 @@ from xlcat.pipeline import (
 from xlcat.synth import SyntheticCorpusSpec
 from xlcat.virtualdocs import InsufficientAncestryError
 
-from conftest import make_config, make_corpus
+from conftest import assert_no_child_left, make_config, make_corpus
 
 
 @pytest.fixture
@@ -170,6 +170,105 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report["data"]["n_train"] == 450
         assert report["data"]["n_test"] == 450
+
+
+def run_files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestForkedArtifactWriter:
+    """With out_dir, a run writes its interpreter and virtual-docs files in
+    one forked child while _fit and _score run; the files and errors do not
+    depend on whether it forks."""
+
+    def test_process_count_changes_no_byte(self, corpus, tmp_path, monkeypatch, forks):
+        cfg = make_config(corpus, seed=5, **default_hp())
+        reports, files = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+            reports.append(run_experiment(cfg, out_dir=tmp_path / f"cpus{cpus}"))
+            files.append(run_files(tmp_path / f"cpus{cpus}"))
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+        assert reports[0] == reports[1]
+        assert files[0] == files[1]
+        assert {"interpreter_l0.json", "interpreter_l1.json", "virtual_docs.jsonl",
+                "report.json"} <= set(files[1])
+
+    def test_forks_only_for_a_run_with_out_dir(self, corpus, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        cfg = make_config(corpus, seed=5, **default_hp())
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        run = tmp_path / "run"
+        run_experiment(cfg, out_dir=run)
+        assert len(forks) == 1
+        run_experiment(cfg)
+        ablation(cfg, "meta_features", out_dir=tmp_path / "meta")
+        assert cli.main([
+            "classify", "--config", str(config), "--model", str(run / "model.json"),
+            "--space", str(run / "feature_space.json"), "--interpreters", str(run),
+            "--dataset", str(corpus.paths["datasets"]["l1"]["test"]),
+            "--out-dir", str(tmp_path / "classify"),
+        ]) == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_forks_nothing_beside_another_thread(self, corpus, tmp_path, monkeypatch, forks,
+                                                 another_thread):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        cfg = make_config(corpus, seed=5, **default_hp())
+        run_experiment(cfg, out_dir=tmp_path / "serial")
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        run_experiment(cfg, out_dir=tmp_path / "threaded")
+        assert not forks
+        assert run_files(tmp_path / "threaded") == run_files(tmp_path / "serial")
+
+    def test_failing_write_raises_the_serial_error(self, corpus, tmp_path, monkeypatch, forks):
+        """An interpreter file path taken by a directory fails the child's
+        task; the run raises what it raises in one process, leaves no child
+        and writes no report."""
+        cfg = make_config(corpus, seed=5, **default_hp())
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            (out / "interpreter_l0.json").mkdir(parents=True)
+            with pytest.raises(IsADirectoryError) as exc:
+                run_experiment(cfg, out_dir=out)
+            errors.append(str(exc.value).replace(str(out), "<out>"))
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+            assert not (out / "report.json").exists()
+        assert errors[0] == errors[1]
+        assert "interpreter_l0.json" in errors[0]
+
+    def test_failing_write_is_a_cli_data_error(self, corpus, tmp_path, monkeypatch, capsys,
+                                               forks):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(make_config(corpus, **default_hp()).to_dict()),
+                          encoding="utf-8")
+        (tmp_path / "out" / "interpreter_l0.json").mkdir(parents=True)
+        assert cli.main(["experiment", "--config", str(config), "--out-dir",
+                         str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "interpreter_l0.json" in err and "Traceback" not in err
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fit_error_propagates_and_leaves_no_child(self, corpus, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+
+        def failing_fit(*args):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(pipeline, "_fit", failing_fit)
+        with pytest.raises(RuntimeError, match="fit failed"):
+            run_experiment(make_config(corpus, **default_hp()), out_dir=tmp_path / "run")
+        assert_no_child_left()
+        assert not (tmp_path / "run" / "report.json").exists()
 
 
 # sha256 of a tiny CLTC2 run that selects 12 of its 43 features: the

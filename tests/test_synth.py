@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlcat import cli, synth
+from xlcat import _util, cli
 from xlcat._util import stable_rng
 from xlcat.corpus import (
     FilterConfig, LabeledDocument, SupportArticle, filter_articles, load_labeled_dataset,
@@ -20,7 +19,9 @@ from xlcat.corpus import (
 from xlcat.ontology import load_concepts, load_hierarchy_edges, merge_hierarchies, validate_dag
 from xlcat.synth import SyntheticCorpus, SyntheticCorpusSpec, generate_synthetic_corpus, plan_shares
 
-from conftest import category_distribution, concept_distribution, make_corpus
+from conftest import (
+    assert_no_child_left, category_distribution, concept_distribution, make_corpus,
+)
 
 
 class ReferenceCorpus(SyntheticCorpus):
@@ -266,49 +267,25 @@ def test_written_files_keep_their_digests(tmp_path, small_spec, name):
     assert file_digests(corpus.out_dir) == GOLDEN_DIGESTS[name]
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestParallelWriter:
     """SyntheticCorpus.write spreads its files over min(CPUs, files)
     processes, and the bytes do not depend on how many."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The number of processes write forks, counted in the caller."""
-        calls, fork = [], os.fork
-
-        def counted_fork():
-            calls.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return calls
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_process_count_changes_no_byte(self, tmp_path, monkeypatch, forks, small_spec,
                                            name, cpus):
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
         corpus = make_corpus(tmp_path, golden_spec(small_spec, name))
         assert file_digests(corpus.out_dir) == GOLDEN_DIGESTS[name]
         # One task per dataset file, plus the support corpus.
         assert len(forks) == min(cpus, 1 + 2 * len(corpus.languages)) - 1
         assert_no_child_left()
 
-    def test_forks_nothing_beside_another_thread(self, tmp_path, monkeypatch, forks, small_spec):
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            corpus = make_corpus(tmp_path, small_spec)
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+    def test_forks_nothing_beside_another_thread(self, tmp_path, monkeypatch, forks, small_spec,
+                                                 another_thread):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        corpus = make_corpus(tmp_path, small_spec)
         assert not forks
         assert file_digests(corpus.out_dir) == GOLDEN_DIGESTS["small"]
 
@@ -324,7 +301,7 @@ class TestParallelWriter:
         (tmp_path / blocked).mkdir(parents=True)
         errors = []
         for cpus in (1, 2):
-            monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
             with pytest.raises(IsADirectoryError) as exc:
                 generate_synthetic_corpus(small_spec, tmp_path)
             errors.append(str(exc.value))
@@ -333,7 +310,7 @@ class TestParallelWriter:
         assert not (tmp_path / "synth_manifest.json").exists()
 
     def test_failing_task_is_a_cli_data_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(synth, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"n_concepts": 6}), encoding="utf-8")
         (tmp_path / "out" / "test_l1.jsonl").mkdir(parents=True)
