@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import reprlib
 import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
-from reprlib import repr as abridged
 from typing import (
     AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar,
     get_type_hints,
@@ -25,6 +25,14 @@ from .errors import CorpusFormatError, DataError
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def abridged(value: object) -> str:
+    """reprlib.repr, but an integer too long for str() is quoted by its bit length."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # int-to-str conversion past sys.get_int_max_str_digits()
+        return f"{'-' * (value < 0)}<integer of {value.bit_length()} bits>"
 
 
 def stable_rng(*parts: object) -> random.Random:

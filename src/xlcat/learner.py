@@ -177,7 +177,10 @@ def train(
     # training the categories one after another (all epochs of category 0,
     # then 1, ...), in the narrowest integer type that holds an index.
     rng = stable_rng(seed, "train-shuffle")
-    orders = np.empty((len(categories), epochs * n), dtype=np.min_scalar_type(n - 1))
+    try:  # MemoryError past memory, ValueError past numpy's largest dimension
+        orders = np.empty((len(categories), epochs * n), dtype=np.min_scalar_type(n - 1))
+    except (MemoryError, ValueError) as exc:
+        raise TrainingError(f"'hyperparams.epochs' {abridged(epochs)} is too many: {exc}") from exc
     for row in orders:
         order = list(range(n))
         for e in range(epochs):

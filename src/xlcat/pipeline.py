@@ -70,7 +70,7 @@ class Hyperparams(JsonConfig):
         for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):
             val, low = getattr(self, name), 0 if name == "m" else 1
             if val < low:
-                raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {val!r}")
+                raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {abridged(val)}")
         if not lambda_ok(self.lambda_):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
                             f"a finite inverse, got {abridged(self.lambda_)}")

@@ -178,6 +178,35 @@ class TestHyperparamValidation:
         assert_data_error_naming(tmp_path, cfg, "hyperparams." + field)
 
 
+class TestEpochsBeyondMemory:
+    """Shuffle orders for more epochs than numpy or memory can hold exit 2
+    with a TrainingError naming the field; neither test allocates them."""
+
+    def test_past_numpys_largest_dimension(self, workspace, tmp_path):
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["hyperparams"]["epochs"] = 10**20
+        assert_data_error_naming(tmp_path, cfg, "hyperparams.epochs")
+
+    def test_past_memory(self, workspace, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        shapes = []
+
+        def out_of_memory(shape, dtype=float):
+            shapes.append(shape)
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(np, "empty", out_of_memory)
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["hyperparams"]["epochs"] = 10**9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'hyperparams.epochs' 1000000000 is too many: Unable to allocate")
+        assert [shape[1] % 10**9 for shape in shapes] == [0]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("key,value,field", BAD_CONFIG_FIELDS)
     def test_bad_field_is_data_error(self, workspace, tmp_path, key, value, field):

@@ -271,31 +271,89 @@ def labeled_binary_vectors(draw):
     return vectors, labels, k
 
 
+# labels first appear as b, c, a among the documents with coordinate 0,
+# as a, c, b among those without it, and as a, b, c overall
+OFF_ORDER_EXAMPLE = (
+    [frozenset({1}), frozenset({0, 1}), frozenset({0, 1}), frozenset({1}),
+     frozenset({1}), frozenset({0, 1}), frozenset({1})],
+    ["a", "b", "c", "c", "b", "a", "a"],
+    1,
+)
+# the counts differ, so each order gives other bits: labels first appear as
+# d, b, e, a overall and among the documents with coordinate 1, and as
+# d, e, a, b among those without coordinate 0
+UNEQUAL_COUNTS_EXAMPLE = (
+    [frozenset({1}), frozenset({0, 1}), frozenset({1}), frozenset({1}),
+     frozenset({1}), frozenset({1}), frozenset({1})],
+    ["d", "b", "e", "a", "b", "b", "d"],
+    1,
+)
+
+
+def reference_select_features(space, vectors, labels, n):
+    """Concepts and remapped vectors of the n coordinates ranked highest by
+    reference_information_gain, ties toward the smaller concept id."""
+    gains = [reference_information_gain(vectors, labels, i) for i in range(len(space))]
+    ranked = sorted(range(len(space)), key=lambda i: (-gains[i], space.concepts[i]))
+    kept = sorted(ranked[:n])
+    new_index = {old: new for new, old in enumerate(kept)}
+    remapped = [frozenset(new_index[i] for i in vec if i in new_index) for vec in vectors]
+    return [space.concepts[i] for i in kept], remapped
+
+
 class TestInformationGainOracle:
     @given(labeled_binary_vectors())
-    # labels first appear as b, c, a among the documents with coordinate 0,
-    # as a, c, b among those without it, and as a, b, c overall
-    @example(([frozenset({1}), frozenset({0, 1}), frozenset({0, 1}), frozenset({1}),
-               frozenset({1}), frozenset({0, 1}), frozenset({1})],
-              ["a", "b", "c", "c", "b", "a", "a"], 1))
+    @example(OFF_ORDER_EXAMPLE)
+    @example(UNEQUAL_COUNTS_EXAMPLE)
     def test_same_bits_as_reference(self, drawn):
         vectors, labels, k = drawn
         for coordinate in range(k + 2):
             got = information_gain(vectors, labels, coordinate)
             assert got.hex() == reference_information_gain(vectors, labels, coordinate).hex()
 
-    def test_select_features_calls_it_once_per_coordinate(self, monkeypatch):
+    @given(labeled_binary_vectors())
+    @example(OFF_ORDER_EXAMPLE)
+    @example(UNEQUAL_COUNTS_EXAMPLE)
+    def test_one_pass_same_bits_as_reference(self, drawn):
+        """The sequence form, in the given order, including coordinate k
+        (in every vector) and k + 1 (in none)."""
+        vectors, labels, k = drawn
+        for coordinates in (range(k + 2), list(reversed(range(k + 2)))):
+            got = information_gain(vectors, labels, coordinates)
+            want = [reference_information_gain(vectors, labels, c) for c in coordinates]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
+
+    def test_one_pass_keeps_the_input_errors(self):
+        with pytest.raises(ValueError, match="same length"):
+            information_gain([frozenset()], ["a", "b"], range(1))
+        with pytest.raises(ValueError, match="at least one"):
+            information_gain([], [], range(1))
+
+    @given(labeled_binary_vectors(), st.integers(1, 6))
+    @example(OFF_ORDER_EXAMPLE, 1)
+    @example(UNEQUAL_COUNTS_EXAMPLE, 1)
+    def test_selection_matches_reference_ranking(self, drawn, n):
+        vectors, labels, k = drawn
+        n = min(n, k + 1)  # fewer than the k + 2 coordinates, so selection runs
+        # concept ids sort against their coordinates, so ties exercise the id order
+        space = FeatureSpace(concepts=["q", "c", "x", "a", "m", "b", "z"][: k + 2])
+        reduced, new_vectors = select_features(space, vectors, labels, n)
+        assert (reduced.concepts, new_vectors) == reference_select_features(space, vectors, labels, n)
+
+    def test_selection_makes_one_call_and_none_within_budget(self, monkeypatch):
         calls = []
 
         def counting(vectors, labels, coordinate):
-            calls.append(coordinate)
+            calls.append(list(coordinate))
             return information_gain(vectors, labels, coordinate)
 
         monkeypatch.setattr(features, "information_gain", counting)
         space = FeatureSpace(concepts=["a", "b", "c", "d"])
         vectors = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3}), frozenset()]
+        select_features(space, vectors, ["+", "+", "-", "-"], 4)
+        assert calls == []
         select_features(space, vectors, ["+", "+", "-", "-"], 2)
-        assert calls == [0, 1, 2, 3]
+        assert calls == [[0, 1, 2, 3]]
 
 
 class TestSelectFeatures:

@@ -182,6 +182,15 @@ class TestTrain:
             with pytest.raises(TrainingError, match="lambda"):
                 train(vectors, labels, ["A", "B"], n_features=2, lambda_=lambda_)
 
+    @pytest.mark.parametrize("lambda_", [10**5000, -10**5000], ids=["10**5000", "-10**5000"])
+    def test_over_long_integer_lambda_is_quoted_by_its_bit_length(self, lambda_):
+        """Too many digits for str(): the errors still name lambda."""
+        vectors, labels = separable_toy()
+        with pytest.raises(TrainingError, match=r"^lambda .* got -?<integer of 16610 bits>$"):
+            train(vectors, labels, ["A", "B"], n_features=2, lambda_=lambda_)
+        with pytest.raises(DataError, match=r"^config field 'hyperparams\.lambda' .*16610 bits>$"):
+            Hyperparams(lambda_=lambda_)
+
     @given(st.floats(allow_nan=True) | st.integers(-10, 10) | st.integers(10**307, 10**310))
     @example(1e-310)
     @example(5e-324)
