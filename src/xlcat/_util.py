@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import reprlib
 import sys
@@ -61,32 +62,42 @@ def fork_workers() -> int:
 
 
 @contextmanager
-def forked(tasks: Sequence[Callable[[], None]]) -> Iterator[None]:
-    """Run each task in a forked child while the with body runs here, and
-    reap every child on the way out, also when the body raises. Then run
-    here again, in order, each task whose child exited non-zero, to raise
-    the error that the task raises here. With fork_workers() 1 it forks
-    nothing and runs the tasks after the body. A task shares no memory with
-    this process, so it may only write files that the body does not touch."""
-    forking, children = fork_workers() > 1, {}
+def forked(tasks: Sequence[Callable[[], T]]) -> Iterator[list[T]]:
+    """`with forked(tasks) as results:` runs each task in a forked child
+    while the body runs here; `results` then holds each task's value, in
+    task order. A child pickles its value into its own pipe, read to EOF
+    before the child is reaped; if the body raises, the pipes are closed
+    unread, so a child blocked on one exits 1. A task whose child exited
+    non-zero runs here again, in order, to give its value or raise its
+    error. With fork_workers() 1 the tasks run after the body. Only its
+    value and its files leave a child; the body must not touch those files."""
+    forking, pids, pipes, results = fork_workers() > 1, [], [], []
     try:
         for task in tasks if forking else ():
-            sys.stdout.flush()  # else the child would print what is buffered again
-            sys.stderr.flush()
-            pid = os.fork()
-            if pid == 0:  # the child: exit 0 if the task returns, 1 if it raises
-                try:
-                    task()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            children[pid] = task
-        yield
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:
+                sys.stdout.flush()  # else the child would print what is buffered again
+                sys.stderr.flush()
+                pid = os.fork()
+                if pid == 0:  # the child: exit 0 once its value is in the pipe, else 1
+                    try:
+                        for pipe in pipes:  # so a pipe the parent closes has no reader left
+                            pipe.close()
+                        pickle.dump(task(), out, pickle.HIGHEST_PROTOCOL)
+                        out.close()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        yield results
+        values = [pipe.read() for pipe in pipes]
     finally:
-        failed = [task for pid, task in children.items()
-                  if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0]
-    for task in failed if forking else tasks:
-        task()
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for i, task in enumerate(tasks):
+        results.append(pickle.loads(values[i]) if forking and codes[i] == 0 else task())
 
 
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder

@@ -29,7 +29,7 @@ from .features import (
     BinaryFeatureVector,
     FeatureSpace,
     build_feature_space,
-    project_documents,
+    document_features,
     save_vectors,
     select_features,
 )
@@ -133,9 +133,6 @@ class ExperimentConfig:
         d = json_field(d, None, dict, keys=_CONFIG_KEYS)
         paths = json_field(d, "paths", dict, keys=_PATHS_KEYS)
         datasets = json_field(paths, "datasets", dict, "paths.")
-        seeds = json_field(d, "seeds", list, default=[], of=int)
-        if len(set(seeds)) != len(seeds):
-            raise DataError(f"experiment config field 'seeds' repeats a seed: {seeds}")
         return cls(
             setup=json_field(d, "setup", str),
             source_languages=tuple(json_field(d, "source_languages", list, of=str)),
@@ -163,7 +160,7 @@ class ExperimentConfig:
                 lang: resolve(p)
                 for lang, p in json_field(d, "stopwords", dict, default={}, of=str).items()
             },
-            seeds=tuple(seeds),
+            seeds=_distinct_seeds(json_field(d, "seeds", list, default=[], of=int)),
         )
 
     @classmethod
@@ -192,6 +189,13 @@ class ExperimentConfig:
             "stopwords": dict(sorted(self.stopword_paths.items())),
             "seeds": list(self.seeds),
         }
+
+
+def _distinct_seeds(seeds: Sequence[int]) -> Tuple[int, ...]:
+    """The seeds of a sweep as a tuple: the config reader's and run_seeds' rule."""
+    if len(set(seeds)) != len(seeds):
+        raise DataError(f"experiment config field 'seeds' repeats a seed: {list(seeds)}")
+    return tuple(seeds)
 
 
 @dataclass
@@ -348,10 +352,13 @@ def run_experiment(
 ) -> dict:
     """Execute one experiment end to end and return its report dict; when
     out_dir is given, intermediate artifacts and the report are written there.
-    """
+    It builds the interpreters of the languages both source and target; _run
+    builds each other one on the side of the run that reads it."""
     cfg.validate()
     res = load_resources(cfg)
-    prep = prepare_semantic_resources(cfg, res)
+    idx, tables, retained = _prepare_support(cfg, res)
+    shared = sorted(set(cfg.source_languages) & set(cfg.target_languages))
+    prep = Prepared(tables, retained, _build_interpreters(cfg, idx, retained, shared), idx)
     training, categories = _sample_training_docs(cfg, _load_training_docs(cfg))
     return _run(cfg, res, prep, training, categories, out_dir=out_dir, workers=workers)
 
@@ -359,11 +366,12 @@ def run_experiment(
 @dataclass
 class Prepared:
     """Semantic resources shared by the preprocessing-stage CLI commands and
-    the experiment runner."""
+    the experiment runner; _run builds from `index` each interpreter it lacks."""
 
     virtual_tables: List
     retained: Set[str]
     interpreters: Dict[str, SemanticInterpreter]
+    index: SupportIndex
 
 
 def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepared:
@@ -372,7 +380,7 @@ def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepare
     languages: _prepare_support, then _build_interpreters."""
     idx, tables, retained = _prepare_support(cfg, res)
     interpreters = _build_interpreters(cfg, idx, retained, cfg.needed_languages())
-    return Prepared(tables, retained, interpreters)
+    return Prepared(tables, retained, interpreters, idx)
 
 
 def _prepare_support(cfg: ExperimentConfig, res: Resources) -> Tuple[SupportIndex, list, Set[str]]:
@@ -396,8 +404,9 @@ def _prepare_support(cfg: ExperimentConfig, res: Resources) -> Tuple[SupportInde
 def _build_interpreters(
     cfg: ExperimentConfig, idx: SupportIndex, retained: Set[str], languages: Sequence[str]
 ) -> Dict[str, SemanticInterpreter]:
+    """The interpreter of each of `languages`, each built once, in order."""
     k_term = cfg.hyperparams.k_term
-    return {lang: build_interpreter(idx, lang, retained, k_term) for lang in languages}
+    return {lang: build_interpreter(idx, lang, retained, k_term) for lang in dict.fromkeys(languages)}
 
 
 def _run(
@@ -411,10 +420,17 @@ def _run(
     workers: int = 1,
 ) -> dict:
     """Feature generation, training and evaluation over prepared inputs:
-    `prep` is prepare_semantic_resources(cfg, res), `training` cfg's sample
-    with its `categories`, and `test_docs` the labeled target-language
-    documents (see _load_documents), or None to load them after training.
-    It is _fit followed by _score.
+    `prep` is prepare_semantic_resources(cfg, res), or its support with the
+    interpreters of the languages both source and target (see
+    run_experiment), `training` cfg's sample with its `categories`, and
+    `test_docs` the labeled target-language documents (see
+    _load_documents), or None to load them on the classification side.
+
+    A forked child (see _util.forked) runs the classification side: it
+    builds the target interpreters that `prep` lacks, loads the test set
+    and returns each test document's label and concepts (_test_features),
+    while this process builds the missing source interpreters and runs
+    _fit. _score then projects those concepts onto the fitted space.
 
     A call that runs several experiments computes each input once for all
     its runs that share it. It loads the documents once, and samples the
@@ -422,17 +438,24 @@ def _run(
     what `prep` is prepared from; the virtual-docs ablation's arms do, and
     share one term-count memo instead (see Resources) and each distinct
     interpreter, fit and score (see _virtual_docs_curve). A single run
-    loads the training set after preparing and the test set after
-    training, which keeps each out of the earlier stages' peak memory:
-    loading both before preparing raised `learn_l` peak_rss_mb by 1.7 MiB,
-    and the test set before training by 0.5 MiB.
+    loads the training set after preparing, out of preparation's peak
+    memory, and only its child loads the test set.
 
-    With out_dir, the interpreter and virtual-docs files, complete before
-    _fit and read by neither stage, are written by a forked child while
-    _fit and _score run (see _util.forked); the other files follow, the
-    report last. So a run that fails in _fit or _score may leave the
-    interpreter files, but never a report."""
-    interpreters, tables, retained = prep.interpreters, prep.virtual_tables, prep.retained
+    With out_dir, each interpreter file is written by the side that built
+    it: the child's by the child, and this process's, with the virtual-docs
+    file, by a second child while _fit runs. The other files follow, the
+    report last, so a failed run may leave interpreter files but no report."""
+    h, tables, retained = res.hierarchy, prep.virtual_tables, prep.retained
+    interpreters = dict(prep.interpreters)
+    sources, targets = (sorted(set(languages) - interpreters.keys())
+                        for languages in (cfg.source_languages, cfg.target_languages))
+
+    def classify() -> List[Tuple[str, Set[str]]]:
+        built = _build_interpreters(cfg, prep.index, retained, targets)
+        for lang, si in built.items() if out_dir is not None else ():
+            si.save(out / f"interpreter_{lang}.json")
+        docs = _load_test_docs(cfg) if test_docs is None else test_docs
+        return _test_features(cfg, h, {**interpreters, **built}, docs)
 
     def save_interpreters() -> None:
         for lang, si in sorted(interpreters.items()):
@@ -442,18 +465,18 @@ def _run(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    with forked([] if out_dir is None else [save_interpreters]):
-        space, train_vecs, model = _fit(cfg, res.hierarchy, interpreters, training, categories,
-                                        workers)
-        if test_docs is None:
-            test_docs = _load_test_docs(cfg)
-        report = _score(cfg, res.hierarchy, interpreters, space, model, test_docs, workers)
+    with forked([classify]) as classified:
+        interpreters.update(_build_interpreters(cfg, prep.index, retained, sources))
+        with forked([] if out_dir is None else [save_interpreters]):
+            space, train_vecs, model = _fit(cfg, h, interpreters, training, categories, workers)
+    (test_features,) = classified
+    report = _score(space, model, test_features)
 
     result = envelope("report", {
         "config": cfg.to_dict(),
         "data": {
             "n_train": len(training),
-            "n_test": len(test_docs),
+            "n_test": len(test_features),
             "categories": categories,
             "n_retained_concepts": len(retained),
             "n_virtual_docs": len(tables),
@@ -488,16 +511,20 @@ def _fit(
     return space, train_vecs, model
 
 
-def _score(
-    cfg: ExperimentConfig, h: Hierarchy, interpreters: Mapping[str, SemanticInterpreter],
-    space: FeatureSpace, model: LinearModel, test_docs: List[LabeledDocument], workers: int,
-) -> EvalReport:
-    """The score half of a run: the test documents projected into `space`
-    and evaluated under `model`. It reads only the target languages'
-    interpreters."""
+def _test_features(cfg: ExperimentConfig, h: Hierarchy, interpreters: Mapping[str, SemanticInterpreter],
+                   test_docs: List[LabeledDocument]) -> List[Tuple[str, Set[str]]]:
+    """What the classification side of a run returns: each test document's
+    label with its generated concepts. It reads only the target languages'
+    interpreters and nothing of the fit."""
     hp = cfg.hyperparams
-    test_vecs = project_documents(space, test_docs, interpreters, h, hp.k_doc, hp.m, workers)
-    return evaluate(model, test_vecs, [d.label for d in test_docs])
+    return [(d.label, document_features(d, interpreters, h, hp.k_doc, hp.m)) for d in test_docs]
+
+
+def _score(space: FeatureSpace, model: LinearModel, test_features: List[Tuple[str, Set[str]]]) -> EvalReport:
+    """The score half of a run: each test document's concepts projected
+    onto `space` and evaluated under `model`."""
+    return evaluate(model, [space.vector_for(concepts) for _, concepts in test_features],
+                    [label for label, _ in test_features])
 
 
 def run_seeds(
@@ -509,6 +536,7 @@ def run_seeds(
     """Run the experiment once per seed and aggregate mean/stdev metrics."""
     if not seeds:
         raise DataError("seed list must be nonempty")
+    seeds = _distinct_seeds(seeds)
     cfg.validate()
     res = load_resources(cfg)
     prep = prepare_semantic_resources(cfg, res)
@@ -645,7 +673,7 @@ def _virtual_docs_curve(
             fit = (space, model)
             if fit_key is not None:
                 fits[fit_key] = fit
-        result = _score(cfg, h, interpreters, *fit, test_docs, workers).accuracy
+        result = _score(*fit, _test_features(cfg, h, interpreters, test_docs)).accuracy
         if score_key is not None:
             accuracies[score_key] = result
         return result

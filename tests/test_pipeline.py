@@ -159,6 +159,17 @@ class TestRunExperiment:
         assert 0.0 <= agg["mean_accuracy"] <= 1.0
         assert (tmp_path / "sweep" / "seed_2" / "report.json").exists()
 
+    def test_run_seeds_rejects_a_repeated_seed_as_the_config_reader_does(self, corpus, tmp_path):
+        cfg = make_config(corpus, **default_hp())
+        with pytest.raises(DataError) as called:
+            run_seeds(cfg, [1, 1], out_dir=tmp_path / "sweep")
+        with pytest.raises(DataError) as read:
+            ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": [1, 1]})
+        assert str(called.value) == str(read.value) == (
+            "experiment config field 'seeds' repeats a seed: [1, 1]"
+        )
+        assert not (tmp_path / "sweep").exists()
+
     def test_ucltc_three_sources_450_examples(self, tmp_path, small_spec):
         # 3 source languages x 3 categories x 50 samples = 450 training docs.
         spec = replace(small_spec, n_languages=3, docs_per_category=50)
@@ -176,10 +187,23 @@ def run_files(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
+# (sources, targets) of each setup over a three-language corpus.
+_SETUP_LANGUAGES = {
+    "CLTC1": (("l0",), ("l0",)),
+    "CLTC2": (("l0",), ("l1",)),
+    "CLTC3": (("l0", "l1"), ("l2",)),
+}
+# A UCLTC run with a target that is also a source (l1) and one that is not (l2).
+_FORK_SETUPS = {**_SETUP_LANGUAGES, "UCLTC": (("l0", "l1"), ("l1", "l2"))}
+
+
 class TestForkedArtifactWriter:
-    """With out_dir, a run writes its interpreter and virtual-docs files in
-    one forked child while _fit and _score run; the files and errors do not
-    depend on whether it forks."""
+    """A run forks its classification side, which builds the target-only
+    interpreters, writes their files with out_dir and returns the test
+    set's labels and concepts, while this process builds the rest and fits.
+    With out_dir, one more child writes this process's interpreter and
+    virtual-docs files while _fit runs. The files and errors do not depend
+    on whether it forks."""
 
     def test_process_count_changes_no_byte(self, corpus, tmp_path, monkeypatch, forks):
         cfg = make_config(corpus, seed=5, **default_hp())
@@ -188,30 +212,35 @@ class TestForkedArtifactWriter:
             monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
             reports.append(run_experiment(cfg, out_dir=tmp_path / f"cpus{cpus}"))
             files.append(run_files(tmp_path / f"cpus{cpus}"))
-            assert len(forks) == cpus - 1
+            assert len(forks) == 2 * (cpus - 1)
             assert_no_child_left()
         assert reports[0] == reports[1]
         assert files[0] == files[1]
         assert {"interpreter_l0.json", "interpreter_l1.json", "virtual_docs.jsonl",
                 "report.json"} <= set(files[1])
 
-    def test_forks_only_for_a_run_with_out_dir(self, corpus, tmp_path, monkeypatch, forks):
+    def test_forks_a_child_per_run_and_a_writer_per_out_dir(
+        self, corpus, tmp_path, monkeypatch, forks
+    ):
         monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
         cfg = make_config(corpus, seed=5, **default_hp())
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         run = tmp_path / "run"
         run_experiment(cfg, out_dir=run)
-        assert len(forks) == 1
+        assert len(forks) == 2
         run_experiment(cfg)
-        ablation(cfg, "meta_features", out_dir=tmp_path / "meta")
+        ablation(cfg, "meta_features", out_dir=tmp_path / "meta")  # two runs, no run dir
+        assert len(forks) == 5
+        # the virtual-docs curve and classify fork nothing
+        ablation(cfg, "virtual_docs", out_dir=tmp_path / "curve", prefix_fraction=0.7, n_blocks=2)
         assert cli.main([
             "classify", "--config", str(config), "--model", str(run / "model.json"),
             "--space", str(run / "feature_space.json"), "--interpreters", str(run),
             "--dataset", str(corpus.paths["datasets"]["l1"]["test"]),
             "--out-dir", str(tmp_path / "classify"),
         ]) == 0
-        assert len(forks) == 1
+        assert len(forks) == 5
         assert_no_child_left()
 
     def test_forks_nothing_beside_another_thread(self, corpus, tmp_path, monkeypatch, forks,
@@ -225,23 +254,27 @@ class TestForkedArtifactWriter:
         assert run_files(tmp_path / "threaded") == run_files(tmp_path / "serial")
 
     def test_failing_write_raises_the_serial_error(self, corpus, tmp_path, monkeypatch, forks):
-        """An interpreter file path taken by a directory fails the child's
-        task; the run raises what it raises in one process, leaves no child
-        and writes no report."""
+        """An interpreter file path taken by a directory fails the task of
+        the child that writes it: the writer's for the source language l0,
+        the classification side's for the target language l1. The run
+        raises what it raises in one process, leaves no child and writes no
+        report."""
         cfg = make_config(corpus, seed=5, **default_hp())
-        errors = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"cpus{cpus}"
-            (out / "interpreter_l0.json").mkdir(parents=True)
-            with pytest.raises(IsADirectoryError) as exc:
-                run_experiment(cfg, out_dir=out)
-            errors.append(str(exc.value).replace(str(out), "<out>"))
-            assert len(forks) == cpus - 1
-            assert_no_child_left()
-            assert not (out / "report.json").exists()
-        assert errors[0] == errors[1]
-        assert "interpreter_l0.json" in errors[0]
+        for name in ("interpreter_l0.json", "interpreter_l1.json"):
+            errors = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+                forks.clear()
+                out = tmp_path / name / f"cpus{cpus}"
+                (out / name).mkdir(parents=True)
+                with pytest.raises(IsADirectoryError) as exc:
+                    run_experiment(cfg, out_dir=out)
+                errors.append(str(exc.value).replace(str(out), "<out>"))
+                assert len(forks) == 2 * (cpus - 1)
+                assert_no_child_left()
+                assert not (out / "report.json").exists()
+            assert errors[0] == errors[1]
+            assert name in errors[0]
 
     def test_failing_write_is_a_cli_data_error(self, corpus, tmp_path, monkeypatch, capsys,
                                                forks):
@@ -254,8 +287,43 @@ class TestForkedArtifactWriter:
                          str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "interpreter_l0.json" in err and "Traceback" not in err
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert_no_child_left()
+
+    @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features"])
+    @pytest.mark.parametrize("setup", sorted(_FORK_SETUPS))
+    def test_every_setup_gives_the_same_bytes_at_one_and_two_cpus(
+        self, ablation_corpora, tmp_path, monkeypatch, forks, setup, call
+    ):
+        sources, targets = _FORK_SETUPS[setup]
+        cfg = make_config(ablation_corpora[0][0], setup=setup, sources=sources, targets=targets,
+                          seed=5, **default_hp())
+        run = {
+            "run_experiment": lambda out: run_experiment(cfg, out_dir=out),
+            "run_seeds": lambda out: run_seeds(cfg, [1, 2], out_dir=out),
+            "meta_features": lambda out: ablation(cfg, "meta_features", out_dir=out),
+        }[call]
+        # forks at 2 CPUs without and with out_dir: a classification child
+        # per run, and a writer per run that has a run directory
+        n_forks = {"run_experiment": (1, 2), "run_seeds": (2, 4), "meta_features": (2, 2)}[call]
+        for with_out in (False, True):
+            outputs = []
+            for cpus in (1, 2):
+                monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+                forks.clear()
+                out = tmp_path / f"out{cpus}" if with_out else None
+                result = run(out)
+                files = {} if out is None else {
+                    path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*")) if path.is_file()
+                }
+                outputs.append((result, files))
+                assert len(forks) == n_forks[with_out] * (cpus - 1)
+                assert_no_child_left()
+            assert outputs[0] == outputs[1]
+            if with_out and call == "run_experiment":
+                assert {f"interpreter_{lang}.json" for lang in cfg.needed_languages()} | {
+                    "virtual_docs.jsonl", "report.json"} <= {str(p) for p in outputs[0][1]}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fit_error_propagates_and_leaves_no_child(self, corpus, tmp_path, monkeypatch, cpus):
@@ -668,13 +736,6 @@ def ablation_corpora(tmp_path_factory):
         (interleaved, interleaved.paths["corpus"]),
         (blocked, holey),
     ]
-
-
-_SETUP_LANGUAGES = {
-    "CLTC1": (("l0",), ("l0",)),
-    "CLTC2": (("l0",), ("l1",)),
-    "CLTC3": (("l0", "l1"), ("l2",)),
-}
 
 
 class TestMemoizedVirtualCurve:

@@ -1,18 +1,24 @@
 import json
+import os
 import re
+import signal
 import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xlcat import _util
 from xlcat._util import (
-    _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, json_field, ordered_map,
+    _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, forked, json_field, ordered_map,
 )
 from xlcat.corpus import FilterConfig
 from xlcat.errors import CorpusFormatError, DataError
 from xlcat.pipeline import Hyperparams
 from xlcat.synth import SyntheticCorpusSpec
+
+from conftest import assert_no_child_left
 
 
 def reference_dump_artifact(path, kind, fields):
@@ -109,3 +115,88 @@ def test_json_config_reads_back_what_it_writes_and_names_an_unknown_key(config):
     assert list(written) == [f.rstrip("_") for f in cls.__dataclass_fields__]
     with pytest.raises(DataError, match=re.escape(repr(cls._where + "bogus"))):
         cls.from_dict({**written, "bogus": 1})
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this process once `seconds` pass, also within a
+    blocking wait, so that a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def open_fds():
+    """The descriptors this process holds open, where /proc shows them."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+BIG = 2**20 + 1  # larger than a pipe buffer
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forked_gives_each_value_in_task_order(monkeypatch, forks, cpus):
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+    events = []
+
+    def pid():
+        events.append("task")
+        return os.getpid()
+
+    with time_limit(30), forked([pid, lambda: "x" * BIG, lambda: None]) as results:
+        events.append("body")
+        assert results == []
+    first, *rest = results
+    assert rest == ["x" * BIG, None]
+    assert (first == os.getpid()) == (cpus == 1)
+    assert events == (["body", "task"] if cpus == 1 else ["body"])  # one worker: after the body
+    assert len(forks) == 3 * (cpus - 1)
+    assert_no_child_left()
+
+
+def test_a_task_that_fails_in_its_child_runs_again_here(monkeypatch, forks):
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+    parent, ran_here = os.getpid(), []
+
+    def fails_in_a_child():
+        if os.getpid() != parent:
+            raise OSError("child")
+        ran_here.append("fails_in_a_child")
+        return "value"
+
+    def fails_everywhere():
+        ran_here.append("fails_everywhere")
+        raise ValueError(f"failed in {os.getpid()}")
+
+    with forked([fails_in_a_child, lambda: "y" * BIG]) as results:
+        pass
+    assert results == ["value", "y" * BIG]
+    with pytest.raises(ValueError, match=f"failed in {parent}$"):
+        with forked([fails_everywhere]):
+            pass
+    assert ran_here == ["fails_in_a_child", "fails_everywhere"]
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_a_body_error_leaves_no_child_and_no_descriptor(monkeypatch, forks):
+    """The child blocks writing a value larger than its pipe until the
+    parent closes the read end unread."""
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+    before = open_fds()
+    with pytest.raises(RuntimeError, match="body failed"), time_limit(30):
+        with forked([lambda: "z" * BIG]):
+            raise RuntimeError("body failed")
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert open_fds() == before
