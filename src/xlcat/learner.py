@@ -1,10 +1,9 @@
 """One-vs-rest linear SVM over binary feature vectors, trained by
 Pegasos-style stochastic subgradient descent, plus evaluation metrics.
 
-Only `train` imports numpy; a model is lists of floats. A score adds the
-active weights left to right from 0.0, then the bias, in an explicit loop
-(see predict): the builtin sum() adds floats with compensation from Python
-3.12 on, and the project supports 3.10 and later.
+Only `train` imports numpy; it trains blocks of categories in forked
+children, bit for bit as in one process. A model is lists of floats,
+scored in pure Python in a pinned order of additions (see predict).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from ._util import abridged, dump_artifact, json_field, load_artifact, stable_rng
+from ._util import abridged, dump_artifact, fork_workers, forked, json_field, load_artifact, stable_rng
 from .errors import DataError
 from .features import BinaryFeatureVector
 
@@ -32,6 +31,11 @@ def lambda_ok(lambda_: float) -> bool:
     """Whether train can step with lambda_: a number in (0, largest float]
     whose first step 1/lambda_ is finite; an int compares exactly."""
     return 0 < lambda_ <= sys.float_info.max and 1 / lambda_ < math.inf
+
+
+def epochs_ok(epochs: int) -> bool:
+    """Whether train can run `epochs` epochs: an integer (not a bool) >= 1."""
+    return type(epochs) is int and epochs >= 1
 
 
 @dataclass
@@ -143,17 +147,27 @@ def train(
     each violating category writes its shrunk-and-updated active weights
     back. Each step costs O(categories * n_features) for that one shrink
     plus O(categories * nnz) for the margins and updates, so training is
-    O(epochs * documents * categories * n_features). The result is the same,
-    bit for bit, as training the categories one after another."""
+    O(epochs * documents * categories * n_features). After every check and
+    the draw of every shuffle order, min(fork_workers(), categories)
+    contiguous blocks of categories, sizes within one and larger first,
+    step apart: the first here, each other in a forked child (see
+    _util.forked) that calls only take, put, np.add.reduce and elementwise
+    arithmetic, no BLAS. A row's steps read and write only that row, so the
+    result is the same, bit for bit, for any split and as training the
+    categories one after another."""
     if not lambda_ok(lambda_):
         raise TrainingError(f"lambda must be a number > 0 with a finite inverse, "
                             f"got {abridged(lambda_)}")
+    if not epochs_ok(epochs):
+        raise TrainingError(f"epochs must be an integer >= 1, got {abridged(epochs)}")
     import numpy as np
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")
     if not vectors:
         raise TrainingError("empty training set")
     categories = list(categories)
+    if len(set(categories)) != len(categories):
+        raise TrainingError("'categories' holds a category twice")
     label_set = set(labels)
     for cat in categories:
         if cat not in label_set:
@@ -187,24 +201,34 @@ def train(
             rng.shuffle(order)
             row[e * n:(e + 1) * n] = order
 
-    rows = list(weights)  # views of each category's weights
     add = np.add.reduce  # what w[idx].sum() computes: pairwise summation
     rate = float(lambda_)  # an integer lambda times t may be too large for a float
-    t = 0
-    for e in range(epochs):
-        for picks in orders[:, e * n:(e + 1) * n].T.tolist():
-            t += 1
-            eta = 1.0 / (rate * t)
-            shrink = 1.0 - eta * rate
-            updates = []
-            for w, y, i in zip(rows, ys, picks):
-                idx = active[i]
-                g = w.take(idx)
-                if y[i] * add(g) < 1.0:
-                    updates.append((w, idx, g, eta * y[i]))
-            weights *= shrink
-            for w, idx, g, step in updates:
-                w.put(idx, g * shrink + step)
+
+    def run_block(lo: int, hi: int):  # rows lo:hi of the weights after every step
+        block = weights[lo:hi]
+        rows, signs = list(block), ys[lo:hi]  # views of each category's weights
+        t = 0
+        for e in range(epochs):
+            for picks in orders[lo:hi, e * n:(e + 1) * n].T.tolist():
+                t += 1
+                eta = 1.0 / (rate * t)
+                shrink = 1.0 - eta * rate
+                updates = []
+                for w, y, i in zip(rows, signs, picks):
+                    idx = active[i]
+                    g = w.take(idx)
+                    if y[i] * add(g) < 1.0:
+                        updates.append((w, idx, g, eta * y[i]))
+                block *= shrink
+                for w, idx, g, step in updates:
+                    w.put(idx, g * shrink + step)
+        return block
+
+    blocks = min(fork_workers(), len(categories))
+    bounds = [-(-len(categories) * b // blocks) for b in range(blocks + 1)]  # larger blocks first
+    with forked([partial(run_block, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]) as stepped:
+        run_block(0, bounds[1])
+    weights = np.vstack([weights[:bounds[1]], *stepped])
 
     return LinearModel(
         categories=categories,

@@ -13,7 +13,7 @@ from statistics import mean, stdev
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import (
-    JsonConfig, abridged, dump_json, envelope, forked, json_field, load_json, stable_rng,
+    JsonConfig, abridged, dump_json, envelope, fork_workers, forked, json_field, load_json, stable_rng,
 )
 from .corpus import (
     FilterConfig,
@@ -34,7 +34,7 @@ from .features import (
     select_features,
 )
 from .interpreter import SemanticInterpreter, build_interpreter
-from .learner import EvalReport, LinearModel, evaluate, lambda_ok, train
+from .learner import EvalReport, LinearModel, epochs_ok, evaluate, lambda_ok, train
 from .ontology import (
     Hierarchy,
     SupportIndex,
@@ -69,8 +69,8 @@ class Hyperparams(JsonConfig):
     def __post_init__(self):
         for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):
             val, low = getattr(self, name), 0 if name == "m" else 1
-            if val < low:
-                raise DataError(f"config field 'hyperparams.{name}' must be >= {low}, got {abridged(val)}")
+            if val < low or name == "epochs" and not epochs_ok(val):
+                raise DataError(f"config field 'hyperparams.{name}' must be an integer >= {low}, got {abridged(val)}")
         if not lambda_ok(self.lambda_):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
                             f"a finite inverse, got {abridged(self.lambda_)}")
@@ -359,6 +359,7 @@ def run_experiment(
     idx, tables, retained = _prepare_support(cfg, res)
     shared = sorted(set(cfg.source_languages) & set(cfg.target_languages))
     prep = Prepared(tables, retained, _build_interpreters(cfg, idx, retained, shared), idx)
+    del idx  # only prep holds it, and _run drops it when it forks
     training, categories = _sample_training_docs(cfg, _load_training_docs(cfg))
     return _run(cfg, res, prep, training, categories, out_dir=out_dir, workers=workers)
 
@@ -366,12 +367,12 @@ def run_experiment(
 @dataclass
 class Prepared:
     """Semantic resources shared by the preprocessing-stage CLI commands and
-    the experiment runner; _run builds from `index` each interpreter it lacks."""
+    the experiment runner; _run builds from `index` (None if none) each interpreter it lacks."""
 
     virtual_tables: List
     retained: Set[str]
     interpreters: Dict[str, SemanticInterpreter]
-    index: SupportIndex
+    index: Optional[SupportIndex] = None
 
 
 def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepared:
@@ -379,8 +380,7 @@ def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepare
     interpreter building over the articles of res.basic in the needed
     languages: _prepare_support, then _build_interpreters."""
     idx, tables, retained = _prepare_support(cfg, res)
-    interpreters = _build_interpreters(cfg, idx, retained, cfg.needed_languages())
-    return Prepared(tables, retained, interpreters, idx)
+    return Prepared(tables, retained, _build_interpreters(cfg, idx, retained, cfg.needed_languages()))
 
 
 def _prepare_support(cfg: ExperimentConfig, res: Resources) -> Tuple[SupportIndex, list, Set[str]]:
@@ -430,7 +430,9 @@ def _run(
     builds the target interpreters that `prep` lacks, loads the test set
     and returns each test document's label and concepts (_test_features),
     while this process builds the missing source interpreters and runs
-    _fit. _score then projects those concepts onto the fitted space.
+    _fit, with prep.index set to None first when it forks. A failed child's
+    rerun here prepares the index again. _score then projects those
+    concepts onto the fitted space.
 
     A call that runs several experiments computes each input once for all
     its runs that share it. It loads the documents once, and samples the
@@ -451,7 +453,8 @@ def _run(
                         for languages in (cfg.source_languages, cfg.target_languages))
 
     def classify() -> List[Tuple[str, Set[str]]]:
-        built = _build_interpreters(cfg, prep.index, retained, targets)
+        index = (prep.index or _prepare_support(cfg, res)[0]) if targets else None
+        built = _build_interpreters(cfg, index, retained, targets)
         for lang, si in built.items() if out_dir is not None else ():
             si.save(out / f"interpreter_{lang}.json")
         docs = _load_test_docs(cfg) if test_docs is None else test_docs
@@ -467,6 +470,8 @@ def _run(
         out.mkdir(parents=True, exist_ok=True)
     with forked([classify]) as classified:
         interpreters.update(_build_interpreters(cfg, prep.index, retained, sources))
+        if fork_workers() > 1:  # the child has its own copy
+            prep.index = None
         with forked([] if out_dir is None else [save_interpreters]):
             space, train_vecs, model = _fit(cfg, h, interpreters, training, categories, workers)
     (test_features,) = classified

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xlcat import learner
+from xlcat import _util, learner
 from xlcat._util import stable_rng
 from xlcat.errors import DataError
 from xlcat.learner import (
@@ -21,6 +21,8 @@ from xlcat.learner import (
     train,
 )
 from xlcat.pipeline import Hyperparams
+
+from conftest import assert_no_child_left
 
 
 def separable_toy(n_per_class=10):
@@ -124,6 +126,47 @@ class TestLockstepTrain:
         assert repr(model.bias) == repr(bias.tolist())
 
 
+def split_case(k):
+    """Documents of k categories, three each, over 10 features; lambda 0.05
+    and 3 epochs, so lambda * t crosses 1 for k >= 3."""
+    rng = random.Random(k)
+    vectors = [frozenset(rng.sample(range(10), rng.randint(0, 8))) for _ in range(3 * k)]
+    labels = [f"c{i % k}" for i in range(3 * k)]
+    return vectors, labels, [f"c{i}" for i in range(k)], 10, 0.05, 3
+
+
+class TestCategorySplit:
+    """train steps its categories in min(usable CPUs, K) blocks, each but
+    the first in a forked child; no bit depends on the split."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_same_bits_at_any_cpu_count(self, monkeypatch, forks, k):
+        case = split_case(k)
+        weights, bias = reference_train(*case, seed=4)
+        models = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            model = train(*case, seed=4)
+            assert len(forks) == min(cpus, k) - 1
+            assert_no_child_left()
+            assert repr((model.weights, model.bias)) == repr((weights.tolist(), bias.tolist()))
+            models.append((model.weights, model.bias))
+        assert models[0] == models[1] == models[2]
+
+    def test_forks_nothing_beside_another_thread(self, monkeypatch, forks, another_thread):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 3)
+        case = split_case(8)
+        model = train(*case, seed=4)
+        assert not forks
+        weights, bias = reference_train(*case, seed=4)
+        assert repr((model.weights, model.bias)) == repr((weights.tolist(), bias.tolist()))
+
+
+def no_stream(*parts):
+    raise AssertionError("train drew a random stream")
+
+
 class TestTrain:
     def test_separable_training_accuracy_one(self):
         vectors, labels = separable_toy()
@@ -171,10 +214,6 @@ class TestTrain:
     def test_bad_lambda_rejected_before_any_step(self, monkeypatch, lambda_):
         """A TrainingError naming lambda, raised before the shuffle streams
         are drawn: no ZeroDivisionError, numpy warning or OverflowError."""
-
-        def no_stream(*parts):
-            raise AssertionError("train drew a random stream")
-
         monkeypatch.setattr(learner, "stable_rng", no_stream)
         vectors, labels = separable_toy()
         with warnings.catch_warnings():
@@ -209,6 +248,25 @@ class TestTrain:
             assert not accepted
         else:
             assert accepted
+
+    @pytest.mark.parametrize("epochs", [0, -1, True, False, 1.0, -10**5000],
+                             ids=["0", "-1", "True", "False", "1.0", "-10**5000"])
+    def test_bad_epochs_rejected_before_any_step(self, monkeypatch, epochs):
+        """Hyperparams' rule, an integer >= 1: 0 trained an all-zero model, -1
+        was "too many" epochs and True was one epoch."""
+        monkeypatch.setattr(learner, "stable_rng", no_stream)
+        vectors, labels = separable_toy()
+        with pytest.raises(TrainingError, match=r"^epochs must be an integer >= 1, got "):
+            train(vectors, labels, ["A", "B"], n_features=2, epochs=epochs)
+        with pytest.raises(DataError, match=r"^config field 'hyperparams\.epochs' must be an integer"):
+            Hyperparams(epochs=epochs)
+
+    def test_repeated_category_rejected_before_any_step(self, monkeypatch):
+        """It used to train every row and then fail in LinearModel."""
+        monkeypatch.setattr(learner, "stable_rng", no_stream)
+        vectors, labels = separable_toy()
+        with pytest.raises(TrainingError, match=r"^'categories' holds a category twice$"):
+            train(vectors, labels, ["A", "B", "A"], n_features=2)
 
     def test_bias_is_regularized(self):
         # Featureless documents are fit through the bias alone. Pegasos with

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -202,8 +203,9 @@ class TestForkedArtifactWriter:
     interpreters, writes their files with out_dir and returns the test
     set's labels and concepts, while this process builds the rest and fits.
     With out_dir, one more child writes this process's interpreter and
-    virtual-docs files while _fit runs. The files and errors do not depend
-    on whether it forks."""
+    virtual-docs files while _fit runs. At 2 CPUs, training with two or more
+    categories forks one more child for the second half of the categories.
+    The files and errors do not depend on whether it forks."""
 
     def test_process_count_changes_no_byte(self, corpus, tmp_path, monkeypatch, forks):
         cfg = make_config(corpus, seed=5, **default_hp())
@@ -212,7 +214,7 @@ class TestForkedArtifactWriter:
             monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
             reports.append(run_experiment(cfg, out_dir=tmp_path / f"cpus{cpus}"))
             files.append(run_files(tmp_path / f"cpus{cpus}"))
-            assert len(forks) == 2 * (cpus - 1)
+            assert len(forks) == 3 * (cpus - 1)
             assert_no_child_left()
         assert reports[0] == reports[1]
         assert files[0] == files[1]
@@ -228,19 +230,27 @@ class TestForkedArtifactWriter:
         config.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         run = tmp_path / "run"
         run_experiment(cfg, out_dir=run)
-        assert len(forks) == 2
+        assert len(forks) == 3
         run_experiment(cfg)
         ablation(cfg, "meta_features", out_dir=tmp_path / "meta")  # two runs, no run dir
-        assert len(forks) == 5
-        # the virtual-docs curve and classify fork nothing
+        assert len(forks) == 9
+        # the virtual-docs curve forks once per model it trains; classify forks nothing
+        trained, train = [], pipeline.train
+
+        def counted_train(*args, **kwargs):
+            trained.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counted_train)
         ablation(cfg, "virtual_docs", out_dir=tmp_path / "curve", prefix_fraction=0.7, n_blocks=2)
+        assert trained and len(forks) == 9 + len(trained)
         assert cli.main([
             "classify", "--config", str(config), "--model", str(run / "model.json"),
             "--space", str(run / "feature_space.json"), "--interpreters", str(run),
             "--dataset", str(corpus.paths["datasets"]["l1"]["test"]),
             "--out-dir", str(tmp_path / "classify"),
         ]) == 0
-        assert len(forks) == 5
+        assert len(forks) == 9 + len(trained)
         assert_no_child_left()
 
     def test_forks_nothing_beside_another_thread(self, corpus, tmp_path, monkeypatch, forks,
@@ -270,7 +280,7 @@ class TestForkedArtifactWriter:
                 with pytest.raises(IsADirectoryError) as exc:
                     run_experiment(cfg, out_dir=out)
                 errors.append(str(exc.value).replace(str(out), "<out>"))
-                assert len(forks) == 2 * (cpus - 1)
+                assert len(forks) == 3 * (cpus - 1)
                 assert_no_child_left()
                 assert not (out / "report.json").exists()
             assert errors[0] == errors[1]
@@ -287,7 +297,7 @@ class TestForkedArtifactWriter:
                          str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "interpreter_l0.json" in err and "Traceback" not in err
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert_no_child_left()
 
     @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features"])
@@ -304,8 +314,9 @@ class TestForkedArtifactWriter:
             "meta_features": lambda out: ablation(cfg, "meta_features", out_dir=out),
         }[call]
         # forks at 2 CPUs without and with out_dir: a classification child
-        # per run, and a writer per run that has a run directory
-        n_forks = {"run_experiment": (1, 2), "run_seeds": (2, 4), "meta_features": (2, 2)}[call]
+        # and a training child per run, and a writer per run that has a run
+        # directory
+        n_forks = {"run_experiment": (2, 3), "run_seeds": (4, 6), "meta_features": (4, 4)}[call]
         for with_out in (False, True):
             outputs = []
             for cpus in (1, 2):
@@ -324,6 +335,31 @@ class TestForkedArtifactWriter:
             if with_out and call == "run_experiment":
                 assert {f"interpreter_{lang}.json" for lang in cfg.needed_languages()} | {
                     "virtual_docs.jsonl", "report.json"} <= {str(p) for p in outputs[0][1]}
+
+    @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features"])
+    def test_no_support_index_is_alive_here_while_fitting(self, corpus, monkeypatch, call):
+        """At 2 CPUs this process drops the SupportIndex once it has built
+        its own interpreters; the classification child keeps its copy."""
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        indexes, fit = [], pipeline._fit
+
+        class TrackedIndex(SupportIndex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                indexes.append(weakref.ref(self))
+
+        def checked_fit(*args):
+            gc.collect()
+            assert indexes and not any(ref() for ref in indexes)
+            return fit(*args)
+
+        monkeypatch.setattr(pipeline, "SupportIndex", TrackedIndex)
+        monkeypatch.setattr(pipeline, "_fit", checked_fit)
+        cfg = make_config(corpus, **default_hp())
+        {"run_experiment": lambda: run_experiment(cfg),
+         "run_seeds": lambda: run_seeds(cfg, [1, 2]),
+         "meta_features": lambda: ablation(cfg, "meta_features")}[call]()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fit_error_propagates_and_leaves_no_child(self, corpus, tmp_path, monkeypatch, cpus):
