@@ -23,8 +23,6 @@ from .interpreter import SemanticInterpreter
 from .learner import LinearModel, TrainingError, predict, report_from_pairs, train
 from .pipeline import (
     ExperimentConfig,
-    _build_interpreters,
-    _prepare_support,
     ablation,
     load_ontology,
     load_resources,
@@ -67,13 +65,14 @@ def _load_interpreters(args, cfg, docs):
     """Interpreters for the languages of `docs`, with the hierarchy they are
     applied with: from --interpreters only their interpreter_<lang>.json and
     no support corpus, each given cfg's stopword list for its language,
-    else rebuilt from cfg."""
+    else built from cfg, which must need each of them."""
+    languages = sorted({d.language for d in docs})
     if not args.interpreters:
         res = load_resources(cfg)
-        return prepare_semantic_resources(cfg, res).interpreters, res.hierarchy
+        return prepare_semantic_resources(cfg, res, languages).interpreters, res.hierarchy
     h, stopwords = load_ontology(cfg)
     interpreters = {}
-    for lang in sorted({d.language for d in docs}):
+    for lang in languages:
         path = Path(args.interpreters) / f"interpreter_{lang}.json"
         if not path.is_file():
             raise DataError(f"no interpreter for language {lang!r}: {path} does not exist")
@@ -99,16 +98,12 @@ def _cmd_synth(args) -> int:
 def _cmd_build_interpreter(args) -> int:
     cfg = _load_experiment_config(args)
     cfg.validate()
-    needed = cfg.needed_languages()
-    for lang in args.language or ():
-        if lang not in needed:
-            raise DataError(f"language {lang!r} is not part of this experiment")
+    prep = prepare_semantic_resources(cfg, load_resources(cfg), args.language or cfg.needed_languages())
     out = _out_dir(args)
-    idx, _, retained = _prepare_support(cfg, load_resources(cfg))
-    for lang, si in _build_interpreters(cfg, idx, retained, args.language or needed).items():
+    for lang, si in prep.interpreters.items():
         path = out / f"interpreter_{lang}.json"
         si.save(path)
-        print(f"wrote {path} ({len(retained)} concepts)")
+        print(f"wrote {path} ({len(prep.retained)} concepts)")
     return EXIT_OK
 
 
@@ -117,7 +112,7 @@ def _cmd_make_virtual_docs(args) -> int:
     cfg.validate()
     cfg = replace(cfg, virtual_docs=True)
     out = _out_dir(args)
-    _, tables, _ = _prepare_support(cfg, load_resources(cfg))
+    tables = prepare_semantic_resources(cfg, load_resources(cfg), ()).virtual_tables
     path = out / "virtual_docs.jsonl"
     save_virtual_docs(tables, path)
     print(f"wrote {path} ({len(tables)} virtual documents)")

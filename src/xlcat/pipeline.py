@@ -352,22 +352,19 @@ def run_experiment(
 ) -> dict:
     """Execute one experiment end to end and return its report dict; when
     out_dir is given, intermediate artifacts and the report are written there.
-    It builds the interpreters of the languages both source and target; _run
-    builds each other one on the side of the run that reads it."""
+    It prepares no interpreter: _run builds each where it is read."""
     cfg.validate()
     res = load_resources(cfg)
-    idx, tables, retained = _prepare_support(cfg, res)
-    shared = sorted(set(cfg.source_languages) & set(cfg.target_languages))
-    prep = Prepared(tables, retained, _build_interpreters(cfg, idx, retained, shared), idx)
-    del idx  # only prep holds it, and _run drops it when it forks
+    prep = prepare_semantic_resources(cfg, res, ())
     training, categories = _sample_training_docs(cfg, _load_training_docs(cfg))
     return _run(cfg, res, prep, training, categories, out_dir=out_dir, workers=workers)
 
 
 @dataclass
 class Prepared:
-    """Semantic resources shared by the preprocessing-stage CLI commands and
-    the experiment runner; _run builds from `index` (None if none) each interpreter it lacks."""
+    """What prepare_semantic_resources returns: the virtual tables, the
+    retained concepts, the interpreters built so far and, while a needed
+    language has none, the SupportIndex to build it from (else None)."""
 
     virtual_tables: List
     retained: Set[str]
@@ -375,30 +372,24 @@ class Prepared:
     index: Optional[SupportIndex] = None
 
 
-def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources) -> Prepared:
-    """Virtual-document construction, concept retention and per-language
-    interpreter building over the articles of res.basic in the needed
-    languages: _prepare_support, then _build_interpreters."""
-    idx, tables, retained = _prepare_support(cfg, res)
-    return Prepared(tables, retained, _build_interpreters(cfg, idx, retained, cfg.needed_languages()))
-
-
-def _prepare_support(cfg: ExperimentConfig, res: Resources) -> Tuple[SupportIndex, list, Set[str]]:
-    """The support stage: the SupportIndex over the articles of res.basic in
-    the needed languages, the virtual tables it gained (when cfg enables
-    them) and the concepts it retains."""
+def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources, languages: Sequence[str]) -> Prepared:
+    """The one preparation: the SupportIndex over the articles of res.basic
+    in the needed languages, the virtual tables it gains when cfg enables
+    them, the concepts it retains and the interpreter of each of
+    `languages`, each built once. A language outside the experiment is a
+    DataError naming it."""
     needed = cfg.needed_languages()
+    for lang in languages:
+        if lang not in needed:
+            raise DataError(f"language {lang!r} is not part of this experiment")
     articles = [a for a in res.articles if a.concept_id in res.basic and a.language in needed]
     idx = SupportIndex(res.basic, articles, res.stopwords, res.term_counts)
-
-    tables = []
-    if cfg.virtual_docs:
-        tables = _construct_virtual_docs(cfg, res.hierarchy, idx)
-
+    tables = _construct_virtual_docs(cfg, res.hierarchy, idx) if cfg.virtual_docs else []
     retained = retained_concepts(idx, needed)
     if not retained:
         raise DataError("no concepts are supported in every required language")
-    return idx, tables, retained
+    interpreters = _build_interpreters(cfg, idx, retained, languages)
+    return Prepared(tables, retained, interpreters, None if interpreters.keys() >= set(needed) else idx)
 
 
 def _build_interpreters(
@@ -419,41 +410,73 @@ def _run(
     out_dir: Optional[str | Path] = None,
     workers: int = 1,
 ) -> dict:
-    """Feature generation, training and evaluation over prepared inputs:
-    `prep` is prepare_semantic_resources(cfg, res), or its support with the
-    interpreters of the languages both source and target (see
-    run_experiment), `training` cfg's sample with its `categories`, and
-    `test_docs` the labeled target-language documents (see
-    _load_documents), or None to load them on the classification side.
+    """One run over prepared inputs: `prep` is prepare_semantic_resources(cfg,
+    res, languages) for any needed `languages`, `training` cfg's sample with
+    its `categories` and `test_docs` the labeled target-language documents
+    (see _load_documents), or None to load them on the classification side.
+    It scores what _fit_and_classify returns. With out_dir, the other files
+    follow the interpreter files, the report last.
 
-    A forked child (see _util.forked) runs the classification side: it
-    builds the target interpreters that `prep` lacks, loads the test set
-    and returns each test document's label and concepts (_test_features),
-    while this process builds the missing source interpreters and runs
-    _fit, with prep.index set to None first when it forks. A failed child's
-    rerun here prepares the index again. _score then projects those
-    concepts onto the fitted space.
+    A call that runs several experiments computes each shared input once:
+    it loads the documents once, samples the training set once per seed and
+    prepares once, unless its runs differ in what `prep` is prepared from,
+    as the virtual-docs ablation's arms do (see _virtual_docs_curve). A
+    single run loads the training set after preparing, out of preparation's
+    peak memory, and only its child loads the test set."""
+    (space, train_vecs, model), test_features = _fit_and_classify(
+        cfg, res, prep, training, categories, test_docs, out_dir, workers
+    )
+    report = _score(space, model, test_features)
+    result = envelope("report", {
+        "config": cfg.to_dict(),
+        "data": {
+            "n_train": len(training),
+            "n_test": len(test_features),
+            "categories": categories,
+            "n_retained_concepts": len(prep.retained),
+            "n_virtual_docs": len(prep.virtual_tables),
+            "feature_space_size_initial": space.metadata.get("selected_from", len(space)),
+            "feature_space_size_selected": len(space),
+            "train_doc_ids": [d.doc_id for d in training],
+        },
+        "results": report.to_dict(),
+    })
 
-    A call that runs several experiments computes each input once for all
-    its runs that share it. It loads the documents once, and samples the
-    training set once per seed. It prepares once unless its runs differ in
-    what `prep` is prepared from; the virtual-docs ablation's arms do, and
-    share one term-count memo instead (see Resources) and each distinct
-    interpreter, fit and score (see _virtual_docs_curve). A single run
-    loads the training set after preparing, out of preparation's peak
-    memory, and only its child loads the test set.
+    if out_dir is not None:
+        out = Path(out_dir)
+        space.save(out / "feature_space.json")
+        save_vectors(train_vecs, training, out / "train_vectors.jsonl")
+        model.save(out / "model.json")
+        dump_json(result, out / "report.json")
+    return result
+
+
+def _fit_and_classify(
+    cfg: ExperimentConfig, res: Resources, prep: Prepared, training: List[LabeledDocument], categories: List[str],
+    test_docs: Optional[List[LabeledDocument]], out_dir: Optional[str | Path], workers: int,
+) -> Tuple[Tuple[FeatureSpace, List[BinaryFeatureVector], LinearModel], List[Tuple[str, Set[str]]]]:
+    """The core of every computed run: _fit's result and _test_features'.
+
+    It builds from prep.index each interpreter that `prep` lacks. Those of
+    the languages both source and target come first, here. Then a forked
+    child (see _util.forked) runs the classification side: it builds the
+    target-only interpreters, loads the test set if `test_docs` is None and
+    returns the test features, while this process builds the source-only
+    interpreters and runs _fit, with prep.index set to None first when it
+    forks. A failed child's rerun here prepares the index again.
 
     With out_dir, each interpreter file is written by the side that built
     it: the child's by the child, and this process's, with the virtual-docs
-    file, by a second child while _fit runs. The other files follow, the
-    report last, so a failed run may leave interpreter files but no report."""
-    h, tables, retained = res.hierarchy, prep.virtual_tables, prep.retained
+    file, by a second child while _fit runs."""
+    h, retained = res.hierarchy, prep.retained
     interpreters = dict(prep.interpreters)
+    shared = set(cfg.source_languages) & set(cfg.target_languages)
+    interpreters.update(_build_interpreters(cfg, prep.index, retained, sorted(shared - interpreters.keys())))
     sources, targets = (sorted(set(languages) - interpreters.keys())
                         for languages in (cfg.source_languages, cfg.target_languages))
 
     def classify() -> List[Tuple[str, Set[str]]]:
-        index = (prep.index or _prepare_support(cfg, res)[0]) if targets else None
+        index = (prep.index or prepare_semantic_resources(cfg, res, ()).index) if targets else None
         built = _build_interpreters(cfg, index, retained, targets)
         for lang, si in built.items() if out_dir is not None else ():
             si.save(out / f"interpreter_{lang}.json")
@@ -463,7 +486,7 @@ def _run(
     def save_interpreters() -> None:
         for lang, si in sorted(interpreters.items()):
             si.save(out / f"interpreter_{lang}.json")
-        save_virtual_docs(tables, out / "virtual_docs.jsonl")
+        save_virtual_docs(prep.virtual_tables, out / "virtual_docs.jsonl")
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -473,31 +496,8 @@ def _run(
         if fork_workers() > 1:  # the child has its own copy
             prep.index = None
         with forked([] if out_dir is None else [save_interpreters]):
-            space, train_vecs, model = _fit(cfg, h, interpreters, training, categories, workers)
-    (test_features,) = classified
-    report = _score(space, model, test_features)
-
-    result = envelope("report", {
-        "config": cfg.to_dict(),
-        "data": {
-            "n_train": len(training),
-            "n_test": len(test_features),
-            "categories": categories,
-            "n_retained_concepts": len(retained),
-            "n_virtual_docs": len(tables),
-            "feature_space_size_initial": space.metadata.get("selected_from", len(space)),
-            "feature_space_size_selected": len(space),
-            "train_doc_ids": [d.doc_id for d in training],
-        },
-        "results": report.to_dict(),
-    })
-
-    if out_dir is not None:
-        space.save(out / "feature_space.json")
-        save_vectors(train_vecs, training, out / "train_vectors.jsonl")
-        model.save(out / "model.json")
-        dump_json(result, out / "report.json")
-    return result
+            fit = _fit(cfg, h, interpreters, training, categories, workers)
+    return fit, classified[0]
 
 
 def _fit(
@@ -544,7 +544,7 @@ def run_seeds(
     seeds = _distinct_seeds(seeds)
     cfg.validate()
     res = load_resources(cfg)
-    prep = prepare_semantic_resources(cfg, res)
+    prep = prepare_semantic_resources(cfg, res, cfg.needed_languages())
     per_lang_docs, test_docs = _load_training_docs(cfg), _load_test_docs(cfg)
     per_seed = {}
     for s in seeds:
@@ -598,7 +598,7 @@ def ablation(
     cfg.validate()
     if toggle == "meta_features":
         res = load_resources(cfg)
-        inputs = (res, prepare_semantic_resources(cfg, res), *_load_documents(cfg))
+        inputs = (res, prepare_semantic_resources(cfg, res, cfg.needed_languages()), *_load_documents(cfg))
         with_meta = _run(cfg, *inputs, workers=workers)
         without_meta = _run(
             replace(cfg, hyperparams=replace(cfg.hyperparams, m=0)), *inputs, workers=workers
@@ -624,18 +624,18 @@ def ablation(
 def _virtual_docs_curve(
     cfg: ExperimentConfig, workers: int, prefix_fraction: float, n_blocks: int
 ) -> dict:
-    """The virtual-docs ablation. Each arm builds its support index. Its key
-    over some languages is the retained concepts in sorted order with their
-    articles in each; it has none if a retained concept has a virtual table
-    in one, since every arm builds fresh tables. An interpreter depends only
-    on its language's key (stopwords and k_term are fixed per call), the fit
-    only on the source interpreters, the score only on the fit and the
-    target interpreters. So an arm whose key over all needed languages
-    matches an earlier arm's takes its accuracy; one whose source-language
-    key matches takes its (space, model) and builds only the target
-    interpreters; any other builds all and runs _fit and _score. Both memos
-    live for the call. No interpreter outlives its arm: keeping them would
-    hold every arm's at once. n_blocks is capped at the tail's length."""
+    """The virtual-docs ablation. Each arm prepares its support index. Its
+    key over some languages is the retained concepts in sorted order with
+    their articles in each; it has none if a retained concept has a virtual
+    table in one, since every arm builds fresh tables. An interpreter
+    depends only on its language's key (stopwords and k_term are fixed per
+    call), the fit only on the source interpreters, the score only on the
+    fit and the target interpreters. So an arm whose key over all needed
+    languages matches an earlier arm's takes its accuracy; one whose
+    source-language key matches takes its (space, model) and scores here,
+    building only the target interpreters; any other runs _fit_and_classify.
+    Both memos live for the call. No interpreter outlives its arm: keeping
+    them would hold every arm's at once. n_blocks is capped at the tail's length."""
     if not 0.0 < prefix_fraction < 1.0:
         raise DataError("prefix_fraction must lie in (0, 1)")
     if n_blocks < 1:
@@ -667,18 +667,22 @@ def _virtual_docs_curve(
         return tuple((c, tuple(idx.articles(c, lang))) for lang in languages for c in concepts)
 
     def accuracy(arm_cfg: ExperimentConfig, arm_res: Resources) -> float:
-        idx, _, retained = _prepare_support(arm_cfg, arm_res)
-        score_key, fit_key = (memo_key(idx, sorted(retained), langs) for langs in (needed, sources))
+        prep = prepare_semantic_resources(arm_cfg, arm_res, ())
+        score_key, fit_key = (memo_key(prep.index, sorted(prep.retained), langs) for langs in (needed, sources))
         if score_key is not None and score_key in accuracies:
             return accuracies[score_key]
-        fit = None if fit_key is None else fits.get(fit_key)
-        interpreters = _build_interpreters(cfg, idx, retained, needed if fit is None else targets)
+        fit = fits.get(fit_key)
         if fit is None:
-            space, _, model = _fit(cfg, h, interpreters, training, categories, workers)
+            (space, _, model), test_features = _fit_and_classify(
+                arm_cfg, arm_res, prep, training, categories, test_docs, None, workers
+            )
             fit = (space, model)
             if fit_key is not None:
                 fits[fit_key] = fit
-        result = _score(*fit, _test_features(cfg, h, interpreters, test_docs)).accuracy
+        else:
+            interpreters = _build_interpreters(cfg, prep.index, prep.retained, targets)
+            test_features = _test_features(cfg, h, interpreters, test_docs)
+        result = _score(*fit, test_features).accuracy
         if score_key is not None:
             accuracies[score_key] = result
         return result

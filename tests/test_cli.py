@@ -423,6 +423,48 @@ class TestStageCommands:
         for name in expected:
             assert (out / name).read_bytes() == (artifacts / name).read_bytes()
 
+    @staticmethod
+    def _l1_test_set(command, config, workspace, artifacts):
+        """gen-features or classify of the l1 test set, without --interpreters."""
+        argv = [command, "--config", str(config),
+                "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"])]
+        if command == "classify":
+            argv += ["--model", str(artifacts / "model.json"),
+                     "--space", str(artifacts / "feature_space.json")]
+        return argv
+
+    @pytest.mark.parametrize("command", ["gen-features", "classify"])
+    def test_without_saved_interpreters_build_only_the_dataset_languages(
+        self, workspace, artifacts, tmp_path, monkeypatch, command
+    ):
+        built = []
+
+        def counting_build_interpreter(idx, language, *args):
+            built.append(language)
+            return build_interpreter(idx, language, *args)
+
+        monkeypatch.setattr(pipeline, "build_interpreter", counting_build_interpreter)
+        argv = self._l1_test_set(command, workspace["config"], workspace, artifacts)
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "built")]) == 0
+        assert built == ["l1"]
+        assert cli.main([*argv, "--interpreters", str(artifacts), "--out-dir", str(tmp_path / "saved")]) == 0
+        assert built == ["l1"]
+        for path in sorted((tmp_path / "saved").iterdir()):
+            assert (tmp_path / "built" / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen-features", "classify"])
+    def test_a_dataset_language_outside_the_experiment_is_a_data_error(
+        self, workspace, artifacts, tmp_path, capsys, command
+    ):
+        cfg = json.loads(workspace["config"].read_text())
+        cfg.update(setup="CLTC1", target_languages=["l0"])
+        config = tmp_path / "cltc1.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = self._l1_test_set(command, config, workspace, artifacts)
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "language 'l1' is not part of this experiment" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from xlcat import _util, cli, pipeline
 from xlcat.corpus import ARTICLE_FLAGS, FilterConfig, load_support_corpus, tokenize
 from xlcat.errors import DataError, SetupViolation
-from xlcat.ontology import SupportIndex, merge_hierarchies
+from xlcat.interpreter import build_interpreter
+from xlcat.ontology import SupportIndex, merge_hierarchies, retained_concepts
 from xlcat.pipeline import (
     SETUPS,
     ExperimentConfig,
@@ -234,7 +235,8 @@ class TestForkedArtifactWriter:
         run_experiment(cfg)
         ablation(cfg, "meta_features", out_dir=tmp_path / "meta")  # two runs, no run dir
         assert len(forks) == 9
-        # the virtual-docs curve forks once per model it trains; classify forks nothing
+        # the virtual-docs curve forks a classification child and a training
+        # child per model it trains; classify forks nothing
         trained, train = [], pipeline.train
 
         def counted_train(*args, **kwargs):
@@ -243,14 +245,14 @@ class TestForkedArtifactWriter:
 
         monkeypatch.setattr(pipeline, "train", counted_train)
         ablation(cfg, "virtual_docs", out_dir=tmp_path / "curve", prefix_fraction=0.7, n_blocks=2)
-        assert trained and len(forks) == 9 + len(trained)
+        assert trained and len(forks) == 9 + 2 * len(trained)
         assert cli.main([
             "classify", "--config", str(config), "--model", str(run / "model.json"),
             "--space", str(run / "feature_space.json"), "--interpreters", str(run),
             "--dataset", str(corpus.paths["datasets"]["l1"]["test"]),
             "--out-dir", str(tmp_path / "classify"),
         ]) == 0
-        assert len(forks) == 9 + len(trained)
+        assert len(forks) == 9 + 2 * len(trained)
         assert_no_child_left()
 
     def test_forks_nothing_beside_another_thread(self, corpus, tmp_path, monkeypatch, forks,
@@ -300,7 +302,7 @@ class TestForkedArtifactWriter:
         assert len(forks) == 3
         assert_no_child_left()
 
-    @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features"])
+    @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features", "virtual_docs"])
     @pytest.mark.parametrize("setup", sorted(_FORK_SETUPS))
     def test_every_setup_gives_the_same_bytes_at_one_and_two_cpus(
         self, ablation_corpora, tmp_path, monkeypatch, forks, setup, call
@@ -312,16 +314,28 @@ class TestForkedArtifactWriter:
             "run_experiment": lambda out: run_experiment(cfg, out_dir=out),
             "run_seeds": lambda out: run_seeds(cfg, [1, 2], out_dir=out),
             "meta_features": lambda out: ablation(cfg, "meta_features", out_dir=out),
+            "virtual_docs": lambda out: ablation(
+                cfg, "virtual_docs", out_dir=out, prefix_fraction=0.7, n_blocks=2
+            ),
         }[call]
+        trained, train = [], pipeline.train
+
+        def counted_train(*args, **kwargs):
+            trained.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counted_train)
         # forks at 2 CPUs without and with out_dir: a classification child
         # and a training child per run, and a writer per run that has a run
-        # directory
-        n_forks = {"run_experiment": (2, 3), "run_seeds": (4, 6), "meta_features": (4, 4)}[call]
+        # directory; the virtual-docs curve forks the first two per model
+        # it trains
+        n_forks = {"run_experiment": (2, 3), "run_seeds": (4, 6), "meta_features": (4, 4)}.get(call)
         for with_out in (False, True):
             outputs = []
             for cpus in (1, 2):
                 monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
                 forks.clear()
+                trained.clear()
                 out = tmp_path / f"out{cpus}" if with_out else None
                 result = run(out)
                 files = {} if out is None else {
@@ -329,14 +343,15 @@ class TestForkedArtifactWriter:
                     for path in sorted(out.rglob("*")) if path.is_file()
                 }
                 outputs.append((result, files))
-                assert len(forks) == n_forks[with_out] * (cpus - 1)
+                expected = n_forks[with_out] if n_forks else 2 * len(trained)
+                assert trained and len(forks) == expected * (cpus - 1)
                 assert_no_child_left()
             assert outputs[0] == outputs[1]
             if with_out and call == "run_experiment":
                 assert {f"interpreter_{lang}.json" for lang in cfg.needed_languages()} | {
                     "virtual_docs.jsonl", "report.json"} <= {str(p) for p in outputs[0][1]}
 
-    @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features"])
+    @pytest.mark.parametrize("call", ["run_experiment", "run_seeds", "meta_features", "virtual_docs"])
     def test_no_support_index_is_alive_here_while_fitting(self, corpus, monkeypatch, call):
         """At 2 CPUs this process drops the SupportIndex once it has built
         its own interpreters; the classification child keeps its copy."""
@@ -358,7 +373,8 @@ class TestForkedArtifactWriter:
         cfg = make_config(corpus, **default_hp())
         {"run_experiment": lambda: run_experiment(cfg),
          "run_seeds": lambda: run_seeds(cfg, [1, 2]),
-         "meta_features": lambda: ablation(cfg, "meta_features")}[call]()
+         "meta_features": lambda: ablation(cfg, "meta_features"),
+         "virtual_docs": lambda: ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)}[call]()
         assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -605,6 +621,8 @@ class TestAblation:
         )
         cfg = make_config(corpus, **default_hp())
         n_blocks = 3
+        # one CPU, so that no build runs in a forked child, out of these counts
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
         result = ablation(cfg, "virtual_docs", prefix_fraction=0.5, n_blocks=n_blocks)
         assert result["block_counts"] == [0, 1, 2, 3]
         assert counts["insufficient"] == 0
@@ -705,8 +723,9 @@ class TestSharedInputs:
 
 
 def reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks):
-    """The curves of a virtual-docs ablation computed with no reuse: every
-    arm, the deleted ones included, is prepared and run in full."""
+    """The curves of a virtual-docs ablation computed with no reuse, in one
+    process: every arm, the deleted ones included, builds its support index,
+    tables and every needed interpreter, then fits, classifies and scores."""
     res = replace(pipeline.load_resources(cfg), term_counts={})
     reference_lang = sorted(cfg.source_languages)[0]
     lengths = {c: 0 for c in res.basic}
@@ -723,8 +742,8 @@ def reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks):
         blocks.append(tail[start : start + size])
         start += size
     blocks = [b for b in blocks if b]
-    docs = pipeline._load_documents(cfg)
-    targets = sorted(set(cfg.target_languages))
+    training, categories, test_docs = pipeline._load_documents(cfg)
+    needed, targets = cfg.needed_languages(), sorted(set(cfg.target_languages))
     curve = {"original": [], "virtual": [], "deleted": []}
     for j in range(len(blocks) + 1):
         added = [c for block in blocks[:j] for c in block]
@@ -737,9 +756,19 @@ def reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks):
             ("original", False, restricted), ("deleted", False, stripped), ("virtual", True, stripped)
         ]:
             arm_cfg = replace(cfg, virtual_docs=virtual_docs)
-            prep = pipeline.prepare_semantic_resources(arm_cfg, arm_res)
-            report = pipeline._run(arm_cfg, arm_res, prep, *docs)
-            curve[arm].append(report["results"]["accuracy"])
+            idx = SupportIndex(arm_res.basic, [
+                a for a in arm_res.articles if a.concept_id in arm_res.basic and a.language in needed
+            ], arm_res.stopwords, arm_res.term_counts)
+            if virtual_docs:
+                pipeline._construct_virtual_docs(arm_cfg, arm_res.hierarchy, idx)
+            retained = retained_concepts(idx, needed)
+            assert retained
+            interpreters = {
+                lang: build_interpreter(idx, lang, retained, cfg.hyperparams.k_term) for lang in needed
+            }
+            space, _, model = pipeline._fit(arm_cfg, res.hierarchy, interpreters, training, categories, 1)
+            features = pipeline._test_features(arm_cfg, res.hierarchy, interpreters, test_docs)
+            curve[arm].append(pipeline._score(space, model, features).accuracy)
     return curve
 
 
