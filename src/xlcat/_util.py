@@ -1,8 +1,8 @@
 """Small shared helpers: deterministic RNG streams, an ordered serial map,
-tasks forked to run beside the caller, stable JSON writing, the versioned
-artifact envelope, the one type check of every JSON field read from a
-config or a JSON-lines record, and the JsonConfig codec of the config
-dataclasses built on it.
+block bounds, tasks forked to run beside the caller, stable JSON writing,
+the versioned artifact envelope, the one type check of every JSON field
+read from a config or a JSON-lines record, and the JsonConfig codec of the
+config dataclasses built on it.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> l
     """[fn(x) for x in items], in one thread whatever `workers` is; the
     parameter stays only because the benchmark's tracer reads it (ROADMAP item 1)."""
     return [fn(x) for x in items]
+
+
+def block_bounds(n: int, blocks: int) -> list[int]:
+    """Bounds of `blocks` contiguous blocks of range(n), sizes within one
+    and larger first: block b is range(bounds[b], bounds[b + 1])."""
+    base, extra = divmod(n, blocks)  # the first `extra` blocks hold one more
+    return [b * base + min(b, extra) for b in range(blocks + 1)]
 
 
 def _usable_cpus() -> int:

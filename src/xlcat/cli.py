@@ -62,11 +62,12 @@ def _out_dir(args) -> Path:
 
 
 def _load_interpreters(args, cfg, docs):
-    """Interpreters for the languages of `docs`, with the hierarchy they are
-    applied with: from --interpreters only their interpreter_<lang>.json and
-    no support corpus, each given cfg's stopword list for its language,
-    else built from cfg, which must need each of them."""
+    """Interpreters for the languages of `docs`, which cfg must need, with
+    the hierarchy they are applied with: from --interpreters only their
+    interpreter_<lang>.json and no support corpus, each given cfg's stopword
+    list for its language, else built from cfg."""
     languages = sorted({d.language for d in docs})
+    cfg.check_languages(languages)
     if not args.interpreters:
         res = load_resources(cfg)
         return prepare_semantic_resources(cfg, res, languages).interpreters, res.hierarchy
@@ -97,7 +98,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build_interpreter(args) -> int:
     cfg = _load_experiment_config(args)
-    cfg.validate()
     prep = prepare_semantic_resources(cfg, load_resources(cfg), args.language or cfg.needed_languages())
     out = _out_dir(args)
     for lang, si in prep.interpreters.items():
@@ -109,7 +109,6 @@ def _cmd_build_interpreter(args) -> int:
 
 def _cmd_make_virtual_docs(args) -> int:
     cfg = _load_experiment_config(args)
-    cfg.validate()
     cfg = replace(cfg, virtual_docs=True)
     out = _out_dir(args)
     tables = prepare_semantic_resources(cfg, load_resources(cfg), ()).virtual_tables
@@ -121,7 +120,6 @@ def _cmd_make_virtual_docs(args) -> int:
 
 def _cmd_gen_features(args) -> int:
     cfg = _load_experiment_config(args)
-    cfg.validate()
     out = _out_dir(args)
     docs = [doc for path in args.dataset for doc in load_labeled_dataset(path)]
     if not docs:

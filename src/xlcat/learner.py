@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from ._util import abridged, dump_artifact, fork_workers, forked, json_field, load_artifact, stable_rng
+from ._util import abridged, block_bounds, dump_artifact, fork_workers, forked, json_field, load_artifact, stable_rng
 from .errors import DataError
 from .features import BinaryFeatureVector
 
@@ -149,10 +149,10 @@ def train(
     plus O(categories * nnz) for the margins and updates, so training is
     O(epochs * documents * categories * n_features). After every check and
     the draw of every shuffle order, min(fork_workers(), categories)
-    contiguous blocks of categories, sizes within one and larger first,
-    step apart: the first here, each other in a forked child (see
-    _util.forked) that calls only take, put, np.add.reduce and elementwise
-    arithmetic, no BLAS. A row's steps read and write only that row, so the
+    contiguous blocks of categories, split by _util.block_bounds, step
+    apart: the first here, each other in a forked child (see _util.forked)
+    that calls only take, put, np.add.reduce and elementwise arithmetic, no
+    BLAS. A row's steps read and write only that row, so the
     result is the same, bit for bit, for any split and as training the
     categories one after another."""
     if not lambda_ok(lambda_):
@@ -225,7 +225,7 @@ def train(
         return block
 
     blocks = min(fork_workers(), len(categories))
-    bounds = [-(-len(categories) * b // blocks) for b in range(blocks + 1)]  # larger blocks first
+    bounds = block_bounds(len(categories), blocks)
     with forked([partial(run_block, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]) as stepped:
         run_block(0, bounds[1])
     weights = np.vstack([weights[:bounds[1]], *stepped])

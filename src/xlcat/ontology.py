@@ -38,9 +38,9 @@ class UnknownConceptError(OntologyError):
 class Hierarchy:
     """Immutable DAG container over declared basic and meta concepts.
 
-    Construction checks edge typing (meta parents, no self-loops, declared
-    endpoints) but not acyclicity; use validate_dag / merge_hierarchies for
-    that, so that cycle reports can be produced from an instance.
+    Construction checks edge typing (meta parents, declared endpoints), then
+    acyclicity: edges with a cycle, a self-loop included, raise CycleError
+    naming one (see validate_dag), so no Hierarchy holds a cycle.
     """
 
     def __init__(self, edges: Iterable[Edge], basic: Iterable[str], meta: Iterable[str]):
@@ -55,8 +55,6 @@ class Hierarchy:
         for parent, child in edges:
             if (parent, child) in seen:
                 continue
-            if parent == child:
-                raise OntologyError(f"self-loop on {parent!r}")
             if parent not in self.meta:
                 kind = "basic-kind" if parent in self.basic else "undeclared"
                 raise OntologyError(f"edge parent {parent!r} is {kind}; parents must be meta")
@@ -67,6 +65,9 @@ class Hierarchy:
             self._parents.setdefault(child, []).append(parent)
             self._children.setdefault(parent, []).append(child)
         self.edges = frozenset(seen)
+        cycle = validate_dag(self)
+        if cycle is not None:
+            raise CycleError(cycle)
         self._ancestors_all_cache: Dict[str, frozenset] = {}
         self._ancestors_cache: Dict[Tuple[str, int], frozenset] = {}
 
@@ -160,7 +161,8 @@ class Hierarchy:
 
 def validate_dag(h: Hierarchy) -> Optional[list]:
     """Return None when the hierarchy is acyclic, else one cycle's node
-    sequence (each node once, in traversal order)."""
+    sequence (each node once, in traversal order). Hierarchy's constructor
+    raises CycleError on that sequence, so on a built Hierarchy it is None."""
     indegree = Counter()
     for parent, child in h.edges:
         indegree[child] += 1
@@ -196,15 +198,9 @@ def merge_hierarchies(
     meta: Iterable[str],
 ) -> Hierarchy:
     """Union of per-language edge sets: an edge exists if it exists in at
-    least one language. The union must be a DAG."""
-    union: Set[Edge] = set()
-    for lang in sorted(per_language_edges):
-        union.update(per_language_edges[lang])
-    h = Hierarchy(union, basic, meta)
-    cycle = validate_dag(h)
-    if cycle is not None:
-        raise CycleError(cycle)
-    return h
+    least one language. A union with a cycle raises CycleError (see
+    Hierarchy)."""
+    return Hierarchy(set().union(*per_language_edges.values()), basic, meta)
 
 
 def ancestors(h: Hierarchy, concept_id: str, depth: int) -> Set[str]:

@@ -10,10 +10,10 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import mean, stdev
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import (
-    JsonConfig, abridged, dump_json, envelope, fork_workers, forked, json_field, load_json, stable_rng,
+    JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, json_field, load_json, stable_rng,
 )
 from .corpus import (
     FilterConfig,
@@ -78,6 +78,11 @@ class Hyperparams(JsonConfig):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's setup, inputs and hyperparameters, checked where it
+    is built (from_dict, the constructor, replace): a repeated seed or a
+    sample size below 1 is a DataError, languages or datasets that break
+    the setup (CLTC1-3, UCLTC) a SetupViolation."""
+
     setup: str
     source_languages: Tuple[str, ...]
     target_languages: Tuple[str, ...]
@@ -94,20 +99,15 @@ class ExperimentConfig:
     seeds: Tuple[int, ...] = ()  # optional multi-seed sweep
 
     def __post_init__(self):
+        _distinct_seeds(self.seeds)
         n = self.samples_per_category_per_language
         if n < 1:
             raise DataError(
                 f"experiment config field 'samples_per_category_per_language' must be >= 1, got {n}"
             )
-
-    def needed_languages(self) -> List[str]:
-        return sorted(set(self.source_languages) | set(self.target_languages))
-
-    def validate(self) -> None:
         if self.setup not in SETUPS:
             raise SetupViolation(f"unknown setup {self.setup!r}; expected one of {SETUPS}")
-        src = set(self.source_languages)
-        tgt = set(self.target_languages)
+        src, tgt = set(self.source_languages), set(self.target_languages)
         if not src or not tgt:
             raise SetupViolation("source and target language sets must be nonempty")
         if self.setup == "CLTC1" and not (len(src) == 1 and len(tgt) == 1 and src == tgt):
@@ -122,6 +122,16 @@ class ExperimentConfig:
         for lang in self.target_languages:
             if lang not in self.datasets or "test" not in self.datasets[lang]:
                 raise SetupViolation(f"no test dataset configured for language {lang!r}")
+
+    def needed_languages(self) -> List[str]:
+        return sorted(set(self.source_languages) | set(self.target_languages))
+
+    def check_languages(self, languages: Iterable[str]) -> None:
+        """The language rule of preparation and the stage commands: a
+        DataError names the first of `languages` the experiment does not need."""
+        for lang in languages:
+            if lang not in self.needed_languages():
+                raise DataError(f"language {lang!r} is not part of this experiment")
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
@@ -160,7 +170,7 @@ class ExperimentConfig:
                 lang: resolve(p)
                 for lang, p in json_field(d, "stopwords", dict, default={}, of=str).items()
             },
-            seeds=_distinct_seeds(json_field(d, "seeds", list, default=[], of=int)),
+            seeds=tuple(json_field(d, "seeds", list, default=[], of=int)),
         )
 
     @classmethod
@@ -192,7 +202,7 @@ class ExperimentConfig:
 
 
 def _distinct_seeds(seeds: Sequence[int]) -> Tuple[int, ...]:
-    """The seeds of a sweep as a tuple: the config reader's and run_seeds' rule."""
+    """The seeds of a sweep as a tuple: ExperimentConfig's and run_seeds' rule."""
     if len(set(seeds)) != len(seeds):
         raise DataError(f"experiment config field 'seeds' repeats a seed: {list(seeds)}")
     return tuple(seeds)
@@ -353,7 +363,6 @@ def run_experiment(
     """Execute one experiment end to end and return its report dict; when
     out_dir is given, intermediate artifacts and the report are written there.
     It prepares no interpreter: _run builds each where it is read."""
-    cfg.validate()
     res = load_resources(cfg)
     prep = prepare_semantic_resources(cfg, res, ())
     training, categories = _sample_training_docs(cfg, _load_training_docs(cfg))
@@ -378,10 +387,8 @@ def prepare_semantic_resources(cfg: ExperimentConfig, res: Resources, languages:
     them, the concepts it retains and the interpreter of each of
     `languages`, each built once. A language outside the experiment is a
     DataError naming it."""
+    cfg.check_languages(languages)
     needed = cfg.needed_languages()
-    for lang in languages:
-        if lang not in needed:
-            raise DataError(f"language {lang!r} is not part of this experiment")
     articles = [a for a in res.articles if a.concept_id in res.basic and a.language in needed]
     idx = SupportIndex(res.basic, articles, res.stopwords, res.term_counts)
     tables = _construct_virtual_docs(cfg, res.hierarchy, idx) if cfg.virtual_docs else []
@@ -542,7 +549,6 @@ def run_seeds(
     if not seeds:
         raise DataError("seed list must be nonempty")
     seeds = _distinct_seeds(seeds)
-    cfg.validate()
     res = load_resources(cfg)
     prep = prepare_semantic_resources(cfg, res, cfg.needed_languages())
     per_lang_docs, test_docs = _load_training_docs(cfg), _load_test_docs(cfg)
@@ -595,7 +601,6 @@ def ablation(
     tables (see _virtual_docs_curve): a deleted arm retains only the prefix,
     so the deleted curve equals the original arm's at block count 0.
     """
-    cfg.validate()
     if toggle == "meta_features":
         res = load_resources(cfg)
         inputs = (res, prepare_semantic_resources(cfg, res, cfg.needed_languages()), *_load_documents(cfg))
@@ -652,8 +657,7 @@ def _virtual_docs_curve(
     if not tail:
         raise DataError("prefix covers every concept; nothing to ablate")
     n_blocks = min(n_blocks, len(tail))
-    base, extra = divmod(len(tail), n_blocks)  # the first `extra` blocks hold one more
-    bounds = [b * base + min(b, extra) for b in range(n_blocks + 1)]
+    bounds = block_bounds(len(tail), n_blocks)
     blocks = [tail[i:j] for i, j in zip(bounds, bounds[1:])]
     training, categories, test_docs = _load_documents(cfg)
     h, needed, sources = res.hierarchy, cfg.needed_languages(), sorted(set(cfg.source_languages))

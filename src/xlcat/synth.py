@@ -21,7 +21,7 @@ from math import ceil
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._util import JsonConfig, dump_json, fork_workers, forked, stable_rng
+from ._util import JsonConfig, block_bounds, dump_json, fork_workers, forked, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
 from .ontology import save_concepts, save_hierarchy_edges
 
@@ -185,14 +185,8 @@ class SyntheticCorpus:
                 [i for i in range(spec.n_concepts) if i % spec.n_categories == k]
                 for k in range(spec.n_categories)
             ]
-        pools = []
-        base, extra = divmod(spec.n_concepts, spec.n_categories)
-        start = 0
-        for k in range(spec.n_categories):
-            size = base + (1 if k < extra else 0)
-            pools.append(list(range(start, start + size)))
-            start += size
-        return pools
+        bounds = block_bounds(spec.n_concepts, spec.n_categories)
+        return [list(range(i, j)) for i, j in zip(bounds, bounds[1:])]
 
     # -- vocabulary --------------------------------------------------------
 

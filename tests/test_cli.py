@@ -69,14 +69,27 @@ class TestExitCodes:
         proc = run_cli("experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 2
 
-    def test_setup_violation_is_three(self, workspace, tmp_path):
-        cfg = json.loads(workspace["config"].read_text())
-        cfg["setup"] = "CLTC2"
-        cfg["target_languages"] = cfg["source_languages"]
+    @pytest.mark.parametrize("change", [{"target_languages": ["l0"]}, {"setup": "CLTC9"}],
+                             ids=["CLTC2-l0-to-l0", "CLTC9"])
+    @pytest.mark.parametrize("command", [
+        ["experiment"], ["ablate", "--toggle", "meta_features"], ["build-interpreter"],
+        ["make-virtual-docs"], ["gen-features", "--dataset", "{test}"],
+        ["train", "--space", "{run}/feature_space.json", "--vectors", "{run}/train_vectors.jsonl"],
+        ["classify", "--model", "{run}/model.json", "--space", "{run}/feature_space.json", "--dataset", "{test}"],
+        ["classify", "--model", "{run}/model.json", "--space", "{run}/feature_space.json", "--dataset", "{test}",
+         "--interpreters", "{run}"],
+    ], ids=["experiment", "ablate", "build-interpreter", "make-virtual-docs", "gen-features", "train",
+            "classify", "classify-interpreters"])
+    def test_setup_violation_is_three(self, workspace, artifacts, tmp_path, command, change):
+        # The CLI tests' config is CLTC2 from l0 to l1, with every dataset present.
+        cfg = {**json.loads(workspace["config"].read_text()), **change}
         bad = tmp_path / "violation.json"
         bad.write_text(json.dumps(cfg), encoding="utf-8")
-        proc = run_cli("experiment", "--config", str(bad), "--out-dir", str(tmp_path / "o"))
-        assert proc.returncode == 3
+        test = workspace["corpus"].paths["datasets"]["l1"]["test"]
+        argv = [arg.format(test=test, run=artifacts) for arg in command]
+        proc = run_cli(*argv, "--config", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("setup violation: ") and "Traceback" not in proc.stderr
 
     def test_main_reuses_one_parser_without_carrying_state(self, workspace, tmp_path, monkeypatch):
         # A usage error, then a classify in the same process: the shared
@@ -452,15 +465,19 @@ class TestStageCommands:
         for path in sorted((tmp_path / "saved").iterdir()):
             assert (tmp_path / "built" / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("saved", [False, True], ids=["built", "saved"])
     @pytest.mark.parametrize("command", ["gen-features", "classify"])
     def test_a_dataset_language_outside_the_experiment_is_a_data_error(
-        self, workspace, artifacts, tmp_path, capsys, command
+        self, workspace, artifacts, tmp_path, capsys, command, saved
     ):
+        # The saved interpreters include interpreter_l1.json, which the rule
+        # forbids reading under a config without l1.
         cfg = json.loads(workspace["config"].read_text())
         cfg.update(setup="CLTC1", target_languages=["l0"])
         config = tmp_path / "cltc1.json"
         config.write_text(json.dumps(cfg), encoding="utf-8")
         argv = self._l1_test_set(command, config, workspace, artifacts)
+        argv += ["--interpreters", str(artifacts)] if saved else []
         assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "language 'l1' is not part of this experiment" in err and "Traceback" not in err

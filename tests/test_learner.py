@@ -136,23 +136,32 @@ def split_case(k):
 
 
 class TestCategorySplit:
-    """train steps its categories in min(usable CPUs, K) blocks, each but
-    the first in a forked child; no bit depends on the split."""
+    """train steps its categories in min(usable CPUs, K) blocks, sizes
+    within one and larger first, each but the first in a forked child; no
+    bit depends on the split."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 10])
     def test_same_bits_at_any_cpu_count(self, monkeypatch, forks, k):
         case = split_case(k)
         weights, bias = reference_train(*case, seed=4)
-        models = []
-        for cpus in (1, 2, 3):
+        models, children, forked = [], [], learner.forked
+
+        def recording_forked(tasks):
+            children[:] = [task.args for task in tasks]  # each child's (lo, hi)
+            return forked(tasks)
+
+        monkeypatch.setattr(learner, "forked", recording_forked)
+        for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
             forks.clear()
             model = train(*case, seed=4)
             assert len(forks) == min(cpus, k) - 1
             assert_no_child_left()
+            sizes = [children[0][0] if children else k] + [hi - lo for lo, hi in children]
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1 and sum(sizes) == k
             assert repr((model.weights, model.bias)) == repr((weights.tolist(), bias.tolist()))
             models.append((model.weights, model.bias))
-        assert models[0] == models[1] == models[2]
+        assert all(m == models[0] for m in models)
 
     def test_forks_nothing_beside_another_thread(self, monkeypatch, forks, another_thread):
         monkeypatch.setattr(_util, "_usable_cpus", lambda: 3)

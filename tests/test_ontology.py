@@ -2,7 +2,7 @@ import random
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import layered_dags
@@ -233,25 +233,40 @@ class TestLanguagesWithSupport:
         assert idx.languages_with_support("c") == {"en"}
 
 
+def assert_real_cycle(cycle, edges):
+    assert len(set(cycle)) == len(cycle) > 1
+    for i, node in enumerate(cycle):
+        assert (node, cycle[(i + 1) % len(cycle)]) in edges
+
+
 class TestValidateDag:
     def test_empty_ok(self):
         assert validate_dag(Hierarchy(set(), basic=set(), meta=set())) is None
 
     def test_two_cycle(self):
-        h = Hierarchy({("A", "B"), ("B", "A")}, basic=set(), meta={"A", "B"})
-        cycle = validate_dag(h)
-        assert cycle is not None and set(cycle) == {"A", "B"}
+        with pytest.raises(CycleError) as err:
+            Hierarchy({("A", "B"), ("B", "A")}, basic=set(), meta={"A", "B"})
+        assert set(err.value.cycle) == {"A", "B"}
+
+    def test_self_loop(self):
+        with pytest.raises(CycleError) as err:
+            Hierarchy({("M", "A"), ("M", "M")}, basic={"A"}, meta={"M"})
+        assert err.value.cycle == ["M"] and str(err.value) == "hierarchy contains a cycle: M -> M"
 
     def test_reported_cycle_is_a_real_cycle(self):
-        h = Hierarchy(
-            {("A", "B"), ("B", "C"), ("C", "A"), ("A", "D"), ("R", "A")},
-            basic={"D"},
-            meta={"A", "B", "C", "R"},
-        )
-        cycle = validate_dag(h)
-        assert cycle is not None
-        for i, node in enumerate(cycle):
-            assert (node, cycle[(i + 1) % len(cycle)]) in h.edges
+        edges = {("A", "B"), ("B", "C"), ("C", "A"), ("A", "D"), ("R", "A")}
+        with pytest.raises(CycleError) as err:
+            Hierarchy(edges, basic={"D"}, meta={"A", "B", "C", "R"})
+        assert_real_cycle(err.value.cycle, edges)
+
+    @given(layered_dags(), st.data())
+    def test_an_edge_back_to_an_ancestor_makes_a_hierarchy_unbuildable(self, h, data):
+        back = sorted((d, a) for d in h.meta for a in h.ancestors_all(d))
+        assume(back)
+        edges = h.edges | {data.draw(st.sampled_from(back))}
+        with pytest.raises(CycleError) as err:
+            Hierarchy(edges, h.basic, h.meta)
+        assert_real_cycle(err.value.cycle, edges)
 
     def test_large_random_dag_ok(self):
         h = _random_layered_hierarchy(random.Random(7), n_nodes=1000)

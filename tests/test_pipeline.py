@@ -40,50 +40,54 @@ def default_hp():
     return dict(k_doc=4, m=2, p=3, t=12, samples=15)
 
 
+def setup_allows(setup, sources, targets):
+    """The set-level definitions of the four setups."""
+    src, tgt = set(sources), set(targets)
+    if setup == "CLTC1":
+        return len(src) == 1 and len(tgt) == 1 and src == tgt
+    if setup == "CLTC2":
+        return len(src) == 1 and len(tgt) == 1 and src != tgt
+    if setup == "CLTC3":
+        return len(src) > 1 and len(tgt) == 1
+    return len(src) >= 1 and len(tgt) >= 1
+
+
 class TestSetupValidation:
+    """A config is checked where it is built: every accepted one builds, and
+    every rejected one raises SetupViolation at make_config or replace."""
+
     def test_cltc1_same_language_valid(self, corpus):
         cfg = make_config(corpus, setup="CLTC1", sources=("l0",), targets=("l0",), **default_hp())
-        cfg.validate()
+        assert replace(cfg, seed=1).setup == "CLTC1"
 
     def test_cltc2_same_language_rejected(self, corpus):
-        cfg = make_config(corpus, setup="CLTC2", sources=("l0",), targets=("l0",), **default_hp())
         with pytest.raises(SetupViolation):
-            cfg.validate()
+            make_config(corpus, setup="CLTC2", sources=("l0",), targets=("l0",), **default_hp())
 
     def test_unknown_setup_rejected(self, corpus):
         cfg = make_config(corpus, **default_hp())
         with pytest.raises(SetupViolation):
-            replace(cfg, setup="CLTC9").validate()
+            replace(cfg, setup="CLTC9")
 
     def test_empty_targets_rejected(self, corpus):
-        cfg = make_config(corpus, setup="UCLTC", targets=(), **default_hp())
         with pytest.raises(SetupViolation):
-            cfg.validate()
+            make_config(corpus, setup="UCLTC", targets=(), **default_hp())
 
     def test_random_assignments_match_set_algebra(self, corpus):
-        # Validators must accept exactly the configurations allowed by the
-        # set-level definitions of the four setups.
+        # A config must build exactly when the set-level definitions of the
+        # four setups allow it.
         rng = random.Random(3)
         langs = ["l0", "l1"]
         for _ in range(200):
             sources = tuple(l for l in langs if rng.random() < 0.6)
             targets = tuple(l for l in langs if rng.random() < 0.6)
             setup = rng.choice(["CLTC1", "CLTC2", "CLTC3", "UCLTC"])
-            src, tgt = set(sources), set(targets)
-            if setup == "CLTC1":
-                legal = len(src) == 1 and len(tgt) == 1 and src == tgt
-            elif setup == "CLTC2":
-                legal = len(src) == 1 and len(tgt) == 1 and src != tgt
-            elif setup == "CLTC3":
-                legal = len(src) > 1 and len(tgt) == 1
-            else:
-                legal = len(src) >= 1 and len(tgt) >= 1
-            cfg = make_config(corpus, setup=setup, sources=sources, targets=targets, **default_hp())
-            if legal:
-                cfg.validate()
+            build = partial(make_config, corpus, setup=setup, sources=sources, targets=targets, **default_hp())
+            if setup_allows(setup, sources, targets):
+                assert build().setup == setup
             else:
                 with pytest.raises(SetupViolation):
-                    cfg.validate()
+                    build()
 
 
 class TestRunExperiment:
@@ -167,7 +171,9 @@ class TestRunExperiment:
             run_seeds(cfg, [1, 1], out_dir=tmp_path / "sweep")
         with pytest.raises(DataError) as read:
             ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": [1, 1]})
-        assert str(called.value) == str(read.value) == (
+        with pytest.raises(DataError) as built:
+            replace(cfg, seeds=(1, 1))
+        assert str(called.value) == str(read.value) == str(built.value) == (
             "experiment config field 'seeds' repeats a seed: [1, 1]"
         )
         assert not (tmp_path / "sweep").exists()
@@ -477,11 +483,13 @@ _counts = st.integers(1, 10**6)
 
 
 @st.composite
-def experiment_configs(draw):
-    """Any valid ExperimentConfig; language tuples sorted, as to_dict writes them."""
+def experiment_config_fields(draw):
+    """The fields of an ExperimentConfig, each drawn from its valid values
+    and with distinct seeds, so only the setup's rule can reject them;
+    language tuples sorted, as to_dict writes them."""
     languages = sorted(draw(st.sets(_names, min_size=1, max_size=3)))
     splits = st.sets(st.sampled_from(["train", "test"]), min_size=1)
-    return ExperimentConfig(
+    return dict(
         setup=draw(st.sampled_from(SETUPS)),
         source_languages=tuple(sorted(draw(st.sets(st.sampled_from(languages), min_size=1)))),
         target_languages=tuple(sorted(draw(st.sets(st.sampled_from(languages), min_size=1)))),
@@ -508,8 +516,17 @@ def experiment_configs(draw):
 
 
 class TestConfigIO:
-    @given(experiment_configs())
-    def test_reads_back_what_to_dict_writes(self, cfg):
+    @settings(max_examples=300)  # about a fifth of the draws meet the setup's rule and round-trip
+    @given(experiment_config_fields())
+    def test_reads_back_what_to_dict_writes(self, fields):
+        datasets = fields["datasets"]
+        if not (setup_allows(fields["setup"], fields["source_languages"], fields["target_languages"])
+                and all("train" in datasets[lang] for lang in fields["source_languages"])
+                and all("test" in datasets[lang] for lang in fields["target_languages"])):
+            with pytest.raises(SetupViolation):
+                ExperimentConfig(**fields)
+            return
+        cfg = ExperimentConfig(**fields)
         # Unknown keys are rejected, so every key to_dict writes must be one the reader knows.
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 

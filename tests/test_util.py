@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from xlcat import _util
 from xlcat._util import (
-    _CHUNK, ARTIFACT_VERSIONS, dump_artifact, dump_json, envelope, forked, json_field, ordered_map,
+    _CHUNK, ARTIFACT_VERSIONS, block_bounds, dump_artifact, dump_json, envelope, forked, json_field, ordered_map,
 )
 from xlcat.corpus import FilterConfig
 from xlcat.errors import CorpusFormatError, DataError
@@ -142,6 +142,14 @@ def open_fds():
 
 
 BIG = 2**20 + 1  # larger than a pipe buffer
+
+
+@given(st.integers(0, 300), st.integers(1, 40))
+def test_block_bounds_cover_the_range_in_blocks_within_one_larger_first(n, blocks):
+    bounds = block_bounds(n, blocks)
+    sizes = [j - i for i, j in zip(bounds, bounds[1:])]
+    assert bounds[0] == 0 and bounds[-1] == n and len(sizes) == blocks
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1 and sizes[-1] >= 0
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
