@@ -42,7 +42,6 @@ from .ontology import (
     merge_hierarchies,
     retained_concepts,
     support_multiset,
-    validate_dag,
 )
 from .pipeline import ExperimentConfig, Hyperparams, ablation, run_experiment, run_seeds
 from .synth import SyntheticCorpusSpec, generate_synthetic_corpus

@@ -84,6 +84,22 @@ def _load_interpreters(args, cfg, docs):
     return interpreters, h
 
 
+def _load_space(args, cfg) -> FeatureSpace:
+    """The feature space at --space, whose recorded k_doc and m must be
+    cfg's, so that documents are mapped onto it as its own were; a field
+    its metadata lacks is not checked."""
+    space = FeatureSpace.load(args.space)
+    for name in ("k_doc", "m"):
+        ours = getattr(cfg.hyperparams, name)
+        built = space.metadata.get(name, ours)
+        if built != ours:
+            raise DataError(
+                f"{args.space}: feature space was built with {name}={built!r}, "
+                f"but the config has {name}={ours!r}"
+            )
+    return space
+
+
 def _cmd_synth(args) -> int:
     spec = SyntheticCorpusSpec.from_dict(load_json(args.config))
     if args.seed is not None:
@@ -124,10 +140,10 @@ def _cmd_gen_features(args) -> int:
     docs = [doc for path in args.dataset for doc in load_labeled_dataset(path)]
     if not docs:
         raise DataError("no documents in the given dataset(s)")
+    space = _load_space(args, cfg) if args.space else None
     interpreters, h = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
     if args.space:
-        space = FeatureSpace.load(args.space)
         vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m, args.workers)
     else:
         space, vectors = build_feature_space(docs, interpreters, h, hp.k_doc, hp.m, args.workers)
@@ -169,7 +185,7 @@ def _cmd_classify(args) -> int:
     cfg = _load_experiment_config(args)
     out = _out_dir(args)
     model = LinearModel.load(args.model)
-    space = FeatureSpace.load(args.space)
+    space = _load_space(args, cfg)
     if model.n_features != len(space):
         raise DataError(
             f"model {args.model} has {model.n_features} features but feature space "

@@ -3,7 +3,9 @@ assignment; ancestor queries and multiset support aggregation.
 
 Edges always point parent -> child; parents are meta-concepts, children may
 be meta or basic. Basic concepts carry support articles, meta-concepts only
-aggregate their descendants'.
+aggregate their descendants'. A hierarchy is ordered once, when it is built:
+one topological pass both rejects a cycle and ranks the nodes that path
+counts are swept in.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ class Hierarchy:
     """Immutable DAG container over declared basic and meta concepts.
 
     Construction checks edge typing (meta parents, declared endpoints), then
-    acyclicity: edges with a cycle, a self-loop included, raise CycleError
-    naming one (see validate_dag), so no Hierarchy holds a cycle.
+    runs Kahn's algorithm once over every declared node, isolated ones
+    included, seeded in sorted order, and keeps its order as each node's
+    rank (parents first) for path_counts_from. Edges with a cycle, a
+    self-loop included, leave nodes unordered and raise CycleError naming
+    one cycle, the same for the same edges, so no Hierarchy holds a cycle.
     """
 
     def __init__(self, edges: Iterable[Edge], basic: Iterable[str], meta: Iterable[str]):
@@ -65,9 +70,18 @@ class Hierarchy:
             self._parents.setdefault(child, []).append(parent)
             self._children.setdefault(parent, []).append(child)
         self.edges = frozenset(seen)
-        cycle = validate_dag(self)
-        if cycle is not None:
-            raise CycleError(cycle)
+        # Kahn's pass; the loop also visits the children it appends.
+        nodes = sorted(self.basic | self.meta)
+        indegree = {n: len(self._parents.get(n, ())) for n in nodes}
+        order = [n for n in nodes if not indegree[n]]
+        for node in order:
+            for child in self._children.get(node, ()):
+                indegree[child] -= 1
+                if not indegree[child]:
+                    order.append(child)
+        if len(order) < len(nodes):
+            raise CycleError(self._cycle({n for n, d in indegree.items() if d}))
+        self._rank = {n: i for i, n in enumerate(order)}
         self._ancestors_all_cache: Dict[str, frozenset] = {}
         self._ancestors_cache: Dict[Tuple[str, int], frozenset] = {}
 
@@ -121,75 +135,43 @@ class Hierarchy:
         frozen = self._ancestors_cache[(concept_id, depth)] = frozenset(result)
         return frozen
 
+    def _cycle(self, remaining: Set[str]) -> list:
+        """One cycle among the nodes Kahn's pass left: each has a parent
+        among them, so walking up the smallest such parent from the
+        smallest node must repeat. The cycle's nodes, each once, parent
+        first."""
+        seen_at: Dict[str, int] = {}
+        path = []
+        node = min(remaining)
+        while node not in seen_at:
+            seen_at[node] = len(path)
+            path.append(node)
+            node = min(p for p in self._parents[node] if p in remaining)
+        cycle = path[seen_at[node]:]
+        cycle.reverse()
+        return cycle
+
     def path_counts_from(self, concept_id: str) -> Dict[str, int]:
         """Number of distinct directed paths from concept_id to each
-        descendant (and 1 for itself). Multiplicities can grow combinatorially
-        but are held as exact ints."""
+        descendant (and 1 for itself): the reachable nodes, swept in rank
+        order so that every parent's count is final before it is added to
+        its children's. Multiplicities can grow combinatorially but are
+        held as exact ints."""
         if concept_id not in self:
             raise UnknownConceptError(concept_id)
-        order = self._topo_descendants(concept_id)
-        counts: Dict[str, int] = {concept_id: 1}
-        for node in order:
-            c = counts.get(node, 0)
-            if c:
-                for child in self._children.get(node, []):
-                    counts[child] = counts.get(child, 0) + c
-        return counts
-
-    def _topo_descendants(self, root: str) -> list:
-        # Reachable subgraph in topological order (DFS postorder, reversed).
-        order = []
-        state: Dict[str, int] = {}
-        stack = [(root, iter(self._children.get(root, [])))]
-        state[root] = 1
+        reached = {concept_id}
+        stack = [concept_id]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if state.get(child, 0) == 0:
-                    state[child] = 1
-                    stack.append((child, iter(self._children.get(child, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                order.append(node)
-                stack.pop()
-        order.reverse()
-        return order
-
-
-def validate_dag(h: Hierarchy) -> Optional[list]:
-    """Return None when the hierarchy is acyclic, else one cycle's node
-    sequence (each node once, in traversal order). Hierarchy's constructor
-    raises CycleError on that sequence, so on a built Hierarchy it is None."""
-    indegree = Counter()
-    for parent, child in h.edges:
-        indegree[child] += 1
-        indegree.setdefault(parent, 0)
-    queue = deque(sorted(n for n, d in indegree.items() if d == 0))
-    remaining = dict(indegree)
-    while queue:
-        node = queue.popleft()
-        del remaining[node]
-        for child in h._children.get(node, []):
-            remaining[child] -= 1
-            if remaining[child] == 0:
-                queue.append(child)
-    if not remaining:
-        return None
-    # Every remaining node has a parent in the remaining set; walking up
-    # parents must eventually repeat, exposing one cycle.
-    seen_at = {}
-    path = []
-    node = sorted(remaining)[0]
-    while node not in seen_at:
-        seen_at[node] = len(path)
-        path.append(node)
-        node = sorted(p for p in h._parents.get(node, []) if p in remaining)[0]
-    cycle = path[seen_at[node]:]
-    cycle.reverse()
-    return cycle
+            for child in self._children.get(stack.pop(), ()):
+                if child not in reached:
+                    reached.add(child)
+                    stack.append(child)
+        counts = dict.fromkeys(sorted(reached, key=self._rank.__getitem__), 0)
+        counts[concept_id] = 1
+        for node, c in counts.items():
+            for child in self._children.get(node, ()):
+                counts[child] += c
+        return counts
 
 
 def merge_hierarchies(

@@ -482,6 +482,33 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert "language 'l1' is not part of this experiment" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["k_doc", "m"])
+    @pytest.mark.parametrize("command", ["gen-features", "classify"])
+    def test_a_space_built_with_another_k_doc_or_m_is_a_data_error(
+        self, workspace, artifacts, tmp_path, capsys, command, field
+    ):
+        cfg = json.loads(workspace["config"].read_text())
+        trained = cfg["hyperparams"][field]
+        cfg["hyperparams"][field] = trained + 1
+        config = tmp_path / "other.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = self._l1_test_set(command, config, workspace, artifacts)
+        argv += ["--interpreters", str(artifacts)]
+        space = artifacts / "feature_space.json"
+        if command == "gen-features":
+            argv += ["--space", str(space)]
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"{space}: feature space was built with {field}={trained}, "
+                f"but the config has {field}={trained + 1}") in err
+        # A space whose metadata does not record the field is not checked for it.
+        unrecorded = FeatureSpace.load(space)
+        del unrecorded.metadata[field]
+        unrecorded.save(tmp_path / "feature_space.json")
+        argv[argv.index(str(space))] = str(tmp_path / "feature_space.json")
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "unrecorded")]) == 0
+
 
 @pytest.fixture(scope="module")
 def artifacts(workspace, tmp_path_factory):

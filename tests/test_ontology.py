@@ -24,7 +24,6 @@ from xlcat.ontology import (
     save_hierarchy_edges,
     support_count,
     support_multiset,
-    validate_dag,
 )
 
 
@@ -185,6 +184,20 @@ class TestSupportMultiset:
                         assert ms.get(article, 0) == paths
 
 
+class TestPathCounts:
+    @given(layered_dags())
+    def test_every_pair_matches_brute_force_enumeration(self, h):
+        # Two isolated nodes, one of each kind, besides the drawn ones.
+        h = Hierarchy(h.edges, h.basic | {"iso_b"}, h.meta | {"iso_m"})
+        for x in sorted(h.basic | h.meta):
+            reached = {x} | {y for y in h.basic | h.meta if x in h.ancestors_all(y)}
+            assert h.path_counts_from(x) == {y: _count_paths_brute(h, x, y) for y in reached}
+
+    def test_unknown_concept(self):
+        with pytest.raises(UnknownConceptError):
+            Hierarchy(set(), basic={"c"}, meta=set()).path_counts_from("absent")
+
+
 class TestRetainedConcepts:
     def test_empty_language_set_returns_all(self):
         idx = SupportIndex({"c1", "c2"})
@@ -239,14 +252,22 @@ def assert_real_cycle(cycle, edges):
         assert (node, cycle[(i + 1) % len(cycle)]) in edges
 
 
-class TestValidateDag:
+class TestAcyclicity:
     def test_empty_ok(self):
-        assert validate_dag(Hierarchy(set(), basic=set(), meta=set())) is None
+        h = Hierarchy(set(), basic=set(), meta=set())
+        assert h.edges == set() and not h.basic | h.meta
 
     def test_two_cycle(self):
         with pytest.raises(CycleError) as err:
             Hierarchy({("A", "B"), ("B", "A")}, basic=set(), meta={"A", "B"})
         assert set(err.value.cycle) == {"A", "B"}
+
+    def test_of_two_cycles_one_is_named_deterministically(self):
+        edges = {("A", "B"), ("B", "A"), ("C", "D"), ("D", "C"), ("R", "A")}
+        with pytest.raises(CycleError) as err:
+            Hierarchy(edges, basic=set(), meta={"A", "B", "C", "D", "R"})
+        assert err.value.cycle == ["B", "A"]
+        assert str(err.value) == "hierarchy contains a cycle: B -> A -> B"
 
     def test_self_loop(self):
         with pytest.raises(CycleError) as err:
@@ -258,6 +279,8 @@ class TestValidateDag:
         with pytest.raises(CycleError) as err:
             Hierarchy(edges, basic={"D"}, meta={"A", "B", "C", "R"})
         assert_real_cycle(err.value.cycle, edges)
+        assert err.value.cycle == ["B", "C", "A"]
+        assert str(err.value) == "hierarchy contains a cycle: B -> C -> A -> B"
 
     @given(layered_dags(), st.data())
     def test_an_edge_back_to_an_ancestor_makes_a_hierarchy_unbuildable(self, h, data):
@@ -270,7 +293,7 @@ class TestValidateDag:
 
     def test_large_random_dag_ok(self):
         h = _random_layered_hierarchy(random.Random(7), n_nodes=1000)
-        assert validate_dag(h) is None
+        assert len(h.basic | h.meta) == 1000 and h.edges
 
 
 class TestPersistence:
