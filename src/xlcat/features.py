@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_artifact, dump_jsonl, json_field, load_artifact, ordered_map
+from ._util import block_bounds, dump_artifact, dump_jsonl, fork_workers, forked, json_field, load_artifact, ordered_map
 from .corpus import LabeledDocument, _read_jsonl
 from .errors import DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
@@ -127,13 +128,20 @@ def project_documents(
     m: int,
     workers: int = 1,
 ) -> List[BinaryFeatureVector]:
-    """Map documents onto an existing space; concepts outside it are dropped."""
-    per_doc = ordered_map(
-        lambda d: document_features(d, interpreters, h, k_doc, m),
-        docs,
-        workers,
-    )
-    return [space.vector_for(feats) for feats in per_doc]
+    """Map documents onto an existing space; concepts outside it are dropped.
+    The documents are split by _util.block_bounds into min(fork_workers(),
+    documents) contiguous blocks, the larger first: this process maps the
+    first and a forked child each other one (see _util.forked), and the
+    blocks are joined in order. Each document is mapped on its own, so the
+    vectors are the same for any split."""
+    def project(lo: int, hi: int) -> List[BinaryFeatureVector]:
+        per_doc = ordered_map(lambda d: document_features(d, interpreters, h, k_doc, m), docs[lo:hi], workers)
+        return [space.vector_for(feats) for feats in per_doc]
+
+    bounds = block_bounds(len(docs), max(1, min(fork_workers(), len(docs))))
+    with forked([partial(project, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]) as projected:
+        vectors = project(0, bounds[1])
+    return vectors + list(chain.from_iterable(projected))
 
 
 def _entropy(counts: Mapping[str, int], total: int) -> float:

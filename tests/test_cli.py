@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlcat import cli, pipeline
+from xlcat import _util, cli, features, pipeline
 from xlcat import corpus as corpus_module
 from xlcat.features import FeatureSpace
 from xlcat.interpreter import SemanticInterpreter, build_interpreter, interpret
@@ -18,7 +19,7 @@ from xlcat.learner import LinearModel, predict
 from xlcat.pipeline import ExperimentConfig
 from xlcat.synth import SyntheticCorpusSpec
 
-from conftest import make_config, make_corpus
+from conftest import assert_no_child_left, make_config, make_corpus
 
 
 def run_cli(*args, cwd=None):
@@ -405,6 +406,110 @@ class TestClassifyWithSavedInterpreters:
             ]) == 0
         predictions = "predictions.jsonl"
         assert (tmp_path / "4" / predictions).read_bytes() == (tmp_path / "1" / predictions).read_bytes()
+
+
+class TestMappingForksPerCpu:
+    """classify and gen-features --space map the test set's documents in
+    one contiguous block per usable CPU, each but the first in a forked
+    child; no output byte depends on the split."""
+
+    OUTPUTS = {"classify": "predictions.jsonl", "gen-features": "vectors.jsonl"}
+
+    @staticmethod
+    def _argv(command, workspace, artifacts, out):
+        argv = [command, "--config", str(workspace["config"]),
+                "--space", str(artifacts / "feature_space.json"), "--interpreters", str(artifacts),
+                "--dataset", str(workspace["corpus"].paths["datasets"]["l1"]["test"]),
+                "--out-dir", str(out)]
+        return argv + (["--model", str(artifacts / "model.json")] if command == "classify" else [])
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_same_bytes_at_one_two_and_three_cpus(self, workspace, artifacts, tmp_path, monkeypatch,
+                                                  forks, command):
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            assert cli.main(self._argv(command, workspace, artifacts, tmp_path / str(cpus))) == 0
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+            outputs.append((tmp_path / str(cpus) / self.OUTPUTS[command]).read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_forks_nothing_beside_another_thread(self, workspace, artifacts, tmp_path, monkeypatch,
+                                                 forks, another_thread, command):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        assert cli.main(self._argv(command, workspace, artifacts, tmp_path / "threaded")) == 0
+        assert not forks
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        assert cli.main(self._argv(command, workspace, artifacts, tmp_path / "serial")) == 0
+        name = self.OUTPUTS[command]
+        assert (tmp_path / "threaded" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_a_block_that_fails_in_its_child_is_mapped_here(self, workspace, artifacts, tmp_path,
+                                                            monkeypatch, forks):
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 1)
+        assert cli.main(self._argv("classify", workspace, artifacts, tmp_path / "serial")) == 0
+        parent, document_features, mapped_here = os.getpid(), features.document_features, []
+
+        def fails_in_a_child(doc, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("child")
+            mapped_here.append(doc.doc_id)
+            return document_features(doc, *args)
+
+        monkeypatch.setattr(features, "document_features", fails_in_a_child)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 2)
+        assert cli.main(self._argv("classify", workspace, artifacts, tmp_path / "rerun")) == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+        docs = corpus_module.load_labeled_dataset(workspace["corpus"].paths["datasets"]["l1"]["test"])
+        assert mapped_here == [doc.doc_id for doc in docs]  # the first block, then the child's again
+        name = "predictions.jsonl"
+        assert (tmp_path / "rerun" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+class TestStageCommandDataErrors:
+    """The stage commands' own data checks exit 2 with their message."""
+
+    @staticmethod
+    def _fails(argv, capsys, message):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_gen_features_on_empty_datasets(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        self._fails(["gen-features", "--config", str(workspace["config"]), "--dataset", str(empty),
+                     "--dataset", str(empty), "--out-dir", str(tmp_path / "o")],
+                    capsys, "no documents in the given dataset(s)")
+
+    def test_train_with_unlabeled_vectors(self, workspace, artifacts, tmp_path, capsys):
+        lines = (artifacts / "train_vectors.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[-1])
+        del record["label"]
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text("\n".join([*lines[:-1], json.dumps(record)]) + "\n", encoding="utf-8")
+        self._fails(["train", "--config", str(workspace["config"]),
+                     "--space", str(artifacts / "feature_space.json"), "--vectors", str(vectors),
+                     "--out-dir", str(tmp_path / "o")],
+                    capsys, "training vectors must all carry labels")
+
+    @pytest.mark.parametrize("labeled,message", [
+        ((False, True), "no prediction for document 'd1'"),  # d0 is skipped, unlabeled
+        ((False, False), "no labeled documents to score"),
+    ])
+    def test_evaluate(self, tmp_path, capsys, labeled, message):
+        dataset = tmp_path / "dataset.jsonl"
+        docs = [{"doc_id": f"d{i}", "language": "l1", "text": "w", **({"label": "c"} if has else {})}
+                for i, has in enumerate(labeled)]
+        dataset.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("", encoding="utf-8")
+        self._fails(["evaluate", "--predictions", str(predictions), "--dataset", str(dataset),
+                     "--out-dir", str(tmp_path / "o")], capsys, message)
 
 
 class TestStageCommands:

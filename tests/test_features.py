@@ -3,11 +3,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import layered_dags
-from xlcat import features
+from conftest import assert_no_child_left, layered_dags
+from xlcat import _util, features
 from xlcat.corpus import LabeledDocument, SupportArticle
 from xlcat.features import (
     FeatureSpace,
@@ -200,6 +200,40 @@ class TestBuildFeatureSpace:
         s4, v4 = build_feature_space(docs, si, h, k_doc=5, m=2, workers=4)
         assert s1.concepts == s4.concepts
         assert v1 == v4
+
+
+# Words of two_language_setup's articles, plus one that no interpreter knows.
+_WORDS = {"en": ["apple", "banana", "pear", "hammer", "saw", "drill", "zzz"],
+          "fr": ["pomme", "banane", "poire", "marteau", "scie", "perceuse", "zzz"]}
+
+
+@st.composite
+def documents(draw):
+    """0 to 12 documents of either language, each a few of its words."""
+    docs = []
+    for i in range(draw(st.integers(0, 12))):
+        lang = draw(st.sampled_from(sorted(_WORDS)))
+        words = draw(st.lists(st.sampled_from(_WORDS[lang]), max_size=4))
+        docs.append(LabeledDocument(f"d{i}", lang, " ".join(words), None))
+    return docs
+
+
+class TestProjectDocumentsOracle:
+    """project_documents maps min(CPUs, documents) contiguous blocks, each
+    but the first in a forked child, and gives the vectors of mapping each
+    document in turn here."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(documents(), st.sampled_from([1, 2, 3]), st.integers(0, 2))
+    def test_same_vectors_as_one_document_at_a_time(self, monkeypatch, forks, docs, cpus, m):
+        h, si = two_language_setup()
+        space = FeatureSpace(["things", "fruit"])  # "tool" drops out
+        expected = [space.vector_for(features.document_features(d, si, h, 5, m)) for d in docs]
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        assert project_documents(space, docs, si, h, k_doc=5, m=m) == expected
+        assert len(forks) == max(min(cpus, len(docs)) - 1, 0)
+        assert_no_child_left()
 
 
 class TestInformationGain:

@@ -242,7 +242,8 @@ class TestForkedArtifactWriter:
         ablation(cfg, "meta_features", out_dir=tmp_path / "meta")  # two runs, no run dir
         assert len(forks) == 9
         # the virtual-docs curve forks a classification child and a training
-        # child per model it trains; classify forks nothing
+        # child per model it trains; classify forks a child per usable CPU
+        # past the first to map its second block of documents
         trained, train = [], pipeline.train
 
         def counted_train(*args, **kwargs):
@@ -258,7 +259,7 @@ class TestForkedArtifactWriter:
             "--dataset", str(corpus.paths["datasets"]["l1"]["test"]),
             "--out-dir", str(tmp_path / "classify"),
         ]) == 0
-        assert len(forks) == 9 + 2 * len(trained)
+        assert len(forks) == 10 + 2 * len(trained)
         assert_no_child_left()
 
     def test_forks_nothing_beside_another_thread(self, corpus, tmp_path, monkeypatch, forks,
