@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import block_bounds, dump_artifact, dump_jsonl, fork_workers, forked, json_field, load_artifact, ordered_map
-from .corpus import LabeledDocument, _read_jsonl
+from .corpus import LabeledDocument, TokenStream, _read_jsonl, tokenize
 from .errors import DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
 from .ontology import Hierarchy
@@ -81,10 +81,11 @@ def document_features(
     h: Hierarchy,
     k_doc: int,
     m: int,
+    tokens: Optional[TokenStream] = None,
 ) -> Set[str]:
     """Full per-document generation: basic top-k concepts, meta enrichment,
-    meta filter."""
-    basic = generate_basic_features(interpreters, doc, k_doc)
+    meta filter. `tokens` as for generate_basic_features."""
+    basic = generate_basic_features(interpreters, doc, k_doc, tokens)
     enriched = enrich_with_meta(h, basic, m)
     return filter_meta_features(h, enriched, basic)
 
@@ -129,16 +130,22 @@ def project_documents(
     workers: int = 1,
 ) -> List[BinaryFeatureVector]:
     """Map documents onto an existing space; concepts outside it are dropped.
-    The documents are split by _util.block_bounds into min(fork_workers(),
-    documents) contiguous blocks, the larger first: this process maps the
-    first and a forked child each other one (see _util.forked), and the
-    blocks are joined in order. Each document is mapped on its own, so the
-    vectors are the same for any split."""
+    Mapped in min(fork_workers(), documents) blocks (_util.block_bounds), the
+    first here and each other in a forked child, joined in order. The
+    children's documents are tokenized here first, so this process makes every
+    tokenizer call, and each reaches its child as one space-joined string (no
+    token holds whitespace), cheaper than a list of tokens."""
+    bounds = block_bounds(len(docs), max(1, min(fork_workers(), len(docs))))
+    joined = {i: " ".join(tokenize(docs[i].text, si.stopwords))
+              for i in range(bounds[1], len(docs)) if (si := interpreters.get(docs[i].language)) is not None}
+
     def project(lo: int, hi: int) -> List[BinaryFeatureVector]:
-        per_doc = ordered_map(lambda d: document_features(d, interpreters, h, k_doc, m), docs[lo:hi], workers)
+        per_doc = ordered_map(
+            lambda i: document_features(docs[i], interpreters, h, k_doc, m, joined[i].split() if i in joined else None),
+            range(lo, hi), workers,
+        )
         return [space.vector_for(feats) for feats in per_doc]
 
-    bounds = block_bounds(len(docs), max(1, min(fork_workers(), len(docs))))
     with forked([partial(project, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]) as projected:
         vectors = project(0, bounds[1])
     return vectors + list(chain.from_iterable(projected))

@@ -12,7 +12,7 @@ from itertools import chain
 from math import log
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ._util import dump_artifact, json_field, load_artifact
 from .corpus import LabeledDocument, TokenStream, tokenize
@@ -143,11 +143,13 @@ def top_k_features(v: SemanticVector, k_doc: int) -> frozenset:
 
 
 def generate_basic_features(
-    interpreters: Mapping[str, SemanticInterpreter], doc: LabeledDocument, k_doc: int
+    interpreters: Mapping[str, SemanticInterpreter], doc: LabeledDocument, k_doc: int,
+    tokens: Optional[TokenStream] = None,
 ) -> frozenset:
     """Dispatch the document to its language's interpreter and return its
-    top-k basic concepts, tokenized without the interpreter's stopwords."""
+    top-k basic concepts, tokenized without the interpreter's stopwords
+    unless given as `tokens`."""
     si = interpreters.get(doc.language)
     if si is None:
         raise InterpreterError(f"no interpreter for {doc.language!r}")
-    return top_k_features(interpret(si, tokenize(doc.text, si.stopwords)), k_doc)
+    return top_k_features(interpret(si, tokenize(doc.text, si.stopwords) if tokens is None else tokens), k_doc)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_left, layered_dags
-from xlcat import _util, features
+from xlcat import _util, corpus, features, interpreter
 from xlcat.corpus import LabeledDocument, SupportArticle
 from xlcat.features import (
     FeatureSpace,
@@ -233,6 +233,23 @@ class TestProjectDocumentsOracle:
         forks.clear()
         assert project_documents(space, docs, si, h, k_doc=5, m=m) == expected
         assert len(forks) == max(min(cpus, len(docs)) - 1, 0)
+        assert_no_child_left()
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(documents(), st.sampled_from([1, 2, 3]))
+    def test_every_document_is_tokenized_here_once(self, monkeypatch, docs, cpus):
+        h, si = two_language_setup()
+        tokenized = []
+
+        def counted(text, stopwords=None):
+            tokenized.append(text)
+            return corpus.tokenize(text, stopwords)
+
+        for module in (features, interpreter):
+            monkeypatch.setattr(module, "tokenize", counted)
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+        project_documents(FeatureSpace(["things", "fruit"]), docs, si, h, k_doc=5, m=1)
+        assert Counter(tokenized) == Counter(d.text for d in docs)  # a child's calls would not show here
         assert_no_child_left()
 
 
