@@ -48,19 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_experiment_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_interpreters(args, cfg, docs):
     """Interpreters for the languages of `docs`, which cfg must need, with
     the hierarchy they are applied with: from --interpreters only their
@@ -100,43 +87,31 @@ def _load_space(args, cfg) -> FeatureSpace:
     return space
 
 
-def _cmd_synth(args) -> int:
-    spec = SyntheticCorpusSpec.from_dict(load_json(args.config))
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    corpus = generate_synthetic_corpus(spec, _out_dir(args))
+def _cmd_synth(args, spec, out) -> None:
+    corpus = generate_synthetic_corpus(spec, out)
     print(
         f"synthetic corpus: {spec.n_concepts} concepts, "
         f"{spec.n_languages} languages -> {corpus.out_dir}"
     )
-    return EXIT_OK
 
 
-def _cmd_build_interpreter(args) -> int:
-    cfg = _load_experiment_config(args)
+def _cmd_build_interpreter(args, cfg, out) -> None:
     prep = prepare_semantic_resources(cfg, load_resources(cfg), args.language or cfg.needed_languages())
-    out = _out_dir(args)
     for lang, si in prep.interpreters.items():
         path = out / f"interpreter_{lang}.json"
         si.save(path)
         print(f"wrote {path} ({len(prep.retained)} concepts)")
-    return EXIT_OK
 
 
-def _cmd_make_virtual_docs(args) -> int:
-    cfg = _load_experiment_config(args)
+def _cmd_make_virtual_docs(args, cfg, out) -> None:
     cfg = replace(cfg, virtual_docs=True)
-    out = _out_dir(args)
     tables = prepare_semantic_resources(cfg, load_resources(cfg), ()).virtual_tables
     path = out / "virtual_docs.jsonl"
     save_virtual_docs(tables, path)
     print(f"wrote {path} ({len(tables)} virtual documents)")
-    return EXIT_OK
 
 
-def _cmd_gen_features(args) -> int:
-    cfg = _load_experiment_config(args)
-    out = _out_dir(args)
+def _cmd_gen_features(args, cfg, out) -> None:
     docs = [doc for path in args.dataset for doc in load_labeled_dataset(path)]
     if not docs:
         raise DataError("no documents in the given dataset(s)")
@@ -144,21 +119,18 @@ def _cmd_gen_features(args) -> int:
     interpreters, h = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
     if args.space:
-        vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m, args.workers)
+        vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m)
     else:
-        space, vectors = build_feature_space(docs, interpreters, h, hp.k_doc, hp.m, args.workers)
+        space, vectors = build_feature_space(docs, interpreters, h, hp.k_doc, hp.m)
         labels = [d.label for d in docs]
         if all(labels):
             space, vectors = select_features(space, vectors, labels, hp.n_select)
         space.save(out / "feature_space.json")
     save_vectors(vectors, docs, out / "vectors.jsonl")
     print(f"wrote {out / 'vectors.jsonl'} ({len(docs)} documents, {len(space)} features)")
-    return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_experiment_config(args)
-    out = _out_dir(args)
+def _cmd_train(args, cfg, out) -> None:
     space = FeatureSpace.load(args.space)
     vectors, labels, _ = load_vectors(args.vectors)
     if any(lab is None for lab in labels):
@@ -178,12 +150,9 @@ def _cmd_train(args) -> int:
         raise TrainingError(f"{args.vectors}: {exc}") from exc
     model.save(out / "model.json")
     print(f"wrote {out / 'model.json'} ({len(model.categories)} categories)")
-    return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    cfg = _load_experiment_config(args)
-    out = _out_dir(args)
+def _cmd_classify(args, cfg, out) -> None:
     model = LinearModel.load(args.model)
     space = _load_space(args, cfg)
     if model.n_features != len(space):
@@ -194,7 +163,7 @@ def _cmd_classify(args) -> int:
     docs = load_labeled_dataset(args.dataset)
     interpreters, h = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
-    vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m, args.workers)
+    vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m)
     records = []
     for doc, vec in zip(docs, vectors):
         rec = {"doc_id": doc.doc_id, "predicted": predict(model, vec)}
@@ -204,11 +173,9 @@ def _cmd_classify(args) -> int:
     path = out / "predictions.jsonl"
     dump_jsonl(records, path)
     print(f"wrote {path} ({len(records)} predictions)")
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+def _cmd_evaluate(args, cfg, out) -> None:
     predictions, path = {}, args.predictions
     for lineno, obj in _read_jsonl(path):
         doc_id = json_field(obj, "doc_id", str, path, lineno)
@@ -229,36 +196,29 @@ def _cmd_evaluate(args) -> int:
     report = report_from_pairs(y_true, y_pred, sorted(set(y_true) | set(y_pred)))
     dump_json(report.to_dict(), out / "eval.json")
     print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}")
-    return EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
-    cfg = _load_experiment_config(args)
-    out = _out_dir(args)
+def _cmd_experiment(args, cfg, out) -> None:
     if cfg.seeds:
-        report = run_seeds(cfg, list(cfg.seeds), out_dir=out, workers=args.workers)
+        report = run_seeds(cfg, list(cfg.seeds), out_dir=out)
         print(
             f"mean accuracy {report['mean_accuracy']:.4f} "
             f"(std {report['std_accuracy']:.4f}) over {len(cfg.seeds)} seeds"
         )
     else:
-        report = run_experiment(cfg, out_dir=out, workers=args.workers)
+        report = run_experiment(cfg, out_dir=out)
         print(
             f"accuracy {report['results']['accuracy']:.4f}  "
             f"macro-F1 {report['results']['macro_f1']:.4f}"
         )
     print(f"report written to {out / 'report.json'}")
-    return EXIT_OK
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _load_experiment_config(args)
-    out = _out_dir(args)
+def _cmd_ablate(args, cfg, out) -> None:
     result = ablation(
         cfg,
         args.toggle,
         out_dir=out,
-        workers=args.workers,
         prefix_fraction=args.prefix_fraction,
         n_blocks=args.blocks,
     )
@@ -271,13 +231,13 @@ def _cmd_ablate(args) -> int:
             + "  ".join(f"{arm}={acc:.4f}" for arm, acc in sorted(final.items()))
         )
     print(f"ablation written to {out / 'ablation.json'}")
-    return EXIT_OK
 
 
-def _add_common(sub, config_required=True):
-    sub.add_argument("--config", required=config_required, help="experiment config JSON")
+def _add_common(sub):
+    sub.set_defaults(read=ExperimentConfig.from_file)
+    sub.add_argument("--config", required=True, help="experiment config JSON")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect (features are generated in one thread)")
+    sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     sub.add_argument("--out-dir", required=True, help="output directory")
 
 
@@ -289,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--config", required=True, help="synthetic corpus spec JSON")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out-dir", required=True)
-    sub.set_defaults(func=_cmd_synth)
+    sub.set_defaults(func=_cmd_synth, read=lambda path: SyntheticCorpusSpec.from_dict(load_json(path)))
 
     sub = commands.add_parser("build-interpreter", help="build and save per-language interpreters")
     _add_common(sub)
@@ -325,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--predictions", required=True, help="predictions JSONL from classify")
     sub.add_argument("--dataset", required=True, help="labeled dataset JSONL")
     sub.add_argument("--out-dir", required=True)
-    sub.set_defaults(func=_cmd_evaluate)
+    sub.set_defaults(func=_cmd_evaluate, read=None)
 
     sub = commands.add_parser("experiment", help="run a configured experiment end to end")
     _add_common(sub)
@@ -351,7 +311,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = args.read(args.config) if args.read else None
+        if cfg is not None and args.seed is not None:
+            if args.command == "experiment" and cfg.seeds:
+                raise DataError(f"--seed {args.seed} would be ignored: the config field 'seeds' "
+                                f"sets the experiment's seeds to {list(cfg.seeds)}")
+            cfg = replace(cfg, seed=args.seed)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, cfg, out)
+        return EXIT_OK
     except SetupViolation as exc:
         print(f"setup violation: {exc}", file=sys.stderr)
         return EXIT_SETUP

@@ -34,7 +34,7 @@ from .features import (
     select_features,
 )
 from .interpreter import SemanticInterpreter, build_interpreter
-from .learner import EvalReport, LinearModel, epochs_ok, evaluate, lambda_ok, train
+from .learner import DEFAULT_EPOCHS, DEFAULT_LAMBDA, EvalReport, LinearModel, epochs_ok, evaluate, lambda_ok, train
 from .ontology import (
     Hierarchy,
     SupportIndex,
@@ -63,8 +63,8 @@ class Hyperparams(JsonConfig):
     p: int = 10
     t: int = 200
     n_select: int = 20000
-    lambda_: float = 1e-4
-    epochs: int = 20
+    lambda_: float = DEFAULT_LAMBDA
+    epochs: int = DEFAULT_EPOCHS
 
     def __post_init__(self):
         for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):

@@ -1129,6 +1129,62 @@ class TestDeterminism:
             reports.append(json.loads((out / "report.json").read_text()))
         assert reports[0]["data"]["train_doc_ids"] != reports[1]["data"]["train_doc_ids"]
 
+    def test_synth_seed_overrides_the_spec_seed(self, workspace, tmp_path):
+        spec = json.loads(workspace["synth"].read_text())
+        assert spec["seed"] != 5
+        seeded = tmp_path / "seed5.json"
+        seeded.write_text(json.dumps({**spec, "seed": 5}), encoding="utf-8")
+        runs = {
+            "flag": ["--config", str(workspace["synth"]), "--seed", "5"],
+            "spec": ["--config", str(seeded)],
+            "own": ["--config", str(workspace["synth"])],
+        }
+        files = {}
+        for name, argv in runs.items():
+            assert cli.main(["synth", *argv, "--out-dir", str(tmp_path / name)]) == 0
+            files[name] = _files(tmp_path / name)
+        assert_no_child_left()
+        assert files["flag"] == files["spec"]
+        assert files["flag"].keys() == files["own"].keys()
+        assert all(files["flag"][name] != files["own"][name] for name in ("corpus.jsonl", "train_l0.jsonl"))
+
+
+def _files(root):
+    """Every file under root, by its path relative to root, as bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestSeedSweep:
+    """`experiment` under a config with a `seeds` list."""
+
+    @pytest.fixture
+    def sweep_config(self, workspace, tmp_path):
+        cfg = json.loads(workspace["config"].read_text())
+        cfg["seeds"] = [1, 2]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    def test_same_bytes_across_runs_and_at_one_and_two_cpus(self, sweep_config, tmp_path, monkeypatch):
+        runs = []
+        for tag, cpus in (("a", 2), ("b", 2), ("c", 1)):
+            monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+            out = tmp_path / tag
+            assert cli.main(["experiment", "--config", str(sweep_config), "--out-dir", str(out)]) == 0
+            assert_no_child_left()
+            runs.append(_files(out))
+        assert runs[0] == runs[1] == runs[2]
+        assert {"report.json", "seed_1/report.json", "seed_2/report.json"} <= runs[0].keys()
+        aggregate = json.loads(runs[0]["report.json"])
+        assert sorted(aggregate["per_seed_results"]) == ["1", "2"]
+
+    def test_seed_flag_is_a_data_error_naming_both(self, sweep_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["experiment", "--config", str(sweep_config), "--seed", "9", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "'seeds'" in err
+        assert not out.exists()
+
 
 # Each language's stopword list in the stopword runs: the unique words of
 # b0000-b0005, then eight more words of the language's vocabulary.

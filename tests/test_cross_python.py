@@ -1,0 +1,60 @@
+"""tools/cross_python.py with its commands stubbed in this process, so that
+no interpreter is started: where its files go, and when they are kept."""
+
+import importlib.util
+import tempfile
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cross_python.py"
+
+
+@pytest.fixture
+def tool(monkeypatch, tmp_path):
+    """The tool, whose temporary directories go under tmp_path / "tmp", and
+    whose xlcat(python, ...) writes one file naming `python` into the
+    --out-dir it is given. A python named "differs" writes other bytes;
+    one named "broken" fails."""
+    spec = importlib.util.spec_from_file_location("cross_python", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+
+    def run(python, *args):
+        if python == "broken":
+            raise module.CommandFailed(f"cannot start {python}")
+        return "3.99.0\n"
+
+    def xlcat(python, command, *args):
+        run(python)
+        out = Path(args[args.index("--out-dir") + 1])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{command}.txt").write_text("other" if python == "differs" else "same", encoding="utf-8")
+
+    monkeypatch.setattr(module, "run", run)
+    monkeypatch.setattr(module, "xlcat", xlcat)
+    return module
+
+
+def test_a_run_in_which_every_python_is_the_same_deletes_its_temporary_directory(tool, tmp_path, capsys):
+    assert tool.main(["python-a", "python-b"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("same ") == 2 and "kept" not in out
+    assert not list((tmp_path / "tmp").iterdir())
+
+
+@pytest.mark.parametrize("pythons", [["python-a", "differs"], ["broken"]])
+def test_a_run_that_fails_or_differs_keeps_its_temporary_directory(tool, tmp_path, capsys, pythons):
+    assert tool.main(pythons) == 1
+    (work,) = (tmp_path / "tmp").iterdir()
+    assert capsys.readouterr().out.splitlines()[-1] == f"kept {work}"
+    assert (work / "reference" / "evaluate" / "evaluate.txt").read_text(encoding="utf-8") == "same"
+
+
+def test_a_given_work_directory_is_kept(tool, tmp_path, capsys):
+    assert tool.main(["--work", str(tmp_path / "work"), "python-a"]) == 0
+    assert "kept" not in capsys.readouterr().out
+    assert (tmp_path / "work" / "python_0" / "evaluate" / "evaluate.txt").is_file()
+    assert not list((tmp_path / "tmp").iterdir())

@@ -14,7 +14,9 @@ file a PYTHON wrote is compared by sha256 with the running interpreter's.
 
 A PYTHON that cannot be started, or whose command exits non-zero, is an
 error. The exit status is 0 only when every PYTHON ran every command and
-wrote the same files, byte for byte; otherwise 1.
+wrote the same files, byte for byte; otherwise 1. Without --work the files
+go to a new temporary directory, which is deleted after a run that exits 0
+and otherwise kept, with its path printed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -90,12 +93,10 @@ def digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("pythons", nargs="+", metavar="PYTHON", help="interpreter to compare")
-    parser.add_argument("--work", help="directory for the files (default: a new temporary one)")
-    args = parser.parse_args(argv)
-    work = Path(args.work or tempfile.mkdtemp(prefix="xlcat-cross-python-"))
+def compare(pythons: list[str], work: Path) -> int:
+    """The reference run and each PYTHON's under `work`, reported line by
+    line; the number of PYTHONs that failed or differed (1 if the reference
+    itself failed)."""
     inputs = work / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     (inputs / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
     expected = digests(work / "reference")
     print(f"reference: {sys.executable} ({sys.version.split()[0]}), {len(expected)} files in {work}")
     failed = 0
-    for i, python in enumerate(args.pythons):
+    for i, python in enumerate(pythons):
         out = work / f"python_{i}"
         try:
             version = run(python, "-c", "import platform; print(platform.python_version())").strip()
@@ -125,8 +126,23 @@ def main(argv=None) -> int:
         print(f"{'same' if not differ else 'DIFFERENT'} {python} ({version}): {len(got)} files"
               + "".join(f"\n  differs: {name}" for name in differ))
         failed += bool(differ)
-    return 1 if failed else 0
+    return failed
 
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("pythons", nargs="+", metavar="PYTHON", help="interpreter to compare")
+    parser.add_argument("--work", help="directory for the files (default: a new temporary one, "
+                                       "deleted unless a run failed or differed)")
+    args = parser.parse_args(argv)
+    work = Path(args.work or tempfile.mkdtemp(prefix="xlcat-cross-python-"))
+    failed = compare(args.pythons, work)
+    if args.work is None:
+        if failed:
+            print(f"kept {work}")
+        else:
+            shutil.rmtree(work)
+    return 1 if failed else 0
 
 if __name__ == "__main__":
     sys.exit(main())
