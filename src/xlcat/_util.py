@@ -1,8 +1,9 @@
-"""Small shared helpers: deterministic RNG streams, an ordered serial map,
-block bounds, tasks forked to run beside the caller, stable JSON writing,
-the versioned artifact envelope, the one type check of every JSON field
-read from a config or a JSON-lines record, and the JsonConfig codec of the
-config dataclasses built on it.
+"""Small shared helpers: the integer field rule, deterministic RNG streams,
+an ordered serial map, block bounds and their per-CPU split, tasks forked
+to run beside the caller, stable JSON writing, the versioned artifact
+envelope, the one type check of every JSON field read from a config or a
+JSON-lines record, and the JsonConfig codec of the config dataclasses
+built on it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def abridged(value: object) -> str:
         return f"{'-' * (value < 0)}<integer of {value.bit_length()} bits>"
 
 
+def int_at_least(value: object, low: int) -> bool:
+    """Whether value is an integer (not a bool) >= low: every integer config
+    field's rule, so a directly built config is checked as its JSON is."""
+    return type(value) is int and value >= low
+
+
 def stable_rng(*parts: object) -> random.Random:
     """Mersenne Twister seeded from a string key (the stdlib hashes the key
     bytes with SHA-512); independent of PYTHONHASHSEED and platform, so every
@@ -54,6 +61,12 @@ def block_bounds(n: int, blocks: int) -> list[int]:
     and larger first: block b is range(bounds[b], bounds[b + 1])."""
     base, extra = divmod(n, blocks)  # the first `extra` blocks hold one more
     return [b * base + min(b, extra) for b in range(blocks + 1)]
+
+
+def cpu_blocks(n: int) -> list[int]:
+    """block_bounds of range(n) in a block per process `forked` may use
+    (fork_workers()), but in no more blocks than items and at least one."""
+    return block_bounds(n, max(1, min(fork_workers(), n)))
 
 
 def _usable_cpus() -> int:

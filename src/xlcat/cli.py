@@ -19,7 +19,7 @@ from ._util import dump_json, dump_jsonl, json_field, load_json
 from .corpus import _read_jsonl, load_labeled_dataset
 from .errors import CorpusFormatError, DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
-from .interpreter import SemanticInterpreter
+from .interpreter import SemanticInterpreter, interpreter_file
 from .learner import LinearModel, TrainingError, predict, report_from_pairs, train
 from .pipeline import (
     ExperimentConfig,
@@ -61,7 +61,7 @@ def _load_interpreters(args, cfg, docs):
     h, stopwords = load_ontology(cfg)
     interpreters = {}
     for lang in languages:
-        path = Path(args.interpreters) / f"interpreter_{lang}.json"
+        path = interpreter_file(args.interpreters, lang)
         if not path.is_file():
             raise DataError(f"no interpreter for language {lang!r}: {path} does not exist")
         interpreters[lang] = si = SemanticInterpreter.load(path)
@@ -98,7 +98,7 @@ def _cmd_synth(args, spec, out) -> None:
 def _cmd_build_interpreter(args, cfg, out) -> None:
     prep = prepare_semantic_resources(cfg, load_resources(cfg), args.language or cfg.needed_languages())
     for lang, si in prep.interpreters.items():
-        path = out / f"interpreter_{lang}.json"
+        path = interpreter_file(out, lang)
         si.save(path)
         print(f"wrote {path} ({len(prep.retained)} concepts)")
 
@@ -112,7 +112,12 @@ def _cmd_make_virtual_docs(args, cfg, out) -> None:
 
 
 def _cmd_gen_features(args, cfg, out) -> None:
-    docs = [doc for path in args.dataset for doc in load_labeled_dataset(path)]
+    docs, first = [], {}  # doc_id -> the index of the --dataset that holds it
+    for i, path in enumerate(args.dataset):
+        for doc in load_labeled_dataset(path):
+            if first.setdefault(doc.doc_id, i) != i:
+                raise DataError(f"doc_id {doc.doc_id!r} is in both {args.dataset[first[doc.doc_id]]} and {path}")
+            docs.append(doc)
     if not docs:
         raise DataError("no documents in the given dataset(s)")
     space = _load_space(args, cfg) if args.space else None

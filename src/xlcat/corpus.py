@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from ._util import JsonConfig, dump_jsonl, json_field
+from ._util import JsonConfig, abridged, dump_jsonl, int_at_least, json_field
 from .errors import CorpusFormatError, DataError
 
 # Ordered list of normalized tokens.
@@ -48,15 +48,7 @@ class SupportArticle:
             raise DataError(f"unknown article flags: {sorted(bad)}")
 
     def to_dict(self) -> dict:
-        return {
-            "concept_id": self.concept_id,
-            "language": self.language,
-            "title": self.title,
-            "text": self.text,
-            "links_in": self.links_in,
-            "links_out": self.links_out,
-            "flags": sorted(self.flags),
-        }
+        return {**vars(self), "flags": sorted(self.flags)}
 
 
 @dataclass(frozen=True)
@@ -69,10 +61,7 @@ class LabeledDocument:
     label: Optional[str] = None
 
     def to_dict(self) -> dict:
-        rec = {"doc_id": self.doc_id, "language": self.language, "text": self.text}
-        if self.label is not None:
-            rec["label"] = self.label
-        return rec
+        return {k: v for k, v in vars(self).items() if k != "label" or v is not None}
 
 
 @dataclass(frozen=True)
@@ -88,8 +77,8 @@ class FilterConfig(JsonConfig):
 
     def __post_init__(self):
         for name in ("min_chars", "min_links_in", "min_links_out"):
-            if (value := getattr(self, name)) < 0:
-                raise DataError(f"config field {self._where + name!r} must be >= 0, got {value!r}")
+            if not int_at_least(value := getattr(self, name), 0):
+                raise DataError(f"config field {self._where + name!r} must be an integer >= 0, got {abridged(value)}")
         object.__setattr__(self, "drop_flags", frozenset(self.drop_flags))
         if self.drop_flags - ARTICLE_FLAGS:
             raise DataError(

@@ -13,9 +13,9 @@ from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import block_bounds, dump_artifact, dump_jsonl, fork_workers, forked, json_field, load_artifact, ordered_map
+from ._util import cpu_blocks, dump_artifact, dump_jsonl, forked, json_field, load_artifact, ordered_map
 from .corpus import LabeledDocument, TokenStream, _read_jsonl, tokenize
-from .errors import DataError
+from .errors import CorpusFormatError, DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
 from .ontology import Hierarchy
 
@@ -127,22 +127,21 @@ def project_documents(
     h: Hierarchy,
     k_doc: int,
     m: int,
-    workers: int = 1,
 ) -> List[BinaryFeatureVector]:
     """Map documents onto an existing space; concepts outside it are dropped.
-    Mapped in min(fork_workers(), documents) blocks (_util.block_bounds), the
-    first here and each other in a forked child, joined in order. The
-    children's documents are tokenized here first, so this process makes every
-    tokenizer call, and each reaches its child as one space-joined string (no
-    token holds whitespace), cheaper than a list of tokens."""
-    bounds = block_bounds(len(docs), max(1, min(fork_workers(), len(docs))))
+    Mapped in the blocks of _util.cpu_blocks, the first here and each other
+    in a forked child, joined in order. The children's documents are
+    tokenized here first, so this process makes every tokenizer call, and
+    each reaches its child as one space-joined string (no token holds
+    whitespace), cheaper than a list of tokens."""
+    bounds = cpu_blocks(len(docs))
     joined = {i: " ".join(tokenize(docs[i].text, si.stopwords))
               for i in range(bounds[1], len(docs)) if (si := interpreters.get(docs[i].language)) is not None}
 
     def project(lo: int, hi: int) -> List[BinaryFeatureVector]:
         per_doc = ordered_map(
             lambda i: document_features(docs[i], interpreters, h, k_doc, m, joined[i].split() if i in joined else None),
-            range(lo, hi), workers,
+            range(lo, hi),
         )
         return [space.vector_for(feats) for feats in per_doc]
 
@@ -163,13 +162,13 @@ def _entropy(counts: Mapping[str, int], total: int) -> float:
 
 
 def information_gain(vectors: Sequence[BinaryFeatureVector], labels: Sequence[str],
-                     coordinate: int | Sequence[int]) -> float | List[float]:
-    """Mutual information (bits) between a binary coordinate and the label:
-    H(K) - P(f=1) H(K|f=1) - P(f=0) H(K|f=0), with empirical probabilities.
-    Given a sequence of coordinates, their gains in order, from one pass over
-    the documents: O(nnz + coordinates * labels). Each entropy adds its labels
-    in the order that fixes every bit: H(K|f=1) by first appearance among the
-    documents with f, H(K|f=0) by each label's first document without f."""
+                     coordinates: Sequence[int]) -> List[float]:
+    """Mutual information (bits) between each binary coordinate and the
+    label, H(K) - P(f=1) H(K|f=1) - P(f=0) H(K|f=0) with empirical
+    probabilities, in order, from one pass over the documents: O(nnz +
+    coordinates * labels). Each entropy adds its labels in the order that
+    fixes every bit: H(K|f=1) by first appearance among the documents with
+    f, H(K|f=0) by each label's first document without f."""
     if len(vectors) != len(labels):
         raise ValueError("vectors and labels must have the same length")
     if not vectors:
@@ -182,7 +181,7 @@ def information_gain(vectors: Sequence[BinaryFeatureVector], labels: Sequence[st
         for c in vec:
             postings[c].append(label)
     gains = []
-    for c in [coordinate] if isinstance(coordinate, int) else coordinate:
+    for c in coordinates:
         n_on, on = len(postings[c]), Counter(postings[c])
         first_off = {}  # label -> its first document without c, if it has one
         for label, docs in docs_of.items():
@@ -193,7 +192,7 @@ def information_gain(vectors: Sequence[BinaryFeatureVector], labels: Sequence[st
         off = {k: total[k] - on.get(k, 0) for k in sorted(first_off, key=first_off.get)}
         gain = prior - n_on / n * _entropy(on, n_on) - (n - n_on) / n * _entropy(off, n - n_on)
         gains.append(max(gain, 0.0))
-    return gains[0] if isinstance(coordinate, int) else gains
+    return gains
 
 
 def select_features(
@@ -241,10 +240,14 @@ def save_vectors(
 
 
 def load_vectors(path: str | Path) -> Tuple[List[BinaryFeatureVector], List[Optional[str]], List[str]]:
-    """Returns (vectors, labels, doc_ids); labels hold None where absent."""
-    vectors, labels, ids = [], [], []
+    """Returns (vectors, labels, doc_ids); labels hold None where absent, and
+    a doc_id repeated is a CorpusFormatError naming path:line."""
+    vectors, labels, ids, seen = [], [], [], set()
     for lineno, obj in _read_jsonl(path):
-        ids.append(json_field(obj, "doc_id", str, path, lineno))
+        ids.append(doc_id := json_field(obj, "doc_id", str, path, lineno))
+        if doc_id in seen:
+            raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", path, lineno)
+        seen.add(doc_id)
         vectors.append(frozenset(json_field(obj, "active", list, path, lineno, of=int)))
         labels.append(json_field(obj, "label", str, path, lineno, None))
     return vectors, labels, ids

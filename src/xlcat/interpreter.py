@@ -67,6 +67,11 @@ class SemanticInterpreter:
         return load_artifact(path, "interpreter", convert, InterpreterError)
 
 
+def interpreter_file(directory: str | Path, language: str) -> Path:
+    """Where a directory of saved interpreters holds the language's."""
+    return Path(directory) / f"interpreter_{language}.json"
+
+
 def pseudo_document_counts(idx: SupportIndex, concept_id: str, language: str) -> Counter:
     """Term counts of a concept's pseudo-document: its support articles'
     term counts summed in article order (see SupportIndex.count_terms),

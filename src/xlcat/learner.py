@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from ._util import abridged, block_bounds, dump_artifact, fork_workers, forked, json_field, load_artifact, stable_rng
+from ._util import abridged, cpu_blocks, dump_artifact, forked, int_at_least, json_field, load_artifact, stable_rng
 from .errors import DataError
 from .features import BinaryFeatureVector
 
@@ -31,11 +31,6 @@ def lambda_ok(lambda_: float) -> bool:
     """Whether train can step with lambda_: a number in (0, largest float]
     whose first step 1/lambda_ is finite; an int compares exactly."""
     return 0 < lambda_ <= sys.float_info.max and 1 / lambda_ < math.inf
-
-
-def epochs_ok(epochs: int) -> bool:
-    """Whether train can run `epochs` epochs: an integer (not a bool) >= 1."""
-    return type(epochs) is int and epochs >= 1
 
 
 @dataclass
@@ -103,19 +98,12 @@ class EvalReport:
     accuracy: float
     macro_f1: float
     per_category: Dict[str, Dict[str, float]]
-    confusion: List[List[int]]  # rows: true category, cols: predicted
+    confusion_matrix: List[List[int]]  # rows: true category, cols: predicted
     categories: List[str]
     n_test: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_category": self.per_category,
-            "confusion_matrix": self.confusion,
-            "categories": self.categories,
-            "n_test": self.n_test,
-        }
+        return dict(vars(self))
 
 
 def _check_vectors(vectors: Sequence[BinaryFeatureVector], n_features: int) -> None:
@@ -148,17 +136,16 @@ def train(
     back. Each step costs O(categories * n_features) for that one shrink
     plus O(categories * nnz) for the margins and updates, so training is
     O(epochs * documents * categories * n_features). After every check and
-    the draw of every shuffle order, min(fork_workers(), categories)
-    contiguous blocks of categories, split by _util.block_bounds, step
-    apart: the first here, each other in a forked child (see _util.forked)
-    that calls only take, put, np.add.reduce and elementwise arithmetic, no
-    BLAS. A row's steps read and write only that row, so the
-    result is the same, bit for bit, for any split and as training the
-    categories one after another."""
+    the draw of every shuffle order, the contiguous blocks of categories
+    that _util.cpu_blocks splits step apart: the first here, each other in
+    a forked child (see _util.forked) that calls only take, put,
+    np.add.reduce and elementwise arithmetic, no BLAS. A row's steps read
+    and write only that row, so the result is the same, bit for bit, for
+    any split and as training the categories one after another."""
     if not lambda_ok(lambda_):
         raise TrainingError(f"lambda must be a number > 0 with a finite inverse, "
                             f"got {abridged(lambda_)}")
-    if not epochs_ok(epochs):
+    if not int_at_least(epochs, 1):
         raise TrainingError(f"epochs must be an integer >= 1, got {abridged(epochs)}")
     import numpy as np
     if len(vectors) != len(labels):
@@ -224,8 +211,7 @@ def train(
                     w.put(idx, g * shrink + step)
         return block
 
-    blocks = min(fork_workers(), len(categories))
-    bounds = block_bounds(len(categories), blocks)
+    bounds = cpu_blocks(len(categories))
     with forked([partial(run_block, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]) as stepped:
         run_block(0, bounds[1])
     weights = np.vstack([weights[:bounds[1]], *stepped])
@@ -303,7 +289,7 @@ def report_from_pairs(
         accuracy=correct / len(y_true),
         macro_f1=f1_sum / k,
         per_category=per_category,
-        confusion=confusion,
+        confusion_matrix=confusion,
         categories=categories,
         n_test=len(y_true),
     )

@@ -13,7 +13,8 @@ from statistics import mean, stdev
 from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import (
-    JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, json_field, load_json, stable_rng,
+    JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, int_at_least, json_field, load_json,
+    stable_rng,
 )
 from .corpus import (
     FilterConfig,
@@ -33,8 +34,8 @@ from .features import (
     save_vectors,
     select_features,
 )
-from .interpreter import SemanticInterpreter, build_interpreter
-from .learner import DEFAULT_EPOCHS, DEFAULT_LAMBDA, EvalReport, LinearModel, epochs_ok, evaluate, lambda_ok, train
+from .interpreter import SemanticInterpreter, build_interpreter, interpreter_file
+from .learner import DEFAULT_EPOCHS, DEFAULT_LAMBDA, EvalReport, LinearModel, evaluate, lambda_ok, train
 from .ontology import (
     Hierarchy,
     SupportIndex,
@@ -69,7 +70,7 @@ class Hyperparams(JsonConfig):
     def __post_init__(self):
         for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):
             val, low = getattr(self, name), 0 if name == "m" else 1
-            if val < low or name == "epochs" and not epochs_ok(val):
+            if not int_at_least(val, low):
                 raise DataError(f"config field 'hyperparams.{name}' must be an integer >= {low}, got {abridged(val)}")
         if not lambda_ok(self.lambda_):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
@@ -100,11 +101,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _distinct_seeds(self.seeds)
-        n = self.samples_per_category_per_language
-        if n < 1:
-            raise DataError(
-                f"experiment config field 'samples_per_category_per_language' must be >= 1, got {n}"
-            )
+        if not int_at_least(n := self.samples_per_category_per_language, 1):
+            raise DataError(f"experiment config field 'samples_per_category_per_language' must be an integer "
+                            f">= 1, got {abridged(n)}")
         if self.setup not in SETUPS:
             raise SetupViolation(f"unknown setup {self.setup!r}; expected one of {SETUPS}")
         src, tgt = set(self.source_languages), set(self.target_languages)
@@ -486,13 +485,13 @@ def _fit_and_classify(
         index = (prep.index or prepare_semantic_resources(cfg, res, ()).index) if targets else None
         built = _build_interpreters(cfg, index, retained, targets)
         for lang, si in built.items() if out_dir is not None else ():
-            si.save(out / f"interpreter_{lang}.json")
+            si.save(interpreter_file(out, lang))
         docs = _load_test_docs(cfg) if test_docs is None else test_docs
         return _test_features(cfg, h, {**interpreters, **built}, docs)
 
     def save_interpreters() -> None:
         for lang, si in sorted(interpreters.items()):
-            si.save(out / f"interpreter_{lang}.json")
+            si.save(interpreter_file(out, lang))
         save_virtual_docs(prep.virtual_tables, out / "virtual_docs.jsonl")
 
     if out_dir is not None:
@@ -543,9 +542,9 @@ def run_seeds(
     cfg: ExperimentConfig,
     seeds: Sequence[int],
     out_dir: Optional[str | Path] = None,
-    workers: int = 1,
 ) -> dict:
-    """Run the experiment once per seed and aggregate mean/stdev metrics."""
+    """Run the experiment once per seed and aggregate mean/stdev metrics;
+    with out_dir, seed s's run is written to out_dir/seed_<s>, then the aggregate."""
     if not seeds:
         raise DataError("seed list must be nonempty")
     seeds = _distinct_seeds(seeds)
@@ -557,9 +556,7 @@ def run_seeds(
         run_dir = Path(out_dir) / f"seed_{s}" if out_dir is not None else None
         seed_cfg = replace(cfg, seed=s)
         training, categories = _sample_training_docs(seed_cfg, per_lang_docs)
-        per_seed[s] = _run(
-            seed_cfg, res, prep, training, categories, test_docs, out_dir=run_dir, workers=workers
-        )
+        per_seed[s] = _run(seed_cfg, res, prep, training, categories, test_docs, out_dir=run_dir)
     accuracies = [per_seed[s]["results"]["accuracy"] for s in seeds]
     macro_f1s = [per_seed[s]["results"]["macro_f1"] for s in seeds]
     aggregate = envelope("report-aggregate", {
@@ -571,10 +568,8 @@ def run_seeds(
         "mean_macro_f1": mean(macro_f1s),
         "std_macro_f1": stdev(macro_f1s) if len(macro_f1s) > 1 else 0.0,
     })
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        dump_json(aggregate, out / "report.json")
+    if out_dir is not None:  # every seed's run has made it
+        dump_json(aggregate, Path(out_dir) / "report.json")
     return aggregate
 
 

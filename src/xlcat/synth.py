@@ -21,7 +21,7 @@ from math import ceil
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._util import JsonConfig, block_bounds, dump_json, fork_workers, forked, stable_rng
+from ._util import JsonConfig, abridged, block_bounds, dump_json, fork_workers, forked, int_at_least, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
 from .ontology import save_concepts, save_hierarchy_edges
 
@@ -60,9 +60,8 @@ class SyntheticCorpusSpec(JsonConfig):
             "n_languages", "n_categories", "docs_per_category", "words_per_concept",
             "support_docs_per_pair", "support_doc_length", "doc_length", "concepts_per_doc",
         ):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"synthetic spec field {name!r} must be positive, got {value!r}")
+            if not int_at_least(value := getattr(self, name), 1):
+                raise ValueError(f"synthetic spec field {name!r} must be an integer >= 1, got {abridged(value)}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError("noise_rate must lie in [0, 1)")
         if self.category_layout not in ("blocked", "interleaved"):
@@ -82,9 +81,8 @@ class SyntheticCorpusSpec(JsonConfig):
                 )
         grouped = self.group_word_weight > 0 or self.cross_group_word_weight > 0
         for name, least in (("words_per_group", int(grouped)), ("background_words", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"synthetic spec field {name!r} must be >= {least}, got {value!r}")
+            if not int_at_least(value := getattr(self, name), least):
+                raise ValueError(f"synthetic spec field {name!r} must be an integer >= {least}, got {abridged(value)}")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
             raise ValueError("group word weights must sum to less than 1")
 

@@ -49,13 +49,7 @@ class TermCountTable:
             raise VirtualDocError("term counts must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "concept_id": self.concept_id,
-            "language": self.language,
-            "terms": dict(sorted(self.terms.items())),
-            "provenance": list(self.provenance),
-            "virtual": True,
-        }
+        return {**vars(self), "provenance": list(self.provenance), "virtual": True}
 
 
 def find_ancestor_depth(
@@ -105,8 +99,8 @@ def construct_virtual_document(
     idx: SupportIndex,
     concept_id: str,
     language: str,
-    p: int = 10,
-    t: int = 200,
+    p: int,
+    t: int,
 ) -> TermCountTable:
     """Build the virtual document for a concept with no support in the given
     language: per contributing ancestor, take the t most prominent terms of

@@ -164,7 +164,7 @@ def test_information_gain_oracle():
         labels = [f"k{rng.randrange(n_labels)}" for _ in range(n)]
         rate = rng.random()
         vectors = [frozenset({7}) if rng.random() < rate else frozenset() for _ in range(n)]
-        got = information_gain(vectors, labels, 7)
+        [got] = information_gain(vectors, labels, [7])
         want = _mutual_information(vectors, labels, 7)
         assert abs(got - want) <= 1e-12
 

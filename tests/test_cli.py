@@ -512,6 +512,105 @@ class TestStageCommandDataErrors:
                      "--out-dir", str(tmp_path / "o")], capsys, message)
 
 
+def _rewrite_jsonl(source, dest, edit):
+    """dest holds the records of the JSON-lines file source, each after
+    edit(index, record), which changes it in place; returns dest."""
+    records = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+    for i, record in enumerate(records):
+        edit(i, record)
+    dest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return dest
+
+
+class TestRepeatedDocIds:
+    """A doc_id seen twice is a data error, not a document trained twice."""
+
+    def test_train_rejects_a_repeated_vector_naming_its_line(self, workspace, artifacts, tmp_path, capsys):
+        lines = (artifacts / "train_vectors.jsonl").read_text(encoding="utf-8").splitlines()
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        TestStageCommandDataErrors._fails(
+            ["train", "--config", str(workspace["config"]), "--space", str(artifacts / "feature_space.json"),
+             "--vectors", str(vectors), "--out-dir", str(tmp_path / "o")],
+            capsys, f"{vectors}:{len(lines) + 1}: duplicate doc_id {json.loads(lines[0])['doc_id']!r}")
+        assert not (tmp_path / "o" / "model.json").exists()
+
+    @pytest.mark.parametrize("twice", [True, False])
+    def test_gen_features_rejects_an_id_two_datasets_share(self, workspace, tmp_path, capsys, twice):
+        train = workspace["corpus"].paths["datasets"]["l0"]["train"]
+        first = json.loads(train.read_text(encoding="utf-8").splitlines()[0])
+        other = train if twice else tmp_path / "other.jsonl"
+        if not twice:
+            other.write_text(json.dumps(dict(first, text="another text")) + "\n", encoding="utf-8")
+        TestStageCommandDataErrors._fails(
+            ["gen-features", "--config", str(workspace["config"]), "--dataset", str(train),
+             "--dataset", str(other), "--out-dir", str(tmp_path / "o")],
+            capsys, f"doc_id {first['doc_id']!r} is in both {train} and {other}")
+        assert not (tmp_path / "o" / "vectors.jsonl").exists()
+
+
+class TestReachableDataErrors:
+    """Inputs that only a data error can answer, each exiting 2 with its
+    message and no child left."""
+
+    @staticmethod
+    def _experiment(workspace, tmp_path, capsys, edit, message, *extra, command="experiment"):
+        cfg = json.loads(workspace["config"].read_text())
+        edit(cfg)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        TestStageCommandDataErrors._fails(
+            [command, "--config", str(path), *extra, "--out-dir", str(tmp_path / "o")], capsys, message)
+        assert_no_child_left()
+
+    def test_training_set_without_a_labeled_document(self, workspace, tmp_path, capsys):
+        train = _rewrite_jsonl(workspace["corpus"].paths["datasets"]["l0"]["train"], tmp_path / "train.jsonl",
+                               lambda i, doc: doc.pop("label"))
+        self._experiment(workspace, tmp_path, capsys,
+                         lambda cfg: cfg["paths"]["datasets"]["l0"].update(train=str(train)),
+                         "training dataset for 'l0' has no labeled documents")
+
+    def test_unlabeled_test_document(self, workspace, tmp_path, capsys):
+        source = workspace["corpus"].paths["datasets"]["l1"]["test"]
+        doc_id = json.loads(source.read_text(encoding="utf-8").splitlines()[3])["doc_id"]
+        test = _rewrite_jsonl(source, tmp_path / "test.jsonl", lambda i, doc: i == 3 and doc.pop("label"))
+        self._experiment(workspace, tmp_path, capsys,
+                         lambda cfg: cfg["paths"]["datasets"]["l1"].update(test=str(test)),
+                         f"test documents lack labels, e.g. {doc_id!r}")
+
+    def test_no_concept_supported_in_every_language(self, workspace, tmp_path, capsys):
+        self._experiment(workspace, tmp_path, capsys, lambda cfg: cfg["filter"].update(min_chars=10**9),
+                         "no concepts are supported in every required language")
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--prefix-fraction", "1.5"], "prefix_fraction must lie in (0, 1)"),
+        (["--blocks", "0"], "n_blocks must be positive"),
+        (["--prefix-fraction", "0.99"], "prefix covers every concept; nothing to ablate"),  # 12 of 12
+    ])
+    def test_virtual_docs_ablation_arguments(self, workspace, tmp_path, capsys, extra, message):
+        self._experiment(workspace, tmp_path, capsys, lambda cfg: None, message,
+                         "--toggle", "virtual_docs", *extra, command="ablate")
+
+    @pytest.mark.parametrize("field", ["concept_id", "language"])
+    def test_support_article_with_an_empty_field(self, workspace, tmp_path, capsys, field):
+        corpus = _rewrite_jsonl(workspace["corpus"].paths["corpus"], tmp_path / "corpus.jsonl",
+                                lambda i, article: i == 1 and article.update({field: ""}))
+        self._experiment(workspace, tmp_path, capsys, lambda cfg: cfg["paths"].update(corpus=str(corpus)),
+                         f"{corpus}:2: support article has empty {field}")
+
+    def test_hierarchy_edge_to_an_undeclared_child(self, workspace, tmp_path, capsys):
+        hierarchy = _rewrite_jsonl(workspace["corpus"].paths["hierarchy"], tmp_path / "hierarchy.jsonl",
+                                   lambda i, edge: i == 0 and edge.update(child="undeclared"))
+        self._experiment(workspace, tmp_path, capsys, lambda cfg: cfg["paths"].update(hierarchy=str(hierarchy)),
+                         "edge child 'undeclared' is not a declared concept")
+
+    def test_concept_of_an_unknown_kind(self, workspace, tmp_path, capsys):
+        concepts = _rewrite_jsonl(workspace["corpus"].paths["concepts"], tmp_path / "concepts.jsonl",
+                                  lambda i, concept: i == 2 and concept.update(kind="other"))
+        self._experiment(workspace, tmp_path, capsys, lambda cfg: cfg["paths"].update(concepts=str(concepts)),
+                         f"{concepts}:3: kind must be 'basic' or 'meta', got 'other'")
+
+
 class TestStageCommands:
     """make-virtual-docs builds no interpreter, and build-interpreter only
     those of the --language flags given; each writes the bytes the

@@ -171,6 +171,36 @@ class TestLoadLabeledDataset:
         save_labeled_dataset(docs, path)
         assert load_labeled_dataset(path) == docs
 
+    def test_blank_lines_are_skipped_and_still_counted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        d1, d2 = (json.dumps({"doc_id": i, "language": "en", "text": "a"}) for i in ("d1", "d2"))
+        write_lines(path, [d1, "", " \t", d2])
+        assert [d.doc_id for d in load_labeled_dataset(path)] == ["d1", "d2"]
+        write_lines(path, [d1, "", " \t", d1])
+        with pytest.raises(CorpusFormatError, match=f"^{path}:4: duplicate doc_id 'd1'$"):
+            load_labeled_dataset(path)
+
+
+class TestRecordDicts:
+    """to_dict is a record's fields with its one exception, in a new dict."""
+
+    def test_support_article_sorts_its_flags(self):
+        article = SupportArticle("c", "en", "T", "x", 3, 4, frozenset({"redirect", "catalog"}))
+        record = article.to_dict()
+        assert record == {"concept_id": "c", "language": "en", "title": "T", "text": "x",
+                          "links_in": 3, "links_out": 4, "flags": ["catalog", "redirect"]}
+        record["text"] = "changed"
+        assert article.text == "x"
+
+    def test_labeled_document_leaves_out_a_missing_label(self):
+        assert LabeledDocument("d", "en", "t", "x").to_dict() == {
+            "doc_id": "d", "language": "en", "text": "t", "label": "x"}
+        doc = LabeledDocument("d", "en", "t")
+        record = doc.to_dict()
+        assert record == {"doc_id": "d", "language": "en", "text": "t"}
+        record["text"] = "changed"
+        assert doc.text == "t"
+
 
 def art(text="x" * 600, links_in=9, links_out=9, flags=(), cid="c"):
     return SupportArticle(

@@ -257,21 +257,21 @@ class TestInformationGain:
     def test_perfect_split(self):
         vectors = [frozenset({0}), frozenset({0}), frozenset(), frozenset()]
         labels = ["+", "+", "-", "-"]
-        assert information_gain(vectors, labels, 0) == pytest.approx(1.0)
+        assert information_gain(vectors, labels, [0]) == [pytest.approx(1.0)]
 
     def test_always_active_zero(self):
         vectors = [frozenset({0})] * 4
         labels = ["+", "+", "-", "-"]
-        assert information_gain(vectors, labels, 0) == pytest.approx(0.0)
+        assert information_gain(vectors, labels, [0]) == [pytest.approx(0.0)]
 
     def test_uninformative_split_zero(self):
         vectors = [frozenset({0}), frozenset(), frozenset({0}), frozenset()]
         labels = ["+", "+", "-", "-"]
-        assert information_gain(vectors, labels, 0) == pytest.approx(0.0)
+        assert information_gain(vectors, labels, [0]) == [pytest.approx(0.0)]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            information_gain([frozenset()], ["a", "b"], 0)
+            information_gain([frozenset()], ["a", "b"], [0])
 
     def test_matches_contingency_oracle(self):
         rng = random.Random(13)
@@ -280,7 +280,7 @@ class TestInformationGain:
             n_labels = rng.randrange(1, 5)
             labels = [f"k{rng.randrange(n_labels)}" for _ in range(n)]
             vectors = [frozenset({0}) if rng.random() < 0.4 else frozenset() for _ in range(n)]
-            got = information_gain(vectors, labels, 0)
+            [got] = information_gain(vectors, labels, [0])
             want = _mutual_information_oracle(vectors, labels, 0)
             assert got == pytest.approx(want, abs=1e-12)
             assert got >= 0.0
@@ -359,7 +359,7 @@ class TestInformationGainOracle:
     def test_same_bits_as_reference(self, drawn):
         vectors, labels, k = drawn
         for coordinate in range(k + 2):
-            got = information_gain(vectors, labels, coordinate)
+            [got] = information_gain(vectors, labels, [coordinate])
             assert got.hex() == reference_information_gain(vectors, labels, coordinate).hex()
 
     @given(labeled_binary_vectors())

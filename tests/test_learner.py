@@ -435,10 +435,18 @@ class TestEvaluate:
         y_true = ["A", "A", "A", "B", "B", "B"]
         y_pred = ["A", "A", "B", "B", "B", "B"]
         report = report_from_pairs(y_true, y_pred, ["A", "B"])
-        assert report.confusion == [[2, 1], [0, 3]]
+        assert report.confusion_matrix == [[2, 1], [0, 3]]
         assert report.accuracy == pytest.approx(5 / 6)
         assert report.per_category["A"]["recall"] == pytest.approx(2 / 3)
         assert report.per_category["A"]["precision"] == pytest.approx(1.0)
+
+    def test_report_dict_is_its_fields_in_a_new_dict(self):
+        report = report_from_pairs(["A", "B"], ["A", "A"], ["A", "B"])
+        record = report.to_dict()
+        assert record == {"accuracy": 0.5, "macro_f1": report.macro_f1, "per_category": report.per_category,
+                          "confusion_matrix": [[1, 0], [1, 0]], "categories": ["A", "B"], "n_test": 2}
+        record["n_test"] = 0
+        assert report.n_test == 2
 
     def test_accuracy_equals_brute_force_match_count(self):
         rng = random.Random(31)
@@ -471,7 +479,7 @@ class TestEvaluate:
         y_pred = [rng.choice(cats) for _ in range(120)]
         report = report_from_pairs(y_true, y_pred, cats)
         for i, cat in enumerate(cats):
-            assert sum(report.confusion[i]) == y_true.count(cat)
+            assert sum(report.confusion_matrix[i]) == y_true.count(cat)
 
 
 class TestPersistence:

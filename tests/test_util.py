@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from xlcat import _util
 from xlcat._util import (
-    _CHUNK, ARTIFACT_VERSIONS, block_bounds, dump_artifact, dump_json, envelope, forked, json_field, ordered_map,
+    _CHUNK, ARTIFACT_VERSIONS, block_bounds, cpu_blocks, dump_artifact, dump_json, envelope, forked, json_field,
+    ordered_map,
 )
 from xlcat.corpus import FilterConfig
 from xlcat.errors import CorpusFormatError, DataError
-from xlcat.pipeline import Hyperparams
+from xlcat.pipeline import ExperimentConfig, Hyperparams
 from xlcat.synth import SyntheticCorpusSpec
 
 from conftest import assert_no_child_left
@@ -115,6 +116,48 @@ def test_json_config_reads_back_what_it_writes_and_names_an_unknown_key(config):
     assert list(written) == [f.rstrip("_") for f in cls.__dataclass_fields__]
     with pytest.raises(DataError, match=re.escape(repr(cls._where + "bogus"))):
         cls.from_dict({**written, "bogus": 1})
+
+
+def _experiment_config(samples):
+    return ExperimentConfig(
+        setup="CLTC1", source_languages=("en",), target_languages=("en",), samples_per_category_per_language=samples,
+        seed=0, corpus_path="c", concepts_path="k", hierarchy_path="h", datasets={"en": {"train": "a", "test": "b"}},
+    )
+
+
+# (build the config with the field set to a value, the name its error quotes)
+INTEGER_FIELDS = [
+    *[(lambda v, name=name: Hyperparams(**{name: v}), "hyperparams." + name)
+      for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs")],
+    *[(lambda v, name=name: FilterConfig(**{name: v}), "filter." + name)
+      for name in ("min_chars", "min_links_in", "min_links_out")],
+    *[(lambda v, name=name: SyntheticCorpusSpec(**{"n_concepts": 12, name: v}), name)
+      for name in ("n_concepts", "n_meta_levels", "branching", "vocab_size_per_language", "n_languages",
+                   "n_categories", "docs_per_category", "words_per_concept", "support_docs_per_pair",
+                   "support_doc_length", "doc_length", "concepts_per_doc", "words_per_group", "background_words")],
+    (_experiment_config, "samples_per_category_per_language"),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5])
+@pytest.mark.parametrize("build,name", INTEGER_FIELDS, ids=[name for _, name in INTEGER_FIELDS])
+def test_an_integer_field_built_directly_rejects_a_bool_and_a_float_naming_it(build, name, value):
+    build(3)
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        build(value)
+
+
+@pytest.mark.parametrize("cpus,n,bounds", [
+    (1, 7, [0, 7]), (3, 7, [0, 3, 5, 7]), (3, 2, [0, 1, 2]), (3, 0, [0, 0]), (2, 1, [0, 1]),
+])
+def test_cpu_blocks_are_one_per_usable_cpu_and_no_more_than_the_items(monkeypatch, cpus, n, bounds):
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
+    assert cpu_blocks(n) == bounds
+
+
+def test_cpu_blocks_are_one_beside_another_thread(monkeypatch, another_thread):
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: 4)
+    assert cpu_blocks(8) == [0, 8]
 
 
 @contextmanager
