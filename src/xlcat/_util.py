@@ -290,24 +290,34 @@ def json_field(
 
 
 class JsonConfig:
-    """from_dict and to_dict of a frozen dataclass as a JSON config object.
-    Each field is stored under its name without a trailing "_" ("lambda_"
-    as "lambda") and read by json_field with its annotated type; a frozenset
-    is a sorted array of strings. An absent key takes the field's default
-    (a field with none is required); errors name the key as _where + key."""
+    """A frozen dataclass as a JSON config object: each field under its name
+    without a trailing "_" ("lambda_" as "lambda"), a frozenset as a sorted
+    array of strings. from_dict checks only the keys (an absent one takes its
+    field's default; a field with none is required). However a config is
+    built, __post_init__ holds each field to json_field's rule for its
+    annotation, and freezes a frozenset field checked as an array of strings.
+    Errors name the key as _where + key."""
 
     _where = ""
 
+    def __post_init__(self):
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            value, where = getattr(self, f.name), self._where + f.name.rstrip("_") + "."
+            if hints[f.name] is frozenset:
+                items = list(value) if isinstance(value, (set, frozenset)) else value
+                object.__setattr__(self, f.name, frozenset(json_field(items, None, list, where, of=str)))
+            else:
+                json_field(value, None, hints[f.name], where)
+
     @classmethod
     def from_dict(cls, d: Mapping) -> Any:
-        hints, where = get_type_hints(cls), cls._where
-        d = json_field(d, None, dict, where, keys={f.name.rstrip("_") for f in fields(cls)})
-        values = {}
-        for f in fields(cls):
-            kind, of = (list, str) if hints[f.name] is frozenset else (hints[f.name], None)
-            value = json_field(d, f.name.rstrip("_"), kind, where, default=f.default, of=of)
-            values[f.name] = frozenset(value) if of else value
-        return cls(**values)
+        keys = {f.name.rstrip("_"): f for f in fields(cls)}
+        d = json_field(d, None, dict, cls._where, keys=keys.keys())
+        for key, f in keys.items():
+            if f.default is MISSING and key not in d:
+                raise DataError(f"missing required config field {cls._where + key!r}")
+        return cls(**{f.name: d[key] for key, f in keys.items() if key in d})
 
     def to_dict(self) -> dict:
         values = {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}

@@ -16,14 +16,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._util import dump_json, dump_jsonl, json_field, load_json
-from .corpus import _read_jsonl, load_labeled_dataset
-from .errors import CorpusFormatError, DataError, SetupViolation
+from .corpus import load_labeled_dataset, read_records
+from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
 from .interpreter import SemanticInterpreter, interpreter_file
-from .learner import LinearModel, TrainingError, predict, report_from_pairs, train
+from .learner import LinearModel, TrainingError, predict, report_from_pairs
 from .pipeline import (
     ExperimentConfig,
     ablation,
+    fit_model,
     load_ontology,
     load_resources,
     prepare_semantic_resources,
@@ -140,17 +141,8 @@ def _cmd_train(args, cfg, out) -> None:
     vectors, labels, _ = load_vectors(args.vectors)
     if any(lab is None for lab in labels):
         raise DataError("training vectors must all carry labels")
-    hp = cfg.hyperparams
     try:
-        model = train(
-            vectors,
-            labels,
-            sorted(set(labels)),
-            len(space),
-            lambda_=hp.lambda_,
-            epochs=hp.epochs,
-            seed=cfg.seed,
-        )
+        model = fit_model(cfg, vectors, labels, len(space))
     except TrainingError as exc:
         raise TrainingError(f"{args.vectors}: {exc}") from exc
     model.save(out / "model.json")
@@ -169,12 +161,7 @@ def _cmd_classify(args, cfg, out) -> None:
     interpreters, h = _load_interpreters(args, cfg, docs)
     hp = cfg.hyperparams
     vectors = project_documents(space, docs, interpreters, h, hp.k_doc, hp.m)
-    records = []
-    for doc, vec in zip(docs, vectors):
-        rec = {"doc_id": doc.doc_id, "predicted": predict(model, vec)}
-        if doc.label is not None:
-            rec["label"] = doc.label
-        records.append(rec)
+    records = [doc.record(predicted=predict(model, vec)) for doc, vec in zip(docs, vectors)]
     path = out / "predictions.jsonl"
     dump_jsonl(records, path)
     print(f"wrote {path} ({len(records)} predictions)")
@@ -182,10 +169,7 @@ def _cmd_classify(args, cfg, out) -> None:
 
 def _cmd_evaluate(args, cfg, out) -> None:
     predictions, path = {}, args.predictions
-    for lineno, obj in _read_jsonl(path):
-        doc_id = json_field(obj, "doc_id", str, path, lineno)
-        if doc_id in predictions:
-            raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", path, lineno)
+    for lineno, doc_id, obj in read_records(path):
         predictions[doc_id] = json_field(obj, "predicted", str, path, lineno)
     docs = load_labeled_dataset(args.dataset)
     y_true, y_pred = [], []
@@ -205,17 +189,12 @@ def _cmd_evaluate(args, cfg, out) -> None:
 
 def _cmd_experiment(args, cfg, out) -> None:
     if cfg.seeds:
-        report = run_seeds(cfg, list(cfg.seeds), out_dir=out)
-        print(
-            f"mean accuracy {report['mean_accuracy']:.4f} "
-            f"(std {report['std_accuracy']:.4f}) over {len(cfg.seeds)} seeds"
-        )
+        report = run_seeds(cfg, out_dir=out)
+        print(f"mean accuracy {report['mean_accuracy']:.4f} "
+              f"(std {report['std_accuracy']:.4f}) over {len(cfg.seeds)} seeds")
     else:
-        report = run_experiment(cfg, out_dir=out)
-        print(
-            f"accuracy {report['results']['accuracy']:.4f}  "
-            f"macro-F1 {report['results']['macro_f1']:.4f}"
-        )
+        results = run_experiment(cfg, out_dir=out)["results"]
+        print(f"accuracy {results['accuracy']:.4f}  macro-F1 {results['macro_f1']:.4f}")
     print(f"report written to {out / 'report.json'}")
 
 

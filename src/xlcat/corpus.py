@@ -60,8 +60,14 @@ class LabeledDocument:
     text: str
     label: Optional[str] = None
 
+    def record(self, **fields) -> dict:
+        """This document's JSON-lines record {"doc_id", **fields, "label"?},
+        with no label key when the label is None."""
+        label = {} if self.label is None else {"label": self.label}
+        return {"doc_id": self.doc_id, **fields, **label}
+
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "label" or v is not None}
+        return self.record(language=self.language, text=self.text)
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class FilterConfig(JsonConfig):
         for name in ("min_chars", "min_links_in", "min_links_out"):
             if not int_at_least(value := getattr(self, name), 0):
                 raise DataError(f"config field {self._where + name!r} must be an integer >= 0, got {abridged(value)}")
-        object.__setattr__(self, "drop_flags", frozenset(self.drop_flags))
+        super().__post_init__()
         if self.drop_flags - ARTICLE_FLAGS:
             raise DataError(
                 f"config field 'filter.drop_flags' has unknown flags: "
@@ -149,15 +155,23 @@ def save_support_corpus(articles: Iterable[SupportArticle], path: str | Path) ->
     dump_jsonl((a.to_dict() for a in articles), path)
 
 
-def load_labeled_dataset(path: str | Path) -> list[LabeledDocument]:
-    """Read labeled (or unlabeled) documents; doc_ids must be unique."""
-    docs = []
+def read_records(path: str | Path):
+    """(line number, doc_id, object) of each record of a JSON-lines file of
+    documents, as _read_jsonl reads them; a doc_id repeated is a
+    CorpusFormatError naming path:line."""
     seen = set()
     for lineno, obj in _read_jsonl(path):
         doc_id = json_field(obj, "doc_id", str, path, lineno)
         if doc_id in seen:
             raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", path, lineno)
         seen.add(doc_id)
+        yield lineno, doc_id, obj
+
+
+def load_labeled_dataset(path: str | Path) -> list[LabeledDocument]:
+    """Read labeled (or unlabeled) documents; doc_ids must be unique."""
+    docs = []
+    for lineno, doc_id, obj in read_records(path):
         docs.append(
             LabeledDocument(
                 doc_id=doc_id,

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import cpu_blocks, dump_artifact, dump_jsonl, forked, json_field, load_artifact, ordered_map
-from .corpus import LabeledDocument, TokenStream, _read_jsonl, tokenize
-from .errors import CorpusFormatError, DataError
+from .corpus import LabeledDocument, TokenStream, read_records, tokenize
+from .errors import DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
 from .ontology import Hierarchy
 
@@ -230,24 +230,15 @@ def save_vectors(
     path: str | Path,
 ) -> None:
     """Vectors as JSON lines of {"doc_id", "active", "label"?}."""
-    records = []
-    for doc, vec in zip(docs, vectors):
-        rec = {"doc_id": doc.doc_id, "active": sorted(vec)}
-        if doc.label is not None:
-            rec["label"] = doc.label
-        records.append(rec)
-    dump_jsonl(records, path)
+    dump_jsonl([doc.record(active=sorted(vec)) for doc, vec in zip(docs, vectors)], path)
 
 
 def load_vectors(path: str | Path) -> Tuple[List[BinaryFeatureVector], List[Optional[str]], List[str]]:
     """Returns (vectors, labels, doc_ids); labels hold None where absent, and
     a doc_id repeated is a CorpusFormatError naming path:line."""
-    vectors, labels, ids, seen = [], [], [], set()
-    for lineno, obj in _read_jsonl(path):
-        ids.append(doc_id := json_field(obj, "doc_id", str, path, lineno))
-        if doc_id in seen:
-            raise CorpusFormatError(f"duplicate doc_id {doc_id!r}", path, lineno)
-        seen.add(doc_id)
+    vectors, labels, ids = [], [], []
+    for lineno, doc_id, obj in read_records(path):
+        ids.append(doc_id)
         vectors.append(frozenset(json_field(obj, "active", list, path, lineno, of=int)))
         labels.append(json_field(obj, "label", str, path, lineno, None))
     return vectors, labels, ids

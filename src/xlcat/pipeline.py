@@ -72,6 +72,7 @@ class Hyperparams(JsonConfig):
             val, low = getattr(self, name), 0 if name == "m" else 1
             if not int_at_least(val, low):
                 raise DataError(f"config field 'hyperparams.{name}' must be an integer >= {low}, got {abridged(val)}")
+        super().__post_init__()
         if not lambda_ok(self.lambda_):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
                             f"a finite inverse, got {abridged(self.lambda_)}")
@@ -80,9 +81,10 @@ class Hyperparams(JsonConfig):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's setup, inputs and hyperparameters, checked where it
-    is built (from_dict, the constructor, replace): a repeated seed or a
-    sample size below 1 is a DataError, languages or datasets that break
-    the setup (CLTC1-3, UCLTC) a SetupViolation."""
+    is built (from_dict, the constructor, replace): a seed, virtual_docs or
+    seeds (stored as a tuple) of another JSON type, a repeated seed or a
+    sample size below 1 is a DataError, languages or datasets that break the
+    setup (CLTC1-3, UCLTC) a SetupViolation."""
 
     setup: str
     source_languages: Tuple[str, ...]
@@ -100,7 +102,12 @@ class ExperimentConfig:
     seeds: Tuple[int, ...] = ()  # optional multi-seed sweep
 
     def __post_init__(self):
-        _distinct_seeds(self.seeds)
+        json_field(self.seed, None, int, "seed.")
+        json_field(self.virtual_docs, None, bool, "virtual_docs.")
+        seeds = json_field(list(self.seeds) if type(self.seeds) is tuple else self.seeds, None, list, "seeds.", of=int)
+        if len(set(seeds)) != len(seeds):
+            raise DataError(f"experiment config field 'seeds' repeats a seed: {seeds}")
+        object.__setattr__(self, "seeds", tuple(seeds))
         if not int_at_least(n := self.samples_per_category_per_language, 1):
             raise DataError(f"experiment config field 'samples_per_category_per_language' must be an integer "
                             f">= 1, got {abridged(n)}")
@@ -149,7 +156,7 @@ class ExperimentConfig:
             samples_per_category_per_language=json_field(
                 d, "samples_per_category_per_language", int
             ),
-            seed=json_field(d, "seed", int, default=0),
+            seed=d.get("seed", 0),
             corpus_path=resolve(json_field(paths, "corpus", str, "paths.")),
             concepts_path=resolve(json_field(paths, "concepts", str, "paths.")),
             hierarchy_path=resolve(json_field(paths, "hierarchy", str, "paths.")),
@@ -163,13 +170,13 @@ class ExperimentConfig:
                 for lang in datasets
             },
             hyperparams=Hyperparams.from_dict(d.get("hyperparams", {})),
-            virtual_docs=json_field(d, "virtual_docs", bool, default=True),
+            virtual_docs=d.get("virtual_docs", True),
             filter=FilterConfig.from_dict(d.get("filter", {})),
             stopword_paths={
                 lang: resolve(p)
                 for lang, p in json_field(d, "stopwords", dict, default={}, of=str).items()
             },
-            seeds=tuple(json_field(d, "seeds", list, default=[], of=int)),
+            seeds=d.get("seeds", []),
         )
 
     @classmethod
@@ -198,13 +205,6 @@ class ExperimentConfig:
             "stopwords": dict(sorted(self.stopword_paths.items())),
             "seeds": list(self.seeds),
         }
-
-
-def _distinct_seeds(seeds: Sequence[int]) -> Tuple[int, ...]:
-    """The seeds of a sweep as a tuple: ExperimentConfig's and run_seeds' rule."""
-    if len(set(seeds)) != len(seeds):
-        raise DataError(f"experiment config field 'seeds' repeats a seed: {list(seeds)}")
-    return tuple(seeds)
 
 
 @dataclass
@@ -288,7 +288,7 @@ def _load_training_docs(cfg: ExperimentConfig) -> Dict[str, List[LabeledDocument
 
 def _sample_training_docs(
     cfg: ExperimentConfig, per_lang_docs: Mapping[str, List[LabeledDocument]]
-) -> Tuple[List[LabeledDocument], List[str]]:
+) -> List[LabeledDocument]:
     """Stratified sampling without replacement: per source language, per
     category, cfg.samples_per_category_per_language documents."""
     categories = {d.label for docs in per_lang_docs.values() for d in docs}
@@ -307,7 +307,7 @@ def _sample_training_docs(
                 )
             rng = stable_rng(cfg.seed, "sample", lang, cat)
             sampled.extend(rng.sample(candidates, wanted))
-    return sampled, sorted(categories)
+    return sampled
 
 
 def _load_test_docs(cfg: ExperimentConfig) -> List[LabeledDocument]:
@@ -321,13 +321,10 @@ def _load_test_docs(cfg: ExperimentConfig) -> List[LabeledDocument]:
     return test_docs
 
 
-def _load_documents(
-    cfg: ExperimentConfig,
-) -> Tuple[List[LabeledDocument], List[str], List[LabeledDocument]]:
-    """The training sample, its categories and the test documents: `_run`'s
-    document inputs for cfg's seed."""
-    training, categories = _sample_training_docs(cfg, _load_training_docs(cfg))
-    return training, categories, _load_test_docs(cfg)
+def _load_documents(cfg: ExperimentConfig) -> Tuple[List[LabeledDocument], List[LabeledDocument]]:
+    """The training sample and the test documents: `_run`'s document inputs
+    for cfg's seed."""
+    return _sample_training_docs(cfg, _load_training_docs(cfg)), _load_test_docs(cfg)
 
 
 def _construct_virtual_docs(cfg, h, idx) -> list:
@@ -364,8 +361,8 @@ def run_experiment(
     It prepares no interpreter: _run builds each where it is read."""
     res = load_resources(cfg)
     prep = prepare_semantic_resources(cfg, res, ())
-    training, categories = _sample_training_docs(cfg, _load_training_docs(cfg))
-    return _run(cfg, res, prep, training, categories, out_dir=out_dir, workers=workers)
+    training = _sample_training_docs(cfg, _load_training_docs(cfg))
+    return _run(cfg, res, prep, training, out_dir=out_dir, workers=workers)
 
 
 @dataclass
@@ -411,17 +408,17 @@ def _run(
     res: Resources,
     prep: Prepared,
     training: List[LabeledDocument],
-    categories: List[str],
     test_docs: Optional[List[LabeledDocument]] = None,
     out_dir: Optional[str | Path] = None,
     workers: int = 1,
 ) -> dict:
     """One run over prepared inputs: `prep` is prepare_semantic_resources(cfg,
-    res, languages) for any needed `languages`, `training` cfg's sample with
-    its `categories` and `test_docs` the labeled target-language documents
-    (see _load_documents), or None to load them on the classification side.
-    It scores what _fit_and_classify returns. With out_dir, the other files
-    follow the interpreter files, the report last.
+    res, languages) for any needed `languages`, `training` cfg's sample and
+    `test_docs` the labeled target-language documents (see _load_documents),
+    or None to load them on the classification side. It scores what
+    _fit_and_classify returns; the report's categories are the model's,
+    which fit_model takes from the training labels. With out_dir, the other
+    files follow the interpreter files, the report last.
 
     A call that runs several experiments computes each shared input once:
     it loads the documents once, samples the training set once per seed and
@@ -430,7 +427,7 @@ def _run(
     single run loads the training set after preparing, out of preparation's
     peak memory, and only its child loads the test set."""
     (space, train_vecs, model), test_features = _fit_and_classify(
-        cfg, res, prep, training, categories, test_docs, out_dir, workers
+        cfg, res, prep, training, test_docs, out_dir, workers
     )
     report = _score(space, model, test_features)
     result = envelope("report", {
@@ -438,7 +435,7 @@ def _run(
         "data": {
             "n_train": len(training),
             "n_test": len(test_features),
-            "categories": categories,
+            "categories": model.categories,
             "n_retained_concepts": len(prep.retained),
             "n_virtual_docs": len(prep.virtual_tables),
             "feature_space_size_initial": space.metadata.get("selected_from", len(space)),
@@ -458,7 +455,7 @@ def _run(
 
 
 def _fit_and_classify(
-    cfg: ExperimentConfig, res: Resources, prep: Prepared, training: List[LabeledDocument], categories: List[str],
+    cfg: ExperimentConfig, res: Resources, prep: Prepared, training: List[LabeledDocument],
     test_docs: Optional[List[LabeledDocument]], out_dir: Optional[str | Path], workers: int,
 ) -> Tuple[Tuple[FeatureSpace, List[BinaryFeatureVector], LinearModel], List[Tuple[str, Set[str]]]]:
     """The core of every computed run: _fit's result and _test_features'.
@@ -502,24 +499,31 @@ def _fit_and_classify(
         if fork_workers() > 1:  # the child has its own copy
             prep.index = None
         with forked([] if out_dir is None else [save_interpreters]):
-            fit = _fit(cfg, h, interpreters, training, categories, workers)
+            fit = _fit(cfg, h, interpreters, training, workers)
     return fit, classified[0]
 
 
 def _fit(
     cfg: ExperimentConfig, h: Hierarchy, interpreters: Mapping[str, SemanticInterpreter],
-    training: List[LabeledDocument], categories: List[str], workers: int,
+    training: List[LabeledDocument], workers: int,
 ) -> Tuple[FeatureSpace, List[BinaryFeatureVector], LinearModel]:
     """The fit half of a run: the training set's feature space, selected,
-    with its vectors and the model trained on them. It reads only the
-    source languages' interpreters."""
+    with its vectors and fit_model's model on them, whose categories are
+    the training labels. It reads only the source languages' interpreters."""
     hp = cfg.hyperparams
     train_labels = [d.label for d in training]
     space, train_vecs = build_feature_space(training, interpreters, h, hp.k_doc, hp.m, workers)
     space, train_vecs = select_features(space, train_vecs, train_labels, hp.n_select)
-    model = train(train_vecs, train_labels, categories, len(space),
-                  lambda_=hp.lambda_, epochs=hp.epochs, seed=cfg.seed)
-    return space, train_vecs, model
+    return space, train_vecs, fit_model(cfg, train_vecs, train_labels, len(space))
+
+
+def fit_model(cfg: ExperimentConfig, vectors: Sequence[BinaryFeatureVector], labels: Sequence[str],
+              n_features: int) -> LinearModel:
+    """train under cfg's lambda, epochs and seed, with one category per
+    distinct label, in sorted order: a run's and `xlcat train`'s model."""
+    hp = cfg.hyperparams
+    return train(vectors, labels, sorted(set(labels)), n_features,
+                 lambda_=hp.lambda_, epochs=hp.epochs, seed=cfg.seed)
 
 
 def _test_features(cfg: ExperimentConfig, h: Hierarchy, interpreters: Mapping[str, SemanticInterpreter],
@@ -538,16 +542,14 @@ def _score(space: FeatureSpace, model: LinearModel, test_features: List[Tuple[st
                     [label for label, _ in test_features])
 
 
-def run_seeds(
-    cfg: ExperimentConfig,
-    seeds: Sequence[int],
-    out_dir: Optional[str | Path] = None,
-) -> dict:
-    """Run the experiment once per seed and aggregate mean/stdev metrics;
-    with out_dir, seed s's run is written to out_dir/seed_<s>, then the aggregate."""
+def run_seeds(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> dict:
+    """Run the experiment once per seed s of cfg.seeds, a nonempty list, and
+    aggregate mean/stdev metrics. Seed s's report holds cfg with seed s and
+    the aggregate cfg, so each reads back as the sweep that made it. With
+    out_dir, seed s's run is written to out_dir/seed_<s>, then the aggregate."""
+    seeds = cfg.seeds
     if not seeds:
-        raise DataError("seed list must be nonempty")
-    seeds = _distinct_seeds(seeds)
+        raise DataError("experiment config field 'seeds' is empty: there is no seed to run")
     res = load_resources(cfg)
     prep = prepare_semantic_resources(cfg, res, cfg.needed_languages())
     per_lang_docs, test_docs = _load_training_docs(cfg), _load_test_docs(cfg)
@@ -555,8 +557,8 @@ def run_seeds(
     for s in seeds:
         run_dir = Path(out_dir) / f"seed_{s}" if out_dir is not None else None
         seed_cfg = replace(cfg, seed=s)
-        training, categories = _sample_training_docs(seed_cfg, per_lang_docs)
-        per_seed[s] = _run(seed_cfg, res, prep, training, categories, test_docs, out_dir=run_dir)
+        training = _sample_training_docs(seed_cfg, per_lang_docs)
+        per_seed[s] = _run(seed_cfg, res, prep, training, test_docs, out_dir=run_dir)
     accuracies = [per_seed[s]["results"]["accuracy"] for s in seeds]
     macro_f1s = [per_seed[s]["results"]["macro_f1"] for s in seeds]
     aggregate = envelope("report-aggregate", {
@@ -654,7 +656,7 @@ def _virtual_docs_curve(
     n_blocks = min(n_blocks, len(tail))
     bounds = block_bounds(len(tail), n_blocks)
     blocks = [tail[i:j] for i, j in zip(bounds, bounds[1:])]
-    training, categories, test_docs = _load_documents(cfg)
+    training, test_docs = _load_documents(cfg)
     h, needed, sources = res.hierarchy, cfg.needed_languages(), sorted(set(cfg.source_languages))
     targets = sorted(set(cfg.target_languages))
     accuracies: Dict[tuple, float] = {}  # all needed languages' keys -> accuracy
@@ -673,7 +675,7 @@ def _virtual_docs_curve(
         fit = fits.get(fit_key)
         if fit is None:
             (space, _, model), test_features = _fit_and_classify(
-                arm_cfg, arm_res, prep, training, categories, test_docs, None, workers
+                arm_cfg, arm_res, prep, training, test_docs, None, workers
             )
             fit = (space, model)
             if fit_key is not None:

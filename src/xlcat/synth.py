@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ._util import JsonConfig, abridged, block_bounds, dump_json, fork_workers, forked, int_at_least, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
+from .errors import DataError
 from .ontology import save_concepts, save_hierarchy_edges
 
 
@@ -61,30 +62,31 @@ class SyntheticCorpusSpec(JsonConfig):
             "support_docs_per_pair", "support_doc_length", "doc_length", "concepts_per_doc",
         ):
             if not int_at_least(value := getattr(self, name), 1):
-                raise ValueError(f"synthetic spec field {name!r} must be an integer >= 1, got {abridged(value)}")
+                raise DataError(f"synthetic spec field {name!r} must be an integer >= 1, got {abridged(value)}")
+        super().__post_init__()
         if not 0.0 <= self.noise_rate < 1.0:
-            raise ValueError("noise_rate must lie in [0, 1)")
+            raise DataError("noise_rate must lie in [0, 1)")
         if self.category_layout not in ("blocked", "interleaved"):
-            raise ValueError("category_layout must be 'blocked' or 'interleaved'")
+            raise DataError("category_layout must be 'blocked' or 'interleaved'")
         if self.n_categories > self.n_concepts:
-            raise ValueError(
+            raise DataError(
                 f"synthetic spec field 'n_categories' must be at most 'n_concepts' "
                 f"({self.n_concepts}), got {self.n_categories}: a category would have no concepts"
             )
         if not 0.0 < self.train_concept_fraction <= 1.0:
-            raise ValueError("train_concept_fraction must lie in (0, 1]")
+            raise DataError("train_concept_fraction must lie in (0, 1]")
         for name in ("group_word_weight", "cross_group_word_weight"):
             value = getattr(self, name)
             if not 0.0 <= value < float("inf"):
-                raise ValueError(
+                raise DataError(
                     f"synthetic spec field {name!r} must be a finite number >= 0, got {value!r}"
                 )
         grouped = self.group_word_weight > 0 or self.cross_group_word_weight > 0
         for name, least in (("words_per_group", int(grouped)), ("background_words", 0)):
             if not int_at_least(value := getattr(self, name), least):
-                raise ValueError(f"synthetic spec field {name!r} must be an integer >= {least}, got {abridged(value)}")
+                raise DataError(f"synthetic spec field {name!r} must be an integer >= {least}, got {abridged(value)}")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
-            raise ValueError("group word weights must sum to less than 1")
+            raise DataError("group word weights must sum to less than 1")
 
 
 class _Words(dict):

@@ -160,22 +160,34 @@ class TestRunExperiment:
 
     def test_multi_seed_aggregate(self, corpus, tmp_path):
         cfg = make_config(corpus, **default_hp())
-        agg = run_seeds(cfg, [1, 2, 3], out_dir=tmp_path / "sweep")
+        agg = run_seeds(replace(cfg, seeds=(1, 2, 3)), out_dir=tmp_path / "sweep")
         assert len(agg["per_seed_results"]) == 3
         assert 0.0 <= agg["mean_accuracy"] <= 1.0
         assert (tmp_path / "sweep" / "seed_2" / "report.json").exists()
 
-    def test_run_seeds_rejects_a_repeated_seed_as_the_config_reader_does(self, corpus, tmp_path):
+    def test_run_seeds_rejects_a_repeated_seed_as_the_config_reader_does(self, corpus):
         cfg = make_config(corpus, **default_hp())
-        with pytest.raises(DataError) as called:
-            run_seeds(cfg, [1, 1], out_dir=tmp_path / "sweep")
         with pytest.raises(DataError) as read:
             ExperimentConfig.from_dict({**cfg.to_dict(), "seeds": [1, 1]})
         with pytest.raises(DataError) as built:
             replace(cfg, seeds=(1, 1))
-        assert str(called.value) == str(read.value) == str(built.value) == (
+        assert str(read.value) == str(built.value) == (
             "experiment config field 'seeds' repeats a seed: [1, 1]"
         )
+
+    def test_run_seeds_runs_the_config_seeds_and_each_report_reads_back_as_its_run(self, corpus, tmp_path):
+        cfg = replace(make_config(corpus, **default_hp()), seeds=(1, 2, 3))
+        aggregate = run_seeds(cfg, out_dir=tmp_path / "sweep")
+        assert aggregate["seeds"] == [1, 2, 3] and sorted(aggregate["per_seed_results"]) == ["1", "2", "3"]
+        written = json.loads((tmp_path / "sweep" / "report.json").read_text(encoding="utf-8"))
+        assert ExperimentConfig.from_dict(written["config"]) == cfg
+        for s in cfg.seeds:
+            report = json.loads((tmp_path / "sweep" / f"seed_{s}" / "report.json").read_text(encoding="utf-8"))
+            assert ExperimentConfig.from_dict(report["config"]) == replace(cfg, seed=s)
+
+    def test_run_seeds_on_a_config_without_seeds_is_a_data_error(self, corpus, tmp_path):
+        with pytest.raises(DataError, match="'seeds' is empty"):
+            run_seeds(make_config(corpus, **default_hp()), out_dir=tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
     def test_ucltc_three_sources_450_examples(self, tmp_path, small_spec):
@@ -319,7 +331,7 @@ class TestForkedArtifactWriter:
                           seed=5, **default_hp())
         run = {
             "run_experiment": lambda out: run_experiment(cfg, out_dir=out),
-            "run_seeds": lambda out: run_seeds(cfg, [1, 2], out_dir=out),
+            "run_seeds": lambda out: run_seeds(replace(cfg, seeds=(1, 2)), out_dir=out),
             "meta_features": lambda out: ablation(cfg, "meta_features", out_dir=out),
             "virtual_docs": lambda out: ablation(
                 cfg, "virtual_docs", out_dir=out, prefix_fraction=0.7, n_blocks=2
@@ -379,7 +391,7 @@ class TestForkedArtifactWriter:
         monkeypatch.setattr(pipeline, "_fit", checked_fit)
         cfg = make_config(corpus, **default_hp())
         {"run_experiment": lambda: run_experiment(cfg),
-         "run_seeds": lambda: run_seeds(cfg, [1, 2]),
+         "run_seeds": lambda: run_seeds(replace(cfg, seeds=(1, 2))),
          "meta_features": lambda: ablation(cfg, "meta_features"),
          "virtual_docs": lambda: ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)}[call]()
         assert_no_child_left()
@@ -460,7 +472,7 @@ def test_multi_run_calls_match_golden_digests(tmp_path):
     cfg = make_config(_interleaved_corpus(tmp_path), samples=10, k_doc=4, m=1, p=2, t=12, n_select=15)
     curve = ablation(cfg, "virtual_docs", prefix_fraction=0.7, n_blocks=2)
     meta = ablation(cfg, "meta_features")
-    seeds = run_seeds(cfg, [1, 2])
+    seeds = run_seeds(replace(cfg, seeds=(1, 2)))
     reports = {
         "virtual_docs": _without_config(curve),
         "meta_features": {
@@ -708,7 +720,7 @@ class TestSharedInputs:
 
     @pytest.mark.parametrize("call,n_samples", [
         (lambda cfg: ablation(cfg, "meta_features"), 1),
-        (lambda cfg: run_seeds(cfg, [1, 2, 3]), 3),
+        (lambda cfg: run_seeds(replace(cfg, seeds=(1, 2, 3))), 3),
     ], ids=["meta_features", "run_seeds"])
     def test_runs_over_the_same_resources_prepare_and_load_once(
         self, corpus, dataset_io, memos, call, n_samples
@@ -760,7 +772,7 @@ def reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks):
         blocks.append(tail[start : start + size])
         start += size
     blocks = [b for b in blocks if b]
-    training, categories, test_docs = pipeline._load_documents(cfg)
+    training, test_docs = pipeline._load_documents(cfg)
     needed, targets = cfg.needed_languages(), sorted(set(cfg.target_languages))
     curve = {"original": [], "virtual": [], "deleted": []}
     for j in range(len(blocks) + 1):
@@ -784,7 +796,7 @@ def reference_virtual_docs_curve(cfg, prefix_fraction, n_blocks):
             interpreters = {
                 lang: build_interpreter(idx, lang, retained, cfg.hyperparams.k_term) for lang in needed
             }
-            space, _, model = pipeline._fit(arm_cfg, res.hierarchy, interpreters, training, categories, 1)
+            space, _, model = pipeline._fit(arm_cfg, res.hierarchy, interpreters, training, 1)
             features = pipeline._test_features(arm_cfg, res.hierarchy, interpreters, test_docs)
             curve[arm].append(pipeline._score(space, model, features).accuracy)
     return curve

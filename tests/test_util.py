@@ -3,7 +3,9 @@ import os
 import re
 import signal
 import threading
+import dataclasses
 from contextlib import contextmanager
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,7 @@ from xlcat._util import (
     _CHUNK, ARTIFACT_VERSIONS, block_bounds, cpu_blocks, dump_artifact, dump_json, envelope, forked, json_field,
     ordered_map,
 )
-from xlcat.corpus import FilterConfig
+from xlcat.corpus import ARTICLE_FLAGS, FilterConfig
 from xlcat.errors import CorpusFormatError, DataError
 from xlcat.pipeline import ExperimentConfig, Hyperparams
 from xlcat.synth import SyntheticCorpusSpec
@@ -145,6 +147,78 @@ def test_an_integer_field_built_directly_rejects_a_bool_and_a_float_naming_it(bu
     build(3)
     with pytest.raises(ValueError, match=re.escape(repr(name))):
         build(value)
+
+
+# A valid config of each JsonConfig class; the JSON types a field of each
+# annotation takes, and a value of another: a bool where a number goes, a
+# number where a bool, a string or an array of strings goes.
+JSON_CONFIGS = [Hyperparams(), FilterConfig(), SyntheticCorpusSpec(n_concepts=12)]
+JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+WRONG_VALUE = {int: True, float: True, bool: 1, str: 1, frozenset: [1]}
+JSON_CONFIG_FIELDS = [(config, f.name) for config in JSON_CONFIGS for f in dataclasses.fields(config)]
+
+
+@pytest.mark.parametrize("config,name", JSON_CONFIG_FIELDS,
+                         ids=[f"{type(config).__name__}.{name}" for config, name in JSON_CONFIG_FIELDS])
+def test_a_value_of_another_json_type_is_refused_alike_built_and_read(config, name):
+    cls, key = type(config), name.rstrip("_")
+    value = WRONG_VALUE[get_type_hints(cls)[name]]
+    with pytest.raises(DataError, match=re.escape(repr(cls._where + key))) as built:
+        dataclasses.replace(config, **{name: value})
+    with pytest.raises(DataError) as read:
+        cls.from_dict(json.loads(json.dumps({**config.to_dict(), key: value})))
+    assert str(built.value) == str(read.value)
+
+
+@pytest.mark.parametrize("name,built,read,message", [
+    ("seed", True, True, "config field 'seed' must be a JSON integer, got True"),
+    ("virtual_docs", "no", "no", "config field 'virtual_docs' must be a JSON boolean, got 'no'"),
+    ("seeds", (True, 2), [True, 2], "config field 'seeds' must be a JSON array of integers, got True at index 0"),
+])
+def test_an_experiment_config_refuses_a_seed_or_toggle_of_another_json_type_alike_built_and_read(
+    name, built, read, message
+):
+    cfg = _experiment_config(1)
+    with pytest.raises(DataError) as by_constructor:
+        dataclasses.replace(cfg, **{name: built})
+    with pytest.raises(DataError) as by_reader:
+        ExperimentConfig.from_dict({**cfg.to_dict(), name: read})
+    assert str(by_constructor.value) == str(by_reader.value) == message
+
+
+json_values = (st.none() | st.booleans() | st.integers(-2, 60) | st.floats(-1.0, 2.0) | st.text("ab", max_size=2)
+               | st.lists(st.sampled_from(sorted(ARTICLE_FLAGS)) | st.integers(0, 1), max_size=2))
+
+
+@given(st.data())
+@pytest.mark.parametrize("config", JSON_CONFIGS, ids=lambda config: type(config).__name__)
+def test_a_config_that_constructs_holds_its_json_types_and_reads_back(config, data):
+    """Any JSON values for any fields: what constructs is of its JSON types
+    and is what from_dict reads from the JSON of its to_dict."""
+    hints = get_type_hints(type(config))
+    names = [f.name for f in dataclasses.fields(config) if data.draw(st.booleans())]
+    changes = {name: data.draw(json_values, name) for name in names}
+    try:
+        built = dataclasses.replace(config, **changes)
+    except DataError:
+        return
+    for f in dataclasses.fields(built):
+        value, kind = getattr(built, f.name), hints[f.name]
+        assert all(type(v) is str for v in value) if kind is frozenset else type(value) in JSON_TYPES[kind]
+    assert type(config).from_dict(json.loads(json.dumps(built.to_dict()))) == built
+
+
+@given(json_values, json_values, st.lists(json_values, max_size=3) | json_values)
+def test_an_experiment_config_that_constructs_holds_a_json_seed_toggle_and_seeds_and_reads_back(
+    seed, virtual_docs, seeds
+):
+    try:
+        cfg = dataclasses.replace(_experiment_config(1), seed=seed, virtual_docs=virtual_docs, seeds=seeds)
+    except DataError:
+        return
+    assert type(cfg.seed) is int and type(cfg.virtual_docs) is bool
+    assert type(cfg.seeds) is tuple and all(type(s) is int for s in cfg.seeds)
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 @pytest.mark.parametrize("cpus,n,bounds", [
