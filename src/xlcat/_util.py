@@ -16,11 +16,13 @@ import reprlib
 import sys
 import threading
 from contextlib import contextmanager
+from copy import deepcopy
 from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
 from typing import (
     AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar,
-    get_type_hints,
+    get_args, get_origin, get_type_hints,
 )
 
 from .errors import CorpusFormatError, DataError
@@ -289,36 +291,77 @@ def json_field(
     raise CorpusFormatError(problem, where, line) if line else DataError(problem)
 
 
+@cache
+def _config_fields(cls: type) -> list:
+    """(name, JSON key, JSON type or JsonConfig class, item type, type an
+    array is stored as) of each field of config class cls."""
+    hints, plan = get_type_hints(cls), []
+    for f in fields(cls):
+        hint = hints[f.name]
+        origin, args = get_origin(hint), get_args(hint)
+        kind = ((list, args[0], origin) if origin in (tuple, frozenset)  # Tuple[X, ...], FrozenSet[X]
+                else (dict, args[1], None) if origin is dict else (hint, None, None))  # Dict[str, X]
+        plan.append((f.name, cls._json_keys.get(f.name, f.name.rstrip("_")), *kind))
+    return plan
+
+
 class JsonConfig:
-    """A frozen dataclass as a JSON config object: each field under its name
-    without a trailing "_" ("lambda_" as "lambda"), a frozenset as a sorted
-    array of strings. from_dict checks only the keys (an absent one takes its
-    field's default; a field with none is required). However a config is
-    built, __post_init__ holds each field to json_field's rule for its
-    annotation, and freezes a frozenset field checked as an array of strings.
+    """A frozen dataclass as a JSON config object. A field's key is its name
+    without a trailing "_" ("lambda_" as "lambda"), or its _json_keys entry,
+    where "a.b" is key b of the object a. Its annotation is its JSON type:
+    FrozenSet[X] a sorted array of X, Tuple[X, ...] an array of X, Dict[str,
+    X] an object of X, a JsonConfig class an object of that class's fields.
+    However a config is built (from_dict, the constructor, replace),
+    __post_init__ holds each field to its _least value, if any, then to
+    json_field's rule for its type; an array may be a tuple (a set for a
+    FrozenSet) and is stored as its annotation, and a nested config must be
+    an instance. from_dict checks the keys (an absent one takes its field's
+    default; a field with none is required) and reads a nested object by
+    its class's from_dict; base_dir is for a subclass that resolves paths.
     Errors name the key as _where + key."""
 
     _where = ""
+    _json_keys = {}  # field name -> its JSON key, where that is not the name
+    _least = {}  # integer field name -> its least value
 
     def __post_init__(self):
-        hints = get_type_hints(type(self))
-        for f in fields(self):
-            value, where = getattr(self, f.name), self._where + f.name.rstrip("_") + "."
-            if hints[f.name] is frozenset:
-                items = list(value) if isinstance(value, (set, frozenset)) else value
-                object.__setattr__(self, f.name, frozenset(json_field(items, None, list, where, of=str)))
+        for name, key, kind, of, stored in _config_fields(type(self)):
+            value, where = getattr(self, name), self._where + key
+            if name in self._least and not int_at_least(value, self._least[name]):
+                raise DataError(f"config field {where!r} must be an integer >= {self._least[name]}, "
+                                f"got {abridged(value)}")
+            if issubclass(kind, JsonConfig):
+                if not isinstance(value, kind):
+                    raise DataError(f"config field {where!r} must be a {kind.__name__} object, got {abridged(value)}")
+            elif stored:
+                items = list(value) if isinstance(value, (set, frozenset) if stored is frozenset else tuple) else value
+                object.__setattr__(self, name, stored(json_field(items, None, list, where + ".", of=of)))
             else:
-                json_field(value, None, hints[f.name], where)
+                json_field(value, None, kind, where + ".", of=of)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> Any:
-        keys = {f.name.rstrip("_"): f for f in fields(cls)}
+    def from_dict(cls, d: Mapping, base_dir: str | Path = ".") -> Any:
+        keys = {key: (name, kind) for name, key, kind, _, _ in _config_fields(cls)}
         d = json_field(d, None, dict, cls._where, keys=keys.keys())
-        for key, f in keys.items():
-            if f.default is MISSING and key not in d:
+        for f, key in zip(fields(cls), keys):  # keys is in field order
+            if f.default is MISSING and f.default_factory is MISSING and key not in d:
                 raise DataError(f"missing required config field {cls._where + key!r}")
-        return cls(**{f.name: d[key] for key, f in keys.items() if key in d})
+        return cls(**{name: kind.from_dict(d[key]) if issubclass(kind, JsonConfig) and type(d[key]) is dict
+                      else d[key] for key, (name, kind) in keys.items() if key in d})
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> Any:
+        """from_dict of the JSON in file `path`, with base_dir its directory."""
+        return cls.from_dict(load_json(path), base_dir=Path(path).parent)
 
     def to_dict(self) -> dict:
-        values = {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
-        return {k: sorted(v) if isinstance(v, frozenset) else v for k, v in values.items()}
+        out: dict = {}
+        for name, key, kind, _, stored in _config_fields(type(self)):
+            value = getattr(self, name)
+            if issubclass(kind, JsonConfig):
+                value = value.to_dict()
+            else:  # a frozenset as a sorted list, a tuple as a list, an object copied
+                value = sorted(value) if stored is frozenset else list(value) if stored else deepcopy(value)
+            parent, _, last = key.rpartition(".")
+            (out.setdefault(parent, {}) if parent else out)[last] = value
+        return out

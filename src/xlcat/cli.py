@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._util import dump_json, dump_jsonl, json_field, load_json
+from ._util import dump_json, dump_jsonl, json_field
 from .corpus import load_labeled_dataset, read_records
 from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--config", required=True, help="synthetic corpus spec JSON")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out-dir", required=True)
-    sub.set_defaults(func=_cmd_synth, read=lambda path: SyntheticCorpusSpec.from_dict(load_json(path)))
+    sub.set_defaults(func=_cmd_synth, read=SyntheticCorpusSpec.from_file)
 
     sub = commands.add_parser("build-interpreter", help="build and save per-language interpreters")
     _add_common(sub)

@@ -10,9 +10,9 @@ import json
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import FrozenSet, Iterable, Optional, Sequence
 
-from ._util import JsonConfig, abridged, dump_jsonl, int_at_least, json_field
+from ._util import JsonConfig, dump_jsonl, json_field
 from .errors import CorpusFormatError, DataError
 
 # Ordered list of normalized tokens.
@@ -75,22 +75,17 @@ class FilterConfig(JsonConfig):
     """Thresholds for pruning extraneous support articles."""
 
     _where = "filter."
+    _least = {"min_chars": 0, "min_links_in": 0, "min_links_out": 0}
 
     min_chars: int = 500
     min_links_in: int = 5
     min_links_out: int = 5
-    drop_flags: frozenset = ARTICLE_FLAGS
+    drop_flags: FrozenSet[str] = ARTICLE_FLAGS
 
     def __post_init__(self):
-        for name in ("min_chars", "min_links_in", "min_links_out"):
-            if not int_at_least(value := getattr(self, name), 0):
-                raise DataError(f"config field {self._where + name!r} must be an integer >= 0, got {abridged(value)}")
         super().__post_init__()
-        if self.drop_flags - ARTICLE_FLAGS:
-            raise DataError(
-                f"config field 'filter.drop_flags' has unknown flags: "
-                f"{sorted(self.drop_flags - ARTICLE_FLAGS)}"
-            )
+        if unknown := self.drop_flags - ARTICLE_FLAGS:
+            raise DataError(f"config field 'filter.drop_flags' has unknown flags: {sorted(unknown)}")
 
 
 def _read_jsonl(path: str | Path):

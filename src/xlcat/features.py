@@ -13,7 +13,7 @@ from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import cpu_blocks, dump_artifact, dump_jsonl, forked, json_field, load_artifact, ordered_map
+from ._util import abridged, cpu_blocks, dump_artifact, dump_jsonl, forked, json_field, load_artifact, ordered_map
 from .corpus import LabeledDocument, TokenStream, read_records, tokenize
 from .errors import DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
@@ -31,6 +31,8 @@ class FeatureSpace:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        if bad := [cid for cid in self.concepts if type(cid) is not str]:
+            raise DataError(f"'concepts' must hold only strings, got {abridged(bad[0])}")
         if len(set(self.concepts)) != len(self.concepts):
             raise DataError("'concepts' holds a concept twice")
         self.index = {cid: i for i, cid in enumerate(self.concepts)}

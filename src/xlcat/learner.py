@@ -142,11 +142,13 @@ def train(
     np.add.reduce and elementwise arithmetic, no BLAS. A row's steps read
     and write only that row, so the result is the same, bit for bit, for
     any split and as training the categories one after another."""
-    if not lambda_ok(lambda_):
+    if type(lambda_) not in (int, float) or not lambda_ok(lambda_):
         raise TrainingError(f"lambda must be a number > 0 with a finite inverse, "
                             f"got {abridged(lambda_)}")
     if not int_at_least(epochs, 1):
         raise TrainingError(f"epochs must be an integer >= 1, got {abridged(epochs)}")
+    if type(seed) is not int:
+        raise TrainingError(f"seed must be an integer, got {abridged(seed)}")
     import numpy as np
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")

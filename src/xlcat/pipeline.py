@@ -12,10 +12,7 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import (
-    JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, int_at_least, json_field, load_json,
-    stable_rng,
-)
+from ._util import JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, json_field, stable_rng
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -47,16 +44,12 @@ from .ontology import (
 from .virtualdocs import InsufficientAncestryError, construct_virtual_document, save_virtual_docs
 
 SETUPS = ("CLTC1", "CLTC2", "CLTC3", "UCLTC")
-_CONFIG_KEYS = frozenset({
-    "setup", "source_languages", "target_languages", "samples_per_category_per_language",
-    "seed", "paths", "hyperparams", "virtual_docs", "filter", "stopwords", "seeds",
-})
-_PATHS_KEYS = frozenset({"corpus", "concepts", "hierarchy", "datasets"})
 
 
 @dataclass(frozen=True)
 class Hyperparams(JsonConfig):
     _where = "hyperparams."
+    _least = {"k_term": 1, "k_doc": 1, "m": 0, "p": 1, "t": 1, "n_select": 1, "epochs": 1}
 
     k_term: int = 5000
     k_doc: int = 100
@@ -68,10 +61,6 @@ class Hyperparams(JsonConfig):
     epochs: int = DEFAULT_EPOCHS
 
     def __post_init__(self):
-        for name in ("k_term", "k_doc", "m", "p", "t", "n_select", "epochs"):
-            val, low = getattr(self, name), 0 if name == "m" else 1
-            if not int_at_least(val, low):
-                raise DataError(f"config field 'hyperparams.{name}' must be an integer >= {low}, got {abridged(val)}")
         super().__post_init__()
         if not lambda_ok(self.lambda_):
             raise DataError(f"config field 'hyperparams.lambda' must be a finite number > 0 with "
@@ -79,38 +68,39 @@ class Hyperparams(JsonConfig):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment's setup, inputs and hyperparameters, checked where it
-    is built (from_dict, the constructor, replace): a seed, virtual_docs or
-    seeds (stored as a tuple) of another JSON type, a repeated seed or a
-    sample size below 1 is a DataError, languages or datasets that break the
-    setup (CLTC1-3, UCLTC) a SetupViolation."""
+class ExperimentConfig(JsonConfig):
+    """One experiment's setup, inputs and hyperparameters: a JsonConfig with
+    the paths under "paths" and the stopword lists under "stopwords". Where
+    it is built, a dataset other than {"train"?: path, "test"?: path} or a
+    repeated seed is also a DataError, and languages or datasets that break
+    the setup (CLTC1-3, UCLTC) a SetupViolation. from_dict resolves each
+    relative path against base_dir; to_dict writes the languages sorted."""
+
+    _json_keys = {"corpus_path": "paths.corpus", "concepts_path": "paths.concepts",
+                  "hierarchy_path": "paths.hierarchy", "datasets": "paths.datasets", "stopword_paths": "stopwords"}
+    _least = {"samples_per_category_per_language": 1}
 
     setup: str
     source_languages: Tuple[str, ...]
     target_languages: Tuple[str, ...]
     samples_per_category_per_language: int
-    seed: int
+    seed: int = field(default=0, kw_only=True)
     corpus_path: str
     concepts_path: str
     hierarchy_path: str
-    datasets: Mapping[str, Mapping[str, str]]  # lang -> {"train": path, "test": path}
+    datasets: Dict[str, dict]  # lang -> {"train": path, "test": path}
     hyperparams: Hyperparams = Hyperparams()
     virtual_docs: bool = True
     filter: FilterConfig = FilterConfig()
-    stopword_paths: Mapping[str, str] = field(default_factory=dict)
+    stopword_paths: Dict[str, str] = field(default_factory=dict)
     seeds: Tuple[int, ...] = ()  # optional multi-seed sweep
 
     def __post_init__(self):
-        json_field(self.seed, None, int, "seed.")
-        json_field(self.virtual_docs, None, bool, "virtual_docs.")
-        seeds = json_field(list(self.seeds) if type(self.seeds) is tuple else self.seeds, None, list, "seeds.", of=int)
-        if len(set(seeds)) != len(seeds):
-            raise DataError(f"experiment config field 'seeds' repeats a seed: {seeds}")
-        object.__setattr__(self, "seeds", tuple(seeds))
-        if not int_at_least(n := self.samples_per_category_per_language, 1):
-            raise DataError(f"experiment config field 'samples_per_category_per_language' must be an integer "
-                            f">= 1, got {abridged(n)}")
+        super().__post_init__()
+        if len(set(self.seeds)) != len(self.seeds):
+            raise DataError(f"experiment config field 'seeds' repeats a seed: {list(self.seeds)}")
+        for lang, per in self.datasets.items():
+            json_field(per, None, dict, f"paths.datasets.{lang}.", of=str, keys={"train", "test"})
         if self.setup not in SETUPS:
             raise SetupViolation(f"unknown setup {self.setup!r}; expected one of {SETUPS}")
         src, tgt = set(self.source_languages), set(self.target_languages)
@@ -122,12 +112,11 @@ class ExperimentConfig:
             raise SetupViolation("CLTC2 requires single, distinct training and testing languages")
         if self.setup == "CLTC3" and not (len(src) > 1 and len(tgt) == 1):
             raise SetupViolation("CLTC3 requires multiple training languages and one testing language")
-        for lang in self.source_languages:
-            if lang not in self.datasets or "train" not in self.datasets[lang]:
-                raise SetupViolation(f"no training dataset configured for language {lang!r}")
-        for lang in self.target_languages:
-            if lang not in self.datasets or "test" not in self.datasets[lang]:
-                raise SetupViolation(f"no test dataset configured for language {lang!r}")
+        needs = ((self.source_languages, "train", "training"), (self.target_languages, "test", "test"))
+        for langs, split, name in needs:
+            for lang in langs:
+                if split not in self.datasets.get(lang, {}):
+                    raise SetupViolation(f"no {name} dataset configured for language {lang!r}")
 
     def needed_languages(self) -> List[str]:
         return sorted(set(self.source_languages) | set(self.target_languages))
@@ -140,71 +129,21 @@ class ExperimentConfig:
                 raise DataError(f"language {lang!r} is not part of this experiment")
 
     @classmethod
-    def from_dict(cls, d: dict, base_dir: str | Path = ".") -> "ExperimentConfig":
-        base = Path(base_dir)
+    def from_dict(cls, d: Mapping, base_dir: str | Path = ".") -> "ExperimentConfig":
+        def resolve(p):  # a path of another JSON type is left for the field check to name
+            if type(p) is dict:
+                return {k: resolve(v) for k, v in p.items()}
+            return str(Path(base_dir) / p) if type(p) is str and not Path(p).is_absolute() else p
 
-        def resolve(p: str) -> str:
-            return str(p) if Path(p).is_absolute() else str(base / p)
-
-        d = json_field(d, None, dict, keys=_CONFIG_KEYS)
-        paths = json_field(d, "paths", dict, keys=_PATHS_KEYS)
-        datasets = json_field(paths, "datasets", dict, "paths.")
-        return cls(
-            setup=json_field(d, "setup", str),
-            source_languages=tuple(json_field(d, "source_languages", list, of=str)),
-            target_languages=tuple(json_field(d, "target_languages", list, of=str)),
-            samples_per_category_per_language=json_field(
-                d, "samples_per_category_per_language", int
-            ),
-            seed=d.get("seed", 0),
-            corpus_path=resolve(json_field(paths, "corpus", str, "paths.")),
-            concepts_path=resolve(json_field(paths, "concepts", str, "paths.")),
-            hierarchy_path=resolve(json_field(paths, "hierarchy", str, "paths.")),
-            datasets={
-                lang: {
-                    split: resolve(p)
-                    for split, p in json_field(
-                        datasets, lang, dict, "paths.datasets.", of=str, keys={"train", "test"}
-                    ).items()
-                }
-                for lang in datasets
-            },
-            hyperparams=Hyperparams.from_dict(d.get("hyperparams", {})),
-            virtual_docs=d.get("virtual_docs", True),
-            filter=FilterConfig.from_dict(d.get("filter", {})),
-            stopword_paths={
-                lang: resolve(p)
-                for lang, p in json_field(d, "stopwords", dict, default={}, of=str).items()
-            },
-            seeds=d.get("seeds", []),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        return cls.from_dict(load_json(path), base_dir=path.parent)
+        d = json_field(d, None, dict)
+        json_field(d, None, dict, keys={key for key in d if "." not in key})  # "paths.corpus" only under "paths"
+        flat = {key: resolve(v) if key == "stopwords" else v for key, v in d.items() if key != "paths"}
+        flat.update(("paths." + key, resolve(v)) for key, v in json_field(d, "paths", dict).items())
+        return super().from_dict(flat)
 
     def to_dict(self) -> dict:
-        return {
-            "setup": self.setup,
-            "source_languages": sorted(self.source_languages),
-            "target_languages": sorted(self.target_languages),
-            "samples_per_category_per_language": self.samples_per_category_per_language,
-            "seed": self.seed,
-            "paths": {
-                "corpus": self.corpus_path,
-                "concepts": self.concepts_path,
-                "hierarchy": self.hierarchy_path,
-                "datasets": {
-                    lang: dict(per) for lang, per in sorted(self.datasets.items())
-                },
-            },
-            "hyperparams": self.hyperparams.to_dict(),
-            "virtual_docs": self.virtual_docs,
-            "filter": self.filter.to_dict(),
-            "stopwords": dict(sorted(self.stopword_paths.items())),
-            "seeds": list(self.seeds),
-        }
+        return {**super().to_dict(), "source_languages": sorted(self.source_languages),
+                "target_languages": sorted(self.target_languages)}
 
 
 @dataclass

@@ -21,7 +21,7 @@ from math import ceil
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._util import JsonConfig, abridged, block_bounds, dump_json, fork_workers, forked, int_at_least, stable_rng
+from ._util import JsonConfig, block_bounds, dump_json, fork_workers, forked, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
 from .errors import DataError
 from .ontology import save_concepts, save_hierarchy_edges
@@ -29,6 +29,11 @@ from .ontology import save_concepts, save_hierarchy_edges
 
 @dataclass(frozen=True)
 class SyntheticCorpusSpec(JsonConfig):
+    _least = {**dict.fromkeys(("n_concepts", "n_meta_levels", "branching", "vocab_size_per_language", "n_languages",
+                               "n_categories", "docs_per_category", "words_per_concept", "support_docs_per_pair",
+                               "support_doc_length", "doc_length", "concepts_per_doc"), 1),
+              "words_per_group": 0, "background_words": 0}  # words_per_group >= 1 while a group weight is > 0
+
     n_concepts: int
     n_meta_levels: int = 2
     branching: int = 3
@@ -56,13 +61,6 @@ class SyntheticCorpusSpec(JsonConfig):
     rotate_train_concepts: bool = False
 
     def __post_init__(self):
-        for name in (
-            "n_concepts", "n_meta_levels", "branching", "vocab_size_per_language",
-            "n_languages", "n_categories", "docs_per_category", "words_per_concept",
-            "support_docs_per_pair", "support_doc_length", "doc_length", "concepts_per_doc",
-        ):
-            if not int_at_least(value := getattr(self, name), 1):
-                raise DataError(f"synthetic spec field {name!r} must be an integer >= 1, got {abridged(value)}")
         super().__post_init__()
         if not 0.0 <= self.noise_rate < 1.0:
             raise DataError("noise_rate must lie in [0, 1)")
@@ -81,10 +79,8 @@ class SyntheticCorpusSpec(JsonConfig):
                 raise DataError(
                     f"synthetic spec field {name!r} must be a finite number >= 0, got {value!r}"
                 )
-        grouped = self.group_word_weight > 0 or self.cross_group_word_weight > 0
-        for name, least in (("words_per_group", int(grouped)), ("background_words", 0)):
-            if not int_at_least(value := getattr(self, name), least):
-                raise DataError(f"synthetic spec field {name!r} must be an integer >= {least}, got {abridged(value)}")
+        if (self.group_word_weight > 0 or self.cross_group_word_weight > 0) and not self.words_per_group:
+            raise DataError("config field 'words_per_group' must be >= 1 while a group word weight is > 0, got 0")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
             raise DataError("group word weights must sum to less than 1")
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import assert_no_child_left, layered_dags
 from xlcat import _util, corpus, features, interpreter
 from xlcat.corpus import LabeledDocument, SupportArticle
+from xlcat.errors import DataError
 from xlcat.features import (
     FeatureSpace,
     build_feature_space,
@@ -455,6 +456,12 @@ class TestPersistence:
         assert loaded.concepts == space.concepts
         assert loaded.metadata == space.metadata
         assert loaded.index == space.index
+
+    @pytest.mark.parametrize("concepts", [["a", None], [1, 2]], ids=["None", "integers"])
+    def test_a_concept_id_other_than_a_string_is_rejected_where_built(self, concepts):
+        """Such a space used to construct and save, and then not load."""
+        with pytest.raises(DataError, match=r"^'concepts' must hold only strings, got (None|1)$"):
+            FeatureSpace(concepts)
 
     def test_vectors_round_trip(self, tmp_path):
         docs = [

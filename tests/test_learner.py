@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 import warnings
 
@@ -277,6 +278,16 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"^'categories' holds a category twice$"):
             train(vectors, labels, ["A", "B", "A"], n_features=2)
 
+    @pytest.mark.parametrize("name,value", [("seed", True), ("seed", 1.5), ("seed", np.int64(3)), ("lambda_", True)],
+                             ids=["seed-True", "seed-1.5", "seed-np.int64", "lambda-True"])
+    def test_an_argument_a_model_file_cannot_hold_is_rejected_before_any_step(self, monkeypatch, name, value):
+        """Each trained a model that save wrote and load refused, or (np.int64)
+        one that save could not write."""
+        monkeypatch.setattr(learner, "stable_rng", no_stream)
+        vectors, labels = separable_toy()
+        with pytest.raises(TrainingError, match=rf"^{name.rstrip('_')} must be .*, got {re.escape(repr(value))}$"):
+            train(vectors, labels, ["A", "B"], n_features=2, **{name: value})
+
     def test_bias_is_regularized(self):
         # Featureless documents are fit through the bias alone. Pegasos with
         # the bias shrunk like a weight leaves w_T = (1/(lambda*T)) times the
@@ -498,6 +509,13 @@ class TestPersistence:
         assert repr(loaded.bias) == repr(model.bias)
         for vec in vectors:
             assert predict(loaded, vec) == predict(model, vec)
+
+    @pytest.mark.parametrize("lambda_,seed", [(0.5, 7), (3, -2), (10**308, 0)])
+    def test_a_trained_model_reads_back_as_it_was(self, tmp_path, lambda_, seed):
+        model = train(*separable_toy(), categories=["A", "B"], n_features=2, lambda_=lambda_, epochs=2, seed=seed)
+        model.save(tmp_path / "model.json")
+        loaded = LinearModel.load(tmp_path / "model.json")
+        assert loaded == model and repr(loaded) == repr(model)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,7 +5,8 @@ import signal
 import threading
 import dataclasses
 from contextlib import contextmanager
-from typing import get_type_hints
+from pathlib import Path
+from typing import Dict, FrozenSet, Tuple, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 from xlcat import _util
 from xlcat._util import (
-    _CHUNK, ARTIFACT_VERSIONS, block_bounds, cpu_blocks, dump_artifact, dump_json, envelope, forked, json_field,
-    ordered_map,
+    _CHUNK, ARTIFACT_VERSIONS, JsonConfig, block_bounds, cpu_blocks, dump_artifact, dump_json, envelope, forked,
+    json_field, ordered_map,
 )
 from xlcat.corpus import ARTICLE_FLAGS, FilterConfig
-from xlcat.errors import CorpusFormatError, DataError
+from xlcat.errors import CorpusFormatError, DataError, SetupViolation
 from xlcat.pipeline import ExperimentConfig, Hyperparams
 from xlcat.synth import SyntheticCorpusSpec
 
@@ -151,23 +152,107 @@ def test_an_integer_field_built_directly_rejects_a_bool_and_a_float_naming_it(bu
 
 # A valid config of each JsonConfig class; the JSON types a field of each
 # annotation takes, and a value of another: a bool where a number goes, a
-# number where a bool, a string or an array of strings goes.
-JSON_CONFIGS = [Hyperparams(), FilterConfig(), SyntheticCorpusSpec(n_concepts=12)]
-JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-WRONG_VALUE = {int: True, float: True, bool: 1, str: 1, frozenset: [1]}
+# number where a bool, a string or an array goes, an item of another type
+# in an array or object, and no object where a nested config goes.
+JSON_CONFIGS = [Hyperparams(), FilterConfig(), SyntheticCorpusSpec(n_concepts=12), _experiment_config(1)]
+JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dict: (dict,)}
+WRONG_VALUE = {int: True, float: True, bool: 1, str: 1, FrozenSet[str]: [1], Tuple[str, ...]: (1,),
+               Tuple[int, ...]: (True,), Dict[str, str]: {"en": 2}, Dict[str, dict]: {"en": 2},
+               Hyperparams: None, FilterConfig: None}
 JSON_CONFIG_FIELDS = [(config, f.name) for config in JSON_CONFIGS for f in dataclasses.fields(config)]
+
+
+def json_key(cls, name):
+    """The JSON key of field `name` of config class cls, "a.b" being key b of the object a."""
+    return cls._json_keys.get(name, name.rstrip("_"))
+
+
+def json_with(config, name, value):
+    """The JSON of config's to_dict with field `name` set to value."""
+    written = config.to_dict()
+    parent, _, last = json_key(type(config), name).rpartition(".")
+    (written[parent] if parent else written)[last] = value
+    return json.loads(json.dumps(written))
+
+
+def holds_its_json_type(value, kind):
+    args = get_args(kind)
+    if get_origin(kind) in (tuple, frozenset):
+        return type(value) is get_origin(kind) and all(type(v) in JSON_TYPES[args[0]] for v in value)
+    if get_origin(kind) is dict:
+        return type(value) is dict and all(type(v) in JSON_TYPES[args[1]] for v in value.values())
+    return isinstance(value, kind) if issubclass(kind, JsonConfig) else type(value) in JSON_TYPES[kind]
 
 
 @pytest.mark.parametrize("config,name", JSON_CONFIG_FIELDS,
                          ids=[f"{type(config).__name__}.{name}" for config, name in JSON_CONFIG_FIELDS])
 def test_a_value_of_another_json_type_is_refused_alike_built_and_read(config, name):
-    cls, key = type(config), name.rstrip("_")
+    cls = type(config)
     value = WRONG_VALUE[get_type_hints(cls)[name]]
-    with pytest.raises(DataError, match=re.escape(repr(cls._where + key))) as built:
+    with pytest.raises(DataError, match=re.escape(repr(cls._where + json_key(cls, name)))) as built:
         dataclasses.replace(config, **{name: value})
     with pytest.raises(DataError) as read:
-        cls.from_dict(json.loads(json.dumps({**config.to_dict(), key: value})))
+        cls.from_dict(json_with(config, name, value))
     assert str(built.value) == str(read.value)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("corpus_path", 1, "config field 'paths.corpus' must be a JSON string, got 1"),
+    ("stopword_paths", {"en": 2}, "config field 'stopwords' must be a JSON object of strings, got 2 at key 'en'"),
+    ("setup", 1, "config field 'setup' must be a JSON string, got 1"),
+    ("samples_per_category_per_language", True,
+     "config field 'samples_per_category_per_language' must be an integer >= 1, got True"),
+    ("datasets", {"en": {"train": "a", "tset": "b"}}, "unknown config field 'paths.datasets.en.tset'"),
+    ("source_languages", ["en", None], "config field 'source_languages' must be a JSON array of strings, "
+                                       "got None at index 1"),
+])
+def test_an_experiment_config_field_built_directly_fails_as_its_json_does(name, value, message):
+    """Each of these used to construct, or to raise a SetupViolation, where
+    the JSON is a DataError."""
+    cfg = _experiment_config(1)
+    with pytest.raises(DataError) as built:
+        dataclasses.replace(cfg, **{name: value})
+    with pytest.raises(DataError) as read:
+        ExperimentConfig.from_dict(json_with(cfg, name, value))
+    assert str(built.value) == str(read.value) == message
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("hyperparams", {"k_doc": 3}, "config field 'hyperparams' must be a Hyperparams object, got {'k_doc': 3}"),
+    ("filter", None, "config field 'filter' must be a FilterConfig object, got None"),
+])
+def test_a_nested_config_built_directly_must_be_its_class(name, value, message):
+    """A dict where a Hyperparams goes used to construct, and to_dict then
+    raised an AttributeError."""
+    with pytest.raises(DataError) as built:
+        dataclasses.replace(_experiment_config(1), **{name: value})
+    assert str(built.value) == message
+
+
+def test_an_experiment_config_writes_its_language_lists_sorted():
+    cfg = dataclasses.replace(_experiment_config(1), setup="UCLTC", source_languages=["l1", "l0"],
+                              target_languages=("l2", "l0"), datasets={lang: {"train": "a", "test": "b"}
+                                                                       for lang in ("l0", "l1", "l2")})
+    assert cfg.source_languages == ("l1", "l0")
+    written = cfg.to_dict()
+    assert (written["source_languages"], written["target_languages"]) == (["l0", "l1"], ["l0", "l2"])
+    assert ExperimentConfig.from_dict(written) == dataclasses.replace(cfg, source_languages=("l0", "l1"),
+                                                                      target_languages=("l0", "l2"))
+
+
+def test_type_hints_are_read_once_per_config_class(monkeypatch):
+    read = []
+    monkeypatch.setattr(_util, "get_type_hints", lambda cls, real=get_type_hints: read.append(cls) or real(cls))
+    _util._config_fields.cache_clear()
+    try:
+        for _ in range(3):
+            cfg = ExperimentConfig.from_dict(_experiment_config(1).to_dict())
+            dataclasses.replace(cfg, virtual_docs=False, hyperparams=dataclasses.replace(cfg.hyperparams, m=0))
+            SyntheticCorpusSpec.from_dict({"n_concepts": 3})
+    finally:
+        _util._config_fields.cache_clear()
+    assert sorted(cls.__name__ for cls in read) == ["ExperimentConfig", "FilterConfig", "Hyperparams",
+                                                    "SyntheticCorpusSpec"]
 
 
 @pytest.mark.parametrize("name,built,read,message", [
@@ -200,11 +285,13 @@ def test_a_config_that_constructs_holds_its_json_types_and_reads_back(config, da
     changes = {name: data.draw(json_values, name) for name in names}
     try:
         built = dataclasses.replace(config, **changes)
-    except DataError:
+    except (DataError, SetupViolation):
         return
     for f in dataclasses.fields(built):
-        value, kind = getattr(built, f.name), hints[f.name]
-        assert all(type(v) is str for v in value) if kind is frozenset else type(value) in JSON_TYPES[kind]
+        assert holds_its_json_type(getattr(built, f.name), hints[f.name]), f.name
+    if isinstance(built, ExperimentConfig):  # from_dict resolves each path against ".": "" reads as "."
+        built = dataclasses.replace(built, **{name: str(Path(getattr(built, name)))
+                                              for name in ("corpus_path", "concepts_path", "hierarchy_path")})
     assert type(config).from_dict(json.loads(json.dumps(built.to_dict()))) == built
 
 

@@ -5,8 +5,10 @@ Python interpreters.
 
 The running interpreter (which needs numpy) generates a small synthetic
 corpus and runs one `experiment` on it, which gives the model and the
-feature space. Then it and each PYTHON run, each in its own directory, the
-numpy-free commands over those same inputs: `synth`, `build-interpreter`,
+feature space; the config has every nested and renamed key of the format
+(`paths`, `hyperparams`, `filter`, and `stopwords` with a relative path).
+Then it and each PYTHON run, each in its own directory, the numpy-free
+commands over those same inputs: `synth`, `build-interpreter`,
 `make-virtual-docs`, `gen-features` (building a space from the training
 set, and projecting the test set onto the experiment's space), `classify`
 (with the saved interpreters and with them rebuilt) and `evaluate`. Every
@@ -45,7 +47,10 @@ CONFIG = {
                      for lang in ("l0", "l1")},
     },
     "hyperparams": {"k_term": 500, "k_doc": 8, "m": 2, "p": 3, "t": 40, "n_select": 300, "epochs": 3},
+    "filter": {"min_chars": 300, "min_links_in": 6, "min_links_out": 5, "drop_flags": ["catalog", "redirect"]},
+    "stopwords": {"l0": "stopwords_l0.txt"},  # relative to the config's directory
 }
+STOPWORDS = "l0w00000\n"  # a word of the corpus's l0 vocabulary
 
 
 class CommandFailed(Exception):
@@ -103,6 +108,7 @@ def compare(pythons: list[str], work: Path) -> int:
     try:
         xlcat(sys.executable, "synth", "--config", str(inputs / "spec.json"), "--out-dir", str(inputs / "corpus"))
         (inputs / "corpus" / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+        (inputs / "corpus" / "stopwords_l0.txt").write_text(STOPWORDS, encoding="utf-8")
         xlcat(sys.executable, "experiment", "--config", str(inputs / "corpus" / "config.json"),
               "--out-dir", str(inputs / "experiment"))
         numpy_free_commands(sys.executable, inputs, work / "reference")
