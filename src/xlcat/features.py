@@ -57,8 +57,8 @@ class FeatureSpace:
 
 def enrich_with_meta(h: Hierarchy, basic: FrozenSet[str], m: int) -> Set[str]:
     """Add every ancestor within m edges of each generated basic concept;
-    m=0 returns the basic set unchanged. It unions the frozensets that
-    Hierarchy.ancestors_within caches, so no ancestor set is copied."""
+    m=0 returns the basic set unchanged. It unions the sets that
+    Hierarchy.ancestors_within reads off its ancestor masks."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     result = set(basic)
@@ -71,8 +71,8 @@ def filter_meta_features(h: Hierarchy, enriched: Set[str], basic: FrozenSet[str]
     """Drop meta features that are not ancestors of at least two distinct
     basic features of the document. Basic features always survive.
 
-    One C-level Counter over the chained ancestor closures, which each
-    Hierarchy caches: O(sum of the closure sizes + |enriched|)."""
+    One C-level Counter over the chained ancestor closures of the basic
+    features, as Hierarchy.ancestors_all reads them off its masks."""
     covered = Counter(chain.from_iterable(map(h.ancestors_all, basic)))
     return {cid for cid in enriched if cid in h.basic or covered[cid] >= 2}
 
@@ -86,10 +86,19 @@ def document_features(
     tokens: Optional[TokenStream] = None,
 ) -> Set[str]:
     """Full per-document generation: basic top-k concepts, meta enrichment,
-    meta filter. `tokens` as for generate_basic_features."""
+    meta filter. `tokens` as for generate_basic_features. If every concept
+    is basic in h, the meta stage is one pass over h.ancestor_masks."""
     basic = generate_basic_features(interpreters, doc, k_doc, tokens)
-    enriched = enrich_with_meta(h, basic, m)
-    return filter_meta_features(h, enriched, basic)
+    if m < 0 or not basic <= h.basic:
+        return filter_meta_features(h, enrich_with_meta(h, basic, m), basic)
+    near, closure = h.ancestor_masks(m), h.ancestor_masks(h.height)
+    within = once = twice = 0
+    for cid in basic:
+        up = closure[cid]
+        within |= near[cid]
+        twice |= once & up
+        once |= up
+    return {*basic, *h.meta_ids(within & twice)}
 
 
 def build_feature_space(

@@ -140,9 +140,11 @@ def interpret(si: SemanticInterpreter, doc: TokenStream) -> SemanticVector:
 
 def top_k_features(v: SemanticVector, k_doc: int) -> frozenset:
     """The k_doc concepts of maximal weight; ties break toward the smaller
-    concept id. Fewer than k_doc nonzero entries yields them all."""
+    concept id. A vector of at most k_doc entries yields all of them, unranked."""
     if k_doc < 1:
         raise ValueError("k_doc must be >= 1")
+    if len(v) <= k_doc:
+        return frozenset(v)
     ranked = sorted(v.items(), key=lambda cw: (-cw[1], cw[0]))
     return frozenset(cid for cid, _ in ranked[:k_doc])
 

@@ -149,6 +149,8 @@ def train(
         raise TrainingError(f"epochs must be an integer >= 1, got {abridged(epochs)}")
     if type(seed) is not int:
         raise TrainingError(f"seed must be an integer, got {abridged(seed)}")
+    if not int_at_least(n_features, 0):  # a run's selected space may be empty
+        raise TrainingError(f"n_features must be an integer >= 0, got {abridged(n_features)}")
     import numpy as np
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")

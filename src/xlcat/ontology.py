@@ -10,7 +10,7 @@ counts are swept in.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
@@ -43,9 +43,11 @@ class Hierarchy:
     Construction checks edge typing (meta parents, declared endpoints), then
     runs Kahn's algorithm once over every declared node, isolated ones
     included, seeded in sorted order, and keeps its order as each node's
-    rank (parents first) for path_counts_from. Edges with a cycle, a
-    self-loop included, leave nodes unordered and raise CycleError naming
-    one cycle, the same for the same edges, so no Hierarchy holds a cycle.
+    rank (parents first) for path_counts_from; it appends nodes by longest
+    path from a root, so the last one's is the height. Edges with a cycle, a
+    self-loop included, raise CycleError naming one cycle, the same for the
+    same edges. Ancestor sets are int masks, bit i for the i-th meta concept
+    in rank order, one table per depth: up to |meta| bits per node a table.
     """
 
     def __init__(self, edges: Iterable[Edge], basic: Iterable[str], meta: Iterable[str]):
@@ -74,16 +76,19 @@ class Hierarchy:
         nodes = sorted(self.basic | self.meta)
         indegree = {n: len(self._parents.get(n, ())) for n in nodes}
         order = [n for n in nodes if not indegree[n]]
+        level = dict.fromkeys(order, 0)
         for node in order:
             for child in self._children.get(node, ()):
                 indegree[child] -= 1
                 if not indegree[child]:
                     order.append(child)
+                    level[child] = level[node] + 1
         if len(order) < len(nodes):
             raise CycleError(self._cycle({n for n, d in indegree.items() if d}))
         self._rank = {n: i for i, n in enumerate(order)}
-        self._ancestors_all_cache: Dict[str, frozenset] = {}
-        self._ancestors_cache: Dict[Tuple[str, int], frozenset] = {}
+        self.height = level[order[-1]] if order else 0
+        self._meta_order = [n for n in order if n in self.meta]
+        self._masks: Dict[int, Dict[str, int]] = {}
 
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self.basic or concept_id in self.meta
@@ -98,42 +103,44 @@ class Hierarchy:
             raise UnknownConceptError(concept_id)
         return self._children.get(concept_id, [])
 
-    def ancestors_all(self, concept_id: str) -> frozenset:
-        """Transitive closure of parents, cached per node."""
-        cached = self._ancestors_all_cache.get(concept_id)
-        if cached is not None:
-            return cached
-        result = set()
-        queue = deque(self.parents(concept_id))
-        while queue:
-            node = queue.popleft()
-            if node not in result:
-                result.add(node)
-                queue.extend(self._parents.get(node, []))
-        frozen = frozenset(result)
-        self._ancestors_all_cache[concept_id] = frozen
-        return frozen
-
-    def ancestors_within(self, concept_id: str, depth: int) -> frozenset:
-        """Nodes reachable by following 1..depth reversed edges, as a shared
-        frozenset: a breadth-first search, O(edges within depth), on the
-        first call for each (concept_id, depth) and a cache lookup after."""
-        cached = self._ancestors_cache.get((concept_id, depth))
-        if cached is not None:
-            return cached
-        if concept_id not in self:
-            raise UnknownConceptError(concept_id)
+    def ancestor_masks(self, depth: int) -> Dict[str, int]:
+        """Each node's mask of its ancestors within 1..depth reversed edges,
+        kept per depth: mask[n] ORs each parent's bit and mask one level up,
+        in a pass per level, O(edges). A depth at or past the height takes
+        the closure: one pass in rank order, reading parents' final masks."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        result: Set[str] = set()
-        frontier = {concept_id}
-        for _ in range(depth):
-            frontier = {p for node in frontier for p in self.parents(node)} - result
-            if not frontier:
-                break
-            result |= frontier
-        frozen = self._ancestors_cache[(concept_id, depth)] = frozenset(result)
-        return frozen
+        depth = min(depth, self.height)
+        if depth not in self._masks:
+            bit = {n: 1 << i for i, n in enumerate(self._meta_order)}
+            table = dict.fromkeys(self._rank, 0)
+            for _ in range(1 if depth == self.height else depth):
+                below = table if depth == self.height else dict(table)
+                for node in self._rank:
+                    mask = 0
+                    for parent in self._parents.get(node, ()):
+                        mask |= bit[parent] | below[parent]
+                    table[node] = mask
+            self._masks[depth] = table
+        return self._masks[depth]
+
+    def meta_ids(self, mask: int) -> list:
+        """The meta concepts whose bits are set in mask, lowest bit first."""
+        ids = []
+        while mask:
+            ids.append(self._meta_order[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return ids
+
+    def ancestors_within(self, concept_id: str, depth: int) -> frozenset:
+        """Nodes reachable by following 1..depth reversed edges."""
+        if concept_id not in self:
+            raise UnknownConceptError(concept_id)
+        return frozenset(self.meta_ids(self.ancestor_masks(depth)[concept_id]))
+
+    def ancestors_all(self, concept_id: str) -> frozenset:
+        """Transitive closure of parents."""
+        return self.ancestors_within(concept_id, self.height)
 
     def _cycle(self, remaining: Set[str]) -> list:
         """One cycle among the nodes Kahn's pass left: each has a parent
@@ -187,8 +194,8 @@ def merge_hierarchies(
 
 def ancestors(h: Hierarchy, concept_id: str, depth: int) -> Set[str]:
     """Nodes reachable by following 1..depth reversed edges; depth 0 is empty.
-    Monotone in depth. A fresh copy of the frozenset that
-    Hierarchy.ancestors_within caches, so a caller may mutate it."""
+    Monotone in depth. Hierarchy.ancestors_within's set, read off its
+    ancestor masks, as a set the caller may mutate."""
     return set(h.ancestors_within(concept_id, depth))
 
 

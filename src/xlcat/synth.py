@@ -21,7 +21,7 @@ from math import ceil
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ._util import JsonConfig, block_bounds, dump_json, fork_workers, forked, stable_rng
+from ._util import JsonConfig, abridged, block_bounds, dump_json, fork_workers, forked, stable_rng
 from .corpus import SupportArticle, LabeledDocument, save_support_corpus, save_labeled_dataset
 from .errors import DataError
 from .ontology import save_concepts, save_hierarchy_edges
@@ -65,24 +65,24 @@ class SyntheticCorpusSpec(JsonConfig):
         if not 0.0 <= self.noise_rate < 1.0:
             raise DataError("noise_rate must lie in [0, 1)")
         if self.category_layout not in ("blocked", "interleaved"):
-            raise DataError("category_layout must be 'blocked' or 'interleaved'")
+            raise DataError(f"synthetic spec field 'category_layout' must be 'blocked' or 'interleaved', "
+                            f"got {abridged(self.category_layout)}")
         if self.n_categories > self.n_concepts:
             raise DataError(
                 f"synthetic spec field 'n_categories' must be at most 'n_concepts' "
                 f"({self.n_concepts}), got {self.n_categories}: a category would have no concepts"
             )
         if not 0.0 < self.train_concept_fraction <= 1.0:
-            raise DataError("train_concept_fraction must lie in (0, 1]")
+            raise DataError(f"synthetic spec field 'train_concept_fraction' must lie in (0, 1], "
+                            f"got {self.train_concept_fraction!r}")
         for name in ("group_word_weight", "cross_group_word_weight"):
-            value = getattr(self, name)
-            if not 0.0 <= value < float("inf"):
-                raise DataError(
-                    f"synthetic spec field {name!r} must be a finite number >= 0, got {value!r}"
-                )
+            if not 0.0 <= (value := getattr(self, name)) < float("inf"):
+                raise DataError(f"synthetic spec field {name!r} must be a finite number >= 0, got {value!r}")
         if (self.group_word_weight > 0 or self.cross_group_word_weight > 0) and not self.words_per_group:
-            raise DataError("config field 'words_per_group' must be >= 1 while a group word weight is > 0, got 0")
+            raise DataError("synthetic spec field 'words_per_group' must be >= 1 while a group weight is > 0, got 0")
         if self.group_word_weight + self.cross_group_word_weight >= 1.0:
-            raise DataError("group word weights must sum to less than 1")
+            raise DataError(f"synthetic spec fields 'group_word_weight' and 'cross_group_word_weight' must sum to "
+                            f"less than 1, got {self.group_word_weight!r} and {self.cross_group_word_weight!r}")
 
 
 class _Words(dict):

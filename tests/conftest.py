@@ -205,3 +205,17 @@ def layered_dags(draw, max_layers=4):
             edges |= {(node, child) for child in children}
     meta = {n for upper in layers[1:] for n in upper}
     return Hierarchy(edges, basic=set(layers[0]), meta=meta)
+
+
+@st.composite
+def random_dags(draw, max_nodes=12):
+    """Random Hierarchy over nodes d0..dk, each basic or meta, with edges
+    from a meta node to any node of smaller index: acyclic by construction,
+    with multi-parent diamonds, paths that skip levels and isolated nodes of
+    either kind."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=max_nodes))  # True: meta
+    nodes = [f"d{i:02d}" for i in range(len(kinds))]
+    pairs = [(p, c) for i, p in enumerate(nodes) if kinds[i] for c in nodes[:i]]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=3 * len(nodes))) if pairs else set()
+    return Hierarchy(edges, basic={n for n, meta in zip(nodes, kinds) if not meta},
+                     meta={n for n, meta in zip(nodes, kinds) if meta})

@@ -250,7 +250,13 @@ BAD_SYNTH_SPECS = [
     ({"n_concepts": 6, "words_per_group": -3}, "'words_per_group'"),
     ({"n_concepts": 6, "background_words": -2}, "'background_words'"),
     ({"n_concepts": 6, "group_word_weight": -0.5}, "'group_word_weight'"),
-    ({"n_concepts": 6, "words_per_group": 0}, "'words_per_group'"),
+    ({"n_concepts": 6, "words_per_group": 0}, "synthetic spec field 'words_per_group' must be >= 1"),
+    ({"n_concepts": 6, "category_layout": "x"},
+     "synthetic spec field 'category_layout' must be 'blocked' or 'interleaved', got 'x'"),
+    ({"n_concepts": 6, "train_concept_fraction": 0.0},
+     "synthetic spec field 'train_concept_fraction' must lie in (0, 1], got 0.0"),
+    ({"n_concepts": 6, "group_word_weight": 0.5, "cross_group_word_weight": 0.5},
+     "synthetic spec fields 'group_word_weight' and 'cross_group_word_weight' must sum to less than 1, got 0.5 and 0.5"),
     ({"n_concepts": 2, "n_categories": 3}, "'n_categories' must be at most 'n_concepts'"),
     ({"n_concepts": 2, "n_categories": 3, "train_concept_fraction": 0.5,
       "rotate_train_concepts": True}, "'n_categories' must be at most 'n_concepts'"),

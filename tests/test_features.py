@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, layered_dags
+from conftest import assert_no_child_left, layered_dags, random_dags
 from xlcat import _util, corpus, features, interpreter
 from xlcat.corpus import LabeledDocument, SupportArticle
 from xlcat.errors import DataError
@@ -21,8 +21,8 @@ from xlcat.features import (
     save_vectors,
     select_features,
 )
-from xlcat.interpreter import build_interpreter
-from xlcat.ontology import Hierarchy, SupportIndex, ancestors
+from xlcat.interpreter import SemanticInterpreter, build_interpreter
+from xlcat.ontology import Hierarchy, SupportIndex, UnknownConceptError, ancestors
 
 
 def diamond():
@@ -120,13 +120,42 @@ class TestEnrichWithMetaOracle:
         expected = reference_enrich_with_meta(h, basic, m)
         assert enrich_with_meta(h, basic, m) == expected
         # ancestors() hands out copies: mutating them, or a result, must not
-        # reach the cached sets that later calls read.
+        # reach the ancestor tables that later calls read.
         for cid in basic:
             ancestors(h, cid, m).clear()
             ancestors(h, cid, m).add("intruder")
         enrich_with_meta(h, basic, m).add("intruder")
         assert enrich_with_meta(h, basic, m) == expected
         assert reference_enrich_with_meta(h, basic, m) == expected
+
+
+def generating(concepts):
+    """A document, its tokens and interpreters under which the document
+    generates exactly `concepts` at k_doc = len(concepts): each token names
+    one concept, all at the same weight."""
+    si = SemanticInterpreter("en", 1, {f"t{c}": [(c, 1.0)] for c in concepts})
+    return LabeledDocument("d", "en", ""), [f"t{c}" for c in sorted(concepts)], {"en": si}
+
+
+class TestDocumentFeaturesMetaStage:
+    @given(random_dags(), st.data())
+    def test_matches_reference_enrich_then_filter(self, h, data):
+        concepts = data.draw(st.sets(st.sampled_from(sorted(h.basic | h.meta))))
+        if data.draw(st.booleans()):
+            concepts &= h.basic  # only basic concepts: the one-pass stage
+        m = data.draw(st.sampled_from([*range(h.height + 3), 10**9]))
+        doc, tokens, interpreters = generating(concepts)
+        got = features.document_features(doc, interpreters, h, max(len(concepts), 1), m, tokens)
+        basic = frozenset(concepts)
+        assert got == reference_filter_meta_features(h, reference_enrich_with_meta(h, basic, m), basic)
+
+    def test_unknown_concept_and_negative_m_raise(self):
+        doc, tokens, interpreters = generating({"C", "not-a-concept"})
+        with pytest.raises(UnknownConceptError):
+            features.document_features(doc, interpreters, diamond(), 2, 1, tokens)
+        doc, tokens, interpreters = generating({"C", "D"})
+        with pytest.raises(ValueError):
+            features.document_features(doc, interpreters, diamond(), 2, -1, tokens)
 
 
 def two_language_setup():

@@ -121,6 +121,12 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k_features({"c1": 1.0}, 0)
 
+    @given(st.dictionaries(st.sampled_from([f"c{i}" for i in range(8)]), st.sampled_from([0.25, 0.5, 1.0])),
+           st.integers(1, 10))
+    def test_matches_sorted_ranking(self, v, k_doc):
+        ranked = sorted(v.items(), key=lambda cw: (-cw[1], cw[0]))
+        assert top_k_features(v, k_doc) == frozenset(cid for cid, _ in ranked[:k_doc])
+
 
 class TestGenerateBasicFeatures:
     def test_registered_language(self, fruit_si):

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import statistics
+import sys
 import warnings
 
 import numpy as np
@@ -270,6 +271,15 @@ class TestTrain:
             train(vectors, labels, ["A", "B"], n_features=2, epochs=epochs)
         with pytest.raises(DataError, match=r"^config field 'hyperparams\.epochs' must be an integer"):
             Hyperparams(epochs=epochs)
+
+    @pytest.mark.parametrize("n_features", [2.0, True, -1], ids=["2.0", "True", "-1"])
+    def test_bad_n_features_rejected_before_numpy(self, monkeypatch, n_features):
+        """2.0 ended in numpy's TypeError, True was one feature and -1 ended
+        in numpy's IndexError. 0 stays: a run's selected space may be empty."""
+        monkeypatch.setattr(learner, "stable_rng", no_stream)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # importing numpy raises
+        with pytest.raises(TrainingError, match=r"^n_features must be an integer >= 0, got "):
+            train([frozenset()] * 2, ["A", "B"], ["A", "B"], n_features=n_features)
 
     def test_repeated_category_rejected_before_any_step(self, monkeypatch):
         """It used to train every row and then fail in LinearModel."""

@@ -1,11 +1,12 @@
 import random
+import time
 from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import layered_dags
+from conftest import layered_dags, random_dags
 
 from xlcat.corpus import SupportArticle
 from xlcat.virtualdocs import TermCountTable
@@ -131,6 +132,44 @@ class TestAncestorsCache:
             ancestors(h, cid, -1)
         with pytest.raises(UnknownConceptError):
             ancestors(h, "not-a-concept", queries[0][1])
+
+
+def longest_path(h):
+    """Edge count of the hierarchy's longest directed path."""
+    memo = {}
+
+    def ending_at(node):
+        if node not in memo:
+            memo[node] = max((ending_at(p) + 1 for p in h.parents(node)), default=0)
+        return memo[node]
+
+    return max(map(ending_at, h.basic | h.meta), default=0)
+
+
+class TestAncestorMasks:
+    @given(random_dags())
+    def test_every_depth_matches_breadth_first_reference(self, h):
+        nodes = sorted(h.basic | h.meta)
+        assert h.height == longest_path(h)
+        for cid in nodes:
+            assert h.ancestors_all(cid) == reference_ancestors(h, cid, len(nodes))
+            for depth in [*range(h.height + 3), 10**9]:
+                assert h.ancestors_within(cid, depth) == reference_ancestors(h, cid, depth)
+        # Every depth past the height reads the one closure table.
+        assert h.ancestor_masks(10**9) is h.ancestor_masks(h.height)
+        with pytest.raises(ValueError):
+            h.ancestors_within(nodes[0], -1)
+        with pytest.raises(UnknownConceptError):
+            h.ancestors_all("not-a-concept")
+
+    def test_long_chain_without_recursion(self):
+        chain = [f"m{i:04d}" for i in range(4999)] + ["b"]
+        h = Hierarchy(set(zip(chain, chain[1:])), basic={"b"}, meta=set(chain[:-1]))
+        start = time.perf_counter()
+        assert h.ancestors_within("b", 10**9) == set(chain[:-1])
+        assert h.ancestors_all("m2500") == set(chain[:2500])
+        assert ancestors(h, "b", 3) == set(chain[-4:-1])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSupportMultiset:
