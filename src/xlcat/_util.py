@@ -1,4 +1,4 @@
-"""Small shared helpers: the integer field rule, deterministic RNG streams,
+"""Small shared helpers: the integer rule, deterministic RNG streams,
 an ordered serial map, block bounds and their per-CPU split, tasks forked
 to run beside the caller, stable JSON writing, the versioned artifact
 envelope, the one type check of every JSON field read from a config or a
@@ -16,10 +16,10 @@ import reprlib
 import sys
 import threading
 from contextlib import contextmanager
-from copy import deepcopy
 from dataclasses import MISSING, fields
 from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import (
     AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar,
     get_args, get_origin, get_type_hints,
@@ -39,10 +39,12 @@ def abridged(value: object) -> str:
         return f"{'-' * (value < 0)}<integer of {value.bit_length()} bits>"
 
 
-def int_at_least(value: object, low: int) -> bool:
-    """Whether value is an integer (not a bool) >= low: every integer config
-    field's rule, so a directly built config is checked as its JSON is."""
-    return type(value) is int and value >= low
+def int_at_least(value: object, low: int, name: str, error: type = ValueError) -> int:
+    """value, if an integer (not a bool) >= low, else `error` "<name> must be an integer
+    >= <low>, got <value>": the one rule of every integer argument and config or record field."""
+    if type(value) is int and value >= low:
+        return value
+    raise error(f"{name} must be an integer >= {low}, got {abridged(value)}")
 
 
 def stable_rng(*parts: object) -> random.Random:
@@ -236,7 +238,14 @@ def dump_jsonl(records: Iterable[dict], path: str | Path) -> None:
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "array", dict: "object"}
-_TYPES = {**{kind: {kind} for kind in _JSON_TYPES}, float: {int, float}}  # json.load's types
+# json.load's types; an object may also be a config's read-only copy of one
+_TYPES = {**{kind: {kind} for kind in _JSON_TYPES}, float: {int, float}, dict: {dict, MappingProxyType}}
+
+
+def objects_as(kind: type, value: Any) -> Any:
+    """A copy of value in which it and every object within it is a `kind`: a
+    MappingProxyType to keep read-only, a dict to encode. Other values as they are."""
+    return kind({k: objects_as(kind, v) for k, v in value.items()}) if type(value) in _TYPES[dict] else value
 
 
 def json_field(
@@ -314,10 +323,12 @@ class JsonConfig:
     However a config is built (from_dict, the constructor, replace),
     __post_init__ holds each field to its _least value, if any, then to
     json_field's rule for its type; an array may be a tuple (a set for a
-    FrozenSet) and is stored as its annotation, and a nested config must be
-    an instance. from_dict checks the keys (an absent one takes its field's
-    default; a field with none is required) and reads a nested object by
-    its class's from_dict; base_dir is for a subclass that resolves paths.
+    FrozenSet) and is stored as its annotation, an object as a read-only
+    copy, and a nested config must be an instance. So a built config never
+    changes, whatever a caller does to what it passed. from_dict checks the
+    keys (an absent one takes its field's default; a field with none is
+    required) and reads a nested object by its class's from_dict; base_dir
+    is for a subclass that resolves paths. to_dict writes dicts and lists.
     Errors name the key as _where + key."""
 
     _where = ""
@@ -327,9 +338,8 @@ class JsonConfig:
     def __post_init__(self):
         for name, key, kind, of, stored in _config_fields(type(self)):
             value, where = getattr(self, name), self._where + key
-            if name in self._least and not int_at_least(value, self._least[name]):
-                raise DataError(f"config field {where!r} must be an integer >= {self._least[name]}, "
-                                f"got {abridged(value)}")
+            if name in self._least:
+                int_at_least(value, self._least[name], f"config field {where!r}", DataError)
             if issubclass(kind, JsonConfig):
                 if not isinstance(value, kind):
                     raise DataError(f"config field {where!r} must be a {kind.__name__} object, got {abridged(value)}")
@@ -338,6 +348,7 @@ class JsonConfig:
                 object.__setattr__(self, name, stored(json_field(items, None, list, where + ".", of=of)))
             else:
                 json_field(value, None, kind, where + ".", of=of)
+                object.__setattr__(self, name, objects_as(MappingProxyType, value))
 
     @classmethod
     def from_dict(cls, d: Mapping, base_dir: str | Path = ".") -> Any:
@@ -360,8 +371,8 @@ class JsonConfig:
             value = getattr(self, name)
             if issubclass(kind, JsonConfig):
                 value = value.to_dict()
-            else:  # a frozenset as a sorted list, a tuple as a list, an object copied
-                value = sorted(value) if stored is frozenset else list(value) if stored else deepcopy(value)
+            else:  # a frozenset as a sorted list, a tuple as a list, an object as dicts
+                value = sorted(value) if stored is frozenset else list(value) if stored else objects_as(dict, value)
             parent, _, last = key.rpartition(".")
             (out.setdefault(parent, {}) if parent else out)[last] = value
         return out

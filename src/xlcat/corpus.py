@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import FrozenSet, Iterable, Optional, Sequence
 
-from ._util import JsonConfig, dump_jsonl, json_field
+from ._util import JsonConfig, dump_jsonl, int_at_least, json_field
 from .errors import CorpusFormatError, DataError
 
 # Ordered list of normalized tokens.
@@ -41,8 +41,8 @@ class SupportArticle:
             raise DataError("support article has empty concept_id")
         if not self.language:
             raise DataError("support article has empty language")
-        if self.links_in < 0 or self.links_out < 0:
-            raise DataError("link counts must be nonnegative")
+        int_at_least(self.links_in, 0, "links_in", DataError)
+        int_at_least(self.links_out, 0, "links_out", DataError)
         bad = set(self.flags) - ARTICLE_FLAGS
         if bad:
             raise DataError(f"unknown article flags: {sorted(bad)}")

@@ -13,11 +13,12 @@ from math import log2
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import abridged, cpu_blocks, dump_artifact, dump_jsonl, forked, json_field, load_artifact, ordered_map
+from ._util import (abridged, cpu_blocks, dump_artifact, dump_jsonl, forked, int_at_least, json_field,
+                    load_artifact, ordered_map)
 from .corpus import LabeledDocument, TokenStream, read_records, tokenize
 from .errors import DataError
 from .interpreter import SemanticInterpreter, generate_basic_features
-from .ontology import Hierarchy
+from .ontology import Hierarchy, UnknownConceptError
 
 # Active coordinate indices of a binarized document vector.
 BinaryFeatureVector = FrozenSet[int]
@@ -55,26 +56,34 @@ class FeatureSpace:
         ))
 
 
+def _meta_masks(h: Hierarchy, basic: Iterable[str], m: int) -> Tuple[int, int]:
+    """One pass over h's masks: the meta concepts within m edges above some concept of
+    `basic`, and those above two or more; a concept outside h is an UnknownConceptError."""
+    near, closure = h.ancestor_masks(m), h.ancestor_masks(h.height)
+    within = once = twice = 0
+    try:
+        for cid in basic:
+            up = closure[cid]
+            within |= near[cid]
+            twice |= once & up
+            once |= up
+    except KeyError as exc:
+        raise UnknownConceptError(exc.args[0]) from None
+    return within, twice
+
+
 def enrich_with_meta(h: Hierarchy, basic: FrozenSet[str], m: int) -> Set[str]:
     """Add every ancestor within m edges of each generated basic concept;
-    m=0 returns the basic set unchanged. It unions the sets that
-    Hierarchy.ancestors_within reads off its ancestor masks."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    result = set(basic)
-    for cid in basic:
-        result |= h.ancestors_within(cid, m)
-    return result
+    m=0 returns the basic set unchanged."""
+    int_at_least(m, 0, "m")
+    return {*basic, *h.meta_ids(_meta_masks(h, basic, m)[0])}
 
 
 def filter_meta_features(h: Hierarchy, enriched: Set[str], basic: FrozenSet[str]) -> Set[str]:
     """Drop meta features that are not ancestors of at least two distinct
-    basic features of the document. Basic features always survive.
-
-    One C-level Counter over the chained ancestor closures of the basic
-    features, as Hierarchy.ancestors_all reads them off its masks."""
-    covered = Counter(chain.from_iterable(map(h.ancestors_all, basic)))
-    return {cid for cid in enriched if cid in h.basic or covered[cid] >= 2}
+    basic features of the document. Basic features always survive."""
+    twice = set(h.meta_ids(_meta_masks(h, basic, 0)[1]))
+    return {cid for cid in enriched if cid in h.basic or cid in twice}
 
 
 def document_features(
@@ -87,17 +96,12 @@ def document_features(
 ) -> Set[str]:
     """Full per-document generation: basic top-k concepts, meta enrichment,
     meta filter. `tokens` as for generate_basic_features. If every concept
-    is basic in h, the meta stage is one pass over h.ancestor_masks."""
+    is basic in h, the meta stage is one pass (_meta_masks) over its masks."""
+    int_at_least(m, 0, "m")
     basic = generate_basic_features(interpreters, doc, k_doc, tokens)
-    if m < 0 or not basic <= h.basic:
+    if not basic <= h.basic:
         return filter_meta_features(h, enrich_with_meta(h, basic, m), basic)
-    near, closure = h.ancestor_masks(m), h.ancestor_masks(h.height)
-    within = once = twice = 0
-    for cid in basic:
-        up = closure[cid]
-        within |= near[cid]
-        twice |= once & up
-        once |= up
+    within, twice = _meta_masks(h, basic, m)
     return {*basic, *h.meta_ids(within & twice)}
 
 
@@ -217,9 +221,7 @@ def select_features(
     the vectors. One information_gain call scores every coordinate in one
     pass, O(nnz + coordinates * labels). A space already within budget
     passes through unchanged and computes no gain."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(space) <= n:
+    if len(space) <= int_at_least(n, 1, "n"):
         return space, list(vectors)
     gains = information_gain(vectors, labels, range(len(space)))
     ranked = sorted(range(len(space)), key=lambda i: (-gains[i], space.concepts[i]))

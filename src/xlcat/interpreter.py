@@ -14,7 +14,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ._util import dump_artifact, json_field, load_artifact
+from ._util import dump_artifact, int_at_least, json_field, load_artifact
 from .corpus import LabeledDocument, TokenStream, tokenize
 from .errors import DataError
 from .ontology import SupportIndex
@@ -59,9 +59,7 @@ class SemanticInterpreter:
                     if type(cid) is str and type(weight) is float and weight * 0.0 == 0.0:
                         continue
                 raise DataError(f"'term_index' holds {pair!r}, not a [concept id, finite weight]")
-            k_term = json_field(payload, "k_term", int, path, 1)
-            if k_term < 1:
-                raise DataError(f"'k_term' must be >= 1, got {k_term}")
+            k_term = int_at_least(json_field(payload, "k_term", int, path, 1), 1, "'k_term'", DataError)
             return cls(json_field(payload, "language", str, path, 1), k_term, index)
 
         return load_artifact(path, "interpreter", convert, InterpreterError)
@@ -97,8 +95,7 @@ def build_interpreter(
     the smaller id by a stable sort of pairs appended in id order. Terms
     occurring in every pseudo-document have zero idf and are omitted.
     """
-    if k_term < 1:
-        raise ValueError("k_term must be >= 1")
+    int_at_least(k_term, 1, "k_term")
     universe = sorted(set(concepts))
     n = len(universe)
     if n == 0:
@@ -141,8 +138,7 @@ def interpret(si: SemanticInterpreter, doc: TokenStream) -> SemanticVector:
 def top_k_features(v: SemanticVector, k_doc: int) -> frozenset:
     """The k_doc concepts of maximal weight; ties break toward the smaller
     concept id. A vector of at most k_doc entries yields all of them, unranked."""
-    if k_doc < 1:
-        raise ValueError("k_doc must be >= 1")
+    int_at_least(k_doc, 1, "k_doc")
     if len(v) <= k_doc:
         return frozenset(v)
     ranked = sorted(v.items(), key=lambda cw: (-cw[1], cw[0]))

@@ -145,12 +145,10 @@ def train(
     if type(lambda_) not in (int, float) or not lambda_ok(lambda_):
         raise TrainingError(f"lambda must be a number > 0 with a finite inverse, "
                             f"got {abridged(lambda_)}")
-    if not int_at_least(epochs, 1):
-        raise TrainingError(f"epochs must be an integer >= 1, got {abridged(epochs)}")
+    int_at_least(epochs, 1, "epochs", TrainingError)
     if type(seed) is not int:
         raise TrainingError(f"seed must be an integer, got {abridged(seed)}")
-    if not int_at_least(n_features, 0):  # a run's selected space may be empty
-        raise TrainingError(f"n_features must be an integer >= 0, got {abridged(n_features)}")
+    int_at_least(n_features, 0, "n_features", TrainingError)  # a run's selected space may be empty
     import numpy as np
     if len(vectors) != len(labels):
         raise TrainingError("vectors and labels must have the same length")

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import dump_jsonl, json_field
+from ._util import dump_jsonl, int_at_least, json_field
 from .corpus import SupportArticle, TokenStream, _read_jsonl, tokenize
 from .errors import DataError
 
@@ -38,7 +39,8 @@ class UnknownConceptError(OntologyError):
 
 
 class Hierarchy:
-    """Immutable DAG container over declared basic and meta concepts.
+    """Immutable DAG container over declared basic and meta concepts; no query
+    hands out a list or dict of its own (it keeps tuples and read-only tables).
 
     Construction checks edge typing (meta parents, declared endpoints), then
     runs Kahn's algorithm once over every declared node, isolated ones
@@ -56,9 +58,7 @@ class Hierarchy:
         overlap = self.basic & self.meta
         if overlap:
             raise OntologyError(f"concepts declared both basic and meta: {sorted(overlap)[:5]}")
-        self._parents: Dict[str, list] = {}
-        self._children: Dict[str, list] = {}
-        seen = set()
+        parents, children, seen = {}, {}, set()
         for parent, child in edges:
             if (parent, child) in seen:
                 continue
@@ -69,8 +69,9 @@ class Hierarchy:
                 raise OntologyError(f"edge child {child!r} is not a declared concept")
             seen.add((parent, child))
         for parent, child in sorted(seen):
-            self._parents.setdefault(child, []).append(parent)
-            self._children.setdefault(parent, []).append(child)
+            parents.setdefault(child, []).append(parent)
+            children.setdefault(parent, []).append(child)
+        self._parents, self._children = ({n: tuple(v) for n, v in d.items()} for d in (parents, children))
         self.edges = frozenset(seen)
         # Kahn's pass; the loop also visits the children it appends.
         nodes = sorted(self.basic | self.meta)
@@ -88,29 +89,29 @@ class Hierarchy:
         self._rank = {n: i for i, n in enumerate(order)}
         self.height = level[order[-1]] if order else 0
         self._meta_order = [n for n in order if n in self.meta]
-        self._masks: Dict[int, Dict[str, int]] = {}
+        self._masks: Dict[int, Mapping[str, int]] = {}
 
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self.basic or concept_id in self.meta
 
-    def parents(self, concept_id: str) -> list:
+    def parents(self, concept_id: str) -> tuple:
+        """The concept's parents, sorted: the tuple the hierarchy keeps."""
         if concept_id not in self:
             raise UnknownConceptError(concept_id)
-        return self._parents.get(concept_id, [])
+        return self._parents.get(concept_id, ())
 
-    def children(self, concept_id: str) -> list:
+    def children(self, concept_id: str) -> tuple:
+        """The concept's children, sorted: the tuple the hierarchy keeps."""
         if concept_id not in self:
             raise UnknownConceptError(concept_id)
-        return self._children.get(concept_id, [])
+        return self._children.get(concept_id, ())
 
-    def ancestor_masks(self, depth: int) -> Dict[str, int]:
+    def ancestor_masks(self, depth: int) -> Mapping[str, int]:
         """Each node's mask of its ancestors within 1..depth reversed edges,
         kept per depth: mask[n] ORs each parent's bit and mask one level up,
         in a pass per level, O(edges). A depth at or past the height takes
         the closure: one pass in rank order, reading parents' final masks."""
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        depth = min(depth, self.height)
+        depth = min(int_at_least(depth, 0, "depth"), self.height)
         if depth not in self._masks:
             bit = {n: 1 << i for i, n in enumerate(self._meta_order)}
             table = dict.fromkeys(self._rank, 0)
@@ -121,7 +122,7 @@ class Hierarchy:
                     for parent in self._parents.get(node, ()):
                         mask |= bit[parent] | below[parent]
                     table[node] = mask
-            self._masks[depth] = table
+            self._masks[depth] = MappingProxyType(table)
         return self._masks[depth]
 
     def meta_ids(self, mask: int) -> list:

@@ -12,7 +12,8 @@ from pathlib import Path
 from statistics import mean, stdev
 from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ._util import JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, json_field, stable_rng
+from ._util import (JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, int_at_least,
+                    json_field, stable_rng)
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -579,8 +580,7 @@ def _virtual_docs_curve(
     them would hold every arm's at once. n_blocks is capped at the tail's length."""
     if not 0.0 < prefix_fraction < 1.0:
         raise DataError("prefix_fraction must lie in (0, 1)")
-    if n_blocks < 1:
-        raise DataError("n_blocks must be positive")
+    int_at_least(n_blocks, 1, "n_blocks", DataError)
     res = replace(load_resources(cfg), term_counts={})
     reference_lang = sorted(cfg.source_languages)[0]
     lengths: Dict[str, int] = {c: 0 for c in res.basic}

@@ -9,9 +9,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import List, Mapping, Tuple
 
-from ._util import dump_jsonl
+from ._util import dump_jsonl, int_at_least
 from .corpus import SupportArticle
 from .errors import DataError
 from .ontology import Hierarchy, SupportIndex, ancestors, support_count, support_multiset
@@ -37,7 +38,9 @@ class InsufficientAncestryError(VirtualDocError):
 
 @dataclass(frozen=True)
 class TermCountTable:
-    """A synthesized term-count document for a (concept, language) pair."""
+    """A synthesized term-count document for a (concept, language) pair. It
+    keeps a read-only copy of `terms`, each count an integer >= 1: a built
+    table never changes, whatever a caller does to the mapping it passed."""
 
     concept_id: str
     language: str
@@ -45,11 +48,12 @@ class TermCountTable:
     provenance: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if any(count < 1 for count in self.terms.values()):
-            raise VirtualDocError("term counts must be positive")
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        for count in self.terms.values():
+            int_at_least(count, 1, "a term count", VirtualDocError)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "provenance": list(self.provenance), "virtual": True}
+        return {**vars(self), "terms": dict(self.terms), "provenance": list(self.provenance), "virtual": True}
 
 
 def find_ancestor_depth(
@@ -57,8 +61,7 @@ def find_ancestor_depth(
 ) -> int:
     """Minimal depth j whose ancestor set (distance <= j) holds at least p
     support documents in the language, counted with multiset multiplicity."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    int_at_least(p, 1, "p")
     if idx.has_real_support(concept_id, language):
         raise VirtualDocError(f"{concept_id!r} already has support in {language!r}")
     depth = 0
@@ -82,8 +85,7 @@ def prominent_terms(
     each document's term counts (from idx.term_counts) are scaled by its
     multiplicity. Ties break toward the smaller term; fewer than t distinct
     terms yields them all."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    int_at_least(t, 1, "t")
     if not docs:
         raise VirtualDocError("empty document multiset")
     counts: Counter = Counter()

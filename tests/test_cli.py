@@ -590,7 +590,7 @@ class TestReachableDataErrors:
 
     @pytest.mark.parametrize("extra,message", [
         (["--prefix-fraction", "1.5"], "prefix_fraction must lie in (0, 1)"),
-        (["--blocks", "0"], "n_blocks must be positive"),
+        (["--blocks", "0"], "n_blocks must be an integer >= 1, got 0"),
         (["--prefix-fraction", "0.99"], "prefix covers every concept; nothing to ablate"),  # 12 of 12
     ])
     def test_virtual_docs_ablation_arguments(self, workspace, tmp_path, capsys, extra, message):

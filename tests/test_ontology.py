@@ -28,6 +28,17 @@ from xlcat.ontology import (
 )
 
 
+def mutate(value):
+    """Each in-place change a list, set or dict allows, tried on value; a
+    change its type refuses is skipped."""
+    for change in (lambda v: v.append("Z"), lambda v: v.add("Z"), lambda v: v.update({"Z": 1}),
+                   lambda v: v.__setitem__(0, "Z"), lambda v: v.__delitem__(0), lambda v: v.clear()):
+        try:
+            change(value)
+        except (AttributeError, TypeError, IndexError, KeyError):
+            pass
+
+
 def doc(cid, lang="en", text="w"):
     return SupportArticle(concept_id=cid, language=lang, text=text, title=cid)
 
@@ -161,6 +172,19 @@ class TestAncestorMasks:
             h.ancestors_within(nodes[0], -1)
         with pytest.raises(UnknownConceptError):
             h.ancestors_all("not-a-concept")
+
+    @given(random_dags())
+    def test_no_query_hands_out_what_changes_the_hierarchy(self, h):
+        """h.parents(c).append("Z") used to go into h's own list, and a
+        later ancestor_masks ended in KeyError: 'Z'."""
+        fresh = Hierarchy(h.edges, h.basic, h.meta)
+        nodes, depths = sorted(h.basic | h.meta), range(h.height + 2)
+        for got in [*map(h.parents, nodes), *map(h.children, nodes),
+                    *(h.ancestors_within(cid, depth) for cid in nodes for depth in depths),
+                    *map(h.ancestor_masks, depths)]:
+            mutate(got)
+        assert [h.ancestor_masks(depth) for depth in depths] == [fresh.ancestor_masks(depth) for depth in depths]
+        assert all(h.parents(cid) == fresh.parents(cid) and h.children(cid) == fresh.children(cid) for cid in nodes)
 
     def test_long_chain_without_recursion(self):
         chain = [f"m{i:04d}" for i in range(4999)] + ["b"]

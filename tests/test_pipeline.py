@@ -542,6 +542,21 @@ class TestConfigIO:
         cfg = ExperimentConfig(**fields)
         # Unknown keys are rejected, so every key to_dict writes must be one the reader knows.
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        # A built config keeps what was checked: a later change to the dicts
+        # it was given, or an assignment into its own, used to reach to_dict.
+        written = cfg.to_dict()
+        for per in datasets.values():
+            per["train"] = 5
+        fields["stopword_paths"]["zz"] = 1
+        assert cfg.to_dict() == written
+        lang = next(iter(cfg.datasets))
+        with pytest.raises(TypeError):
+            cfg.datasets[lang]["train"] = 5
+        with pytest.raises(TypeError):
+            cfg.stopword_paths["zz"] = "x"
+        for config in (cfg, cfg.hyperparams, cfg.filter):
+            assert replace(config) == config
+            _util._encode(config.to_dict())  # the C encoder takes only dicts, lists and scalars
 
     def test_round_trip_via_file(self, corpus, tmp_path):
         cfg = make_config(corpus, **default_hp())

@@ -346,6 +346,8 @@ class TestSpecValidation:
     @given(specs())
     def test_reads_back_what_to_dict_writes(self, spec):
         assert SyntheticCorpusSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert replace(spec) == spec
+        _util._encode(spec.to_dict())
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

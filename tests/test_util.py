@@ -6,6 +6,7 @@ import threading
 import dataclasses
 from contextlib import contextmanager
 from pathlib import Path
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Tuple, get_args, get_origin, get_type_hints
 
 import pytest
@@ -17,10 +18,15 @@ from xlcat._util import (
     _CHUNK, ARTIFACT_VERSIONS, JsonConfig, block_bounds, cpu_blocks, dump_artifact, dump_json, envelope, forked,
     json_field, ordered_map,
 )
-from xlcat.corpus import ARTICLE_FLAGS, FilterConfig
+from xlcat.corpus import ARTICLE_FLAGS, FilterConfig, LabeledDocument, SupportArticle
 from xlcat.errors import CorpusFormatError, DataError, SetupViolation
-from xlcat.pipeline import ExperimentConfig, Hyperparams
+from xlcat.features import FeatureSpace, document_features, enrich_with_meta, select_features
+from xlcat.interpreter import build_interpreter, top_k_features
+from xlcat.learner import TrainingError, train
+from xlcat.ontology import Hierarchy, SupportIndex
+from xlcat.pipeline import ExperimentConfig, Hyperparams, ablation
 from xlcat.synth import SyntheticCorpusSpec
+from xlcat.virtualdocs import TermCountTable, VirtualDocError, find_ancestor_depth, prominent_terms
 
 from conftest import assert_no_child_left
 
@@ -153,9 +159,10 @@ def test_an_integer_field_built_directly_rejects_a_bool_and_a_float_naming_it(bu
 # A valid config of each JsonConfig class; the JSON types a field of each
 # annotation takes, and a value of another: a bool where a number goes, a
 # number where a bool, a string or an array goes, an item of another type
-# in an array or object, and no object where a nested config goes.
+# in an array or object, and no object where a nested config goes. A
+# config keeps each object, and each object within one, read-only.
 JSON_CONFIGS = [Hyperparams(), FilterConfig(), SyntheticCorpusSpec(n_concepts=12), _experiment_config(1)]
-JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dict: (dict,)}
+JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,), dict: (MappingProxyType,)}
 WRONG_VALUE = {int: True, float: True, bool: 1, str: 1, FrozenSet[str]: [1], Tuple[str, ...]: (1,),
                Tuple[int, ...]: (True,), Dict[str, str]: {"en": 2}, Dict[str, dict]: {"en": 2},
                Hyperparams: None, FilterConfig: None}
@@ -180,7 +187,7 @@ def holds_its_json_type(value, kind):
     if get_origin(kind) in (tuple, frozenset):
         return type(value) is get_origin(kind) and all(type(v) in JSON_TYPES[args[0]] for v in value)
     if get_origin(kind) is dict:
-        return type(value) is dict and all(type(v) in JSON_TYPES[args[1]] for v in value.values())
+        return type(value) is MappingProxyType and all(type(v) in JSON_TYPES[args[1]] for v in value.values())
     return isinstance(value, kind) if issubclass(kind, JsonConfig) else type(value) in JSON_TYPES[kind]
 
 
@@ -412,3 +419,41 @@ def test_a_body_error_leaves_no_child_and_no_descriptor(monkeypatch, forks):
     assert len(forks) == 1
     assert_no_child_left()
     assert open_fds() == before
+
+
+_H = Hierarchy([("M", "C")], basic={"C", "D"}, meta={"M"})
+_ARTICLE = SupportArticle("C", "en", text="apple pear")
+_IDX = SupportIndex({"C", "D"}, [_ARTICLE, SupportArticle("D", "en", text="plum")])
+_SI = build_interpreter(_IDX, "en", {"C", "D"}, k_term=5)
+_DOC = LabeledDocument("d", "en", "apple")
+
+# (the name its error quotes, the least value, the error, a call with the value)
+INTEGER_ARGUMENTS = [
+    ("n", 1, ValueError, lambda n: select_features(FeatureSpace(["C"]), [frozenset({0})], ["x"], n)),
+    ("k_term", 1, ValueError, lambda k: build_interpreter(_IDX, "en", {"C"}, k)),
+    ("k_doc", 1, ValueError, lambda k: top_k_features({"C": 1.0}, k)),
+    ("k_doc", 1, ValueError, lambda k: document_features(_DOC, {"en": _SI}, _H, k, 1)),
+    ("m", 0, ValueError, lambda m: document_features(_DOC, {"en": _SI}, _H, 1, m)),
+    ("m", 0, ValueError, lambda m: enrich_with_meta(_H, frozenset({"C"}), m)),
+    ("depth", 0, ValueError, lambda depth: _H.ancestors_within("C", depth)),
+    ("p", 1, ValueError, lambda p: find_ancestor_depth(_H, _IDX, "C", "fr", p)),
+    ("t", 1, ValueError, lambda t: prominent_terms(_IDX, {_ARTICLE: 1}, t)),
+    ("a term count", 1, VirtualDocError, lambda n: TermCountTable("C", "fr", {"apple": n})),
+    ("links_in", 0, DataError, lambda n: SupportArticle("C", "en", links_in=n)),
+    ("links_out", 0, DataError, lambda n: SupportArticle("C", "en", links_out=n)),
+    ("n_blocks", 1, DataError, lambda n: ablation(_experiment_config(1), "virtual_docs", n_blocks=n)),
+    ("epochs", 1, TrainingError, lambda n: train([frozenset()], ["x"], ["x"], 1, epochs=n)),
+    ("n_features", 0, TrainingError, lambda n: train([frozenset()], ["x"], ["x"], n)),
+]
+
+
+@pytest.mark.parametrize("name,low,error,call", INTEGER_ARGUMENTS,
+                         ids=[f"{i}-{name}" for i, (name, *_) in enumerate(INTEGER_ARGUMENTS)])
+@pytest.mark.parametrize("value", ["below", 2.0, True, "2"])
+def test_every_integer_argument_takes_the_one_rule(name, low, error, call, value):
+    """A float or a bool used to run as an integer, or to end in a traceback
+    such as "slice indices must be integers"."""
+    value = low - 1 if value == "below" else value
+    with pytest.raises(error) as raised:
+        call(value)
+    assert str(raised.value) == f"{name} must be an integer >= {low}, got {value!r}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -215,6 +216,17 @@ class TestPersistence:
     def test_nonpositive_count_rejected(self):
         with pytest.raises(VirtualDocError):
             TermCountTable("c", "en", {"a": 0})
+
+    def test_a_built_table_keeps_its_counts(self):
+        """A later change to the caller's mapping used to reach the table's
+        counts and its to_dict, unchecked."""
+        terms = {"b": 1, "a": 2}
+        table = TermCountTable("c", "en", terms)
+        terms["a"] = -5
+        with pytest.raises(TypeError):
+            table.terms["a"] = -5
+        assert table.to_dict()["terms"] == {"b": 1, "a": 2}
+        assert dataclasses.replace(table) == table
 
 
 def _random_case(rng):
