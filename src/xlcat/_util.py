@@ -1,13 +1,14 @@
-"""Small shared helpers: the integer rule, deterministic RNG streams,
-an ordered serial map, block bounds and their per-CPU split, tasks forked
-to run beside the caller, stable JSON writing, the versioned artifact
-envelope, the one type check of every JSON field read from a config or a
-JSON-lines record, and the JsonConfig codec of the config dataclasses
-built on it.
+"""Small shared helpers: the integer rule, deterministic RNG streams, an
+ordered serial map, block bounds and their per-CPU split, tasks forked to
+run beside the caller, the paused collector, stable JSON writing, the
+versioned artifact envelope, the one type check of every JSON field read
+from a config or a JSON-lines record, and the JsonConfig codec of the
+config dataclasses built on it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -124,6 +125,19 @@ def forked(tasks: Sequence[Callable[[], T]]) -> Iterator[list[T]]:
         results.append(pickle.loads(values[i]) if forking and codes[i] == 0 else task())
 
 
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """The body, or the function it decorates, with the collector off, then on if it was: for a
+    body that builds only acyclic values, never around a `yield` or a `forked` call."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode  # the C encoder
 
 
@@ -162,9 +176,10 @@ def _write_indented(write: Callable[[str], Any], obj: Any, newline: str) -> None
         write(_encode(obj))
 
 
+@paused_gc()
 def load_json(path: str | Path, error: type = DataError) -> Any:
-    """The JSON value in file `path`; a file that is not UTF-8, or JSON it
-    cannot parse, raises `error` naming the path."""
+    """The JSON value in file `path`, parsed with the collector paused; a file
+    that is not UTF-8, or JSON it cannot parse, raises `error` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)

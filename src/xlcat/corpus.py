@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import FrozenSet, Iterable, Optional, Sequence
 
-from ._util import JsonConfig, dump_jsonl, int_at_least, json_field
+from ._util import JsonConfig, dump_jsonl, int_at_least, json_field, paused_gc
 from .errors import CorpusFormatError, DataError
 
 # Ordered list of normalized tokens.
 TokenStream = list[str]
 
 ARTICLE_FLAGS = frozenset({"disambiguation", "redirect", "catalog"})
+_scan = json.JSONDecoder().scan_once  # the C scanner behind json.loads
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ class FilterConfig(JsonConfig):
 
 def _read_jsonl(path: str | Path):
     """(line number, object) of each nonblank line; a line that is not UTF-8
-    or not a JSON object is a CorpusFormatError naming path:line."""
+    or not a JSON object is a CorpusFormatError naming path:line. Each line is
+    json.loads(line): the C scan it wraps when that stops at the line's end, else json.loads."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -98,14 +100,19 @@ def _read_jsonl(path: str | Path):
     with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
-                except (ValueError, RecursionError) as exc:  # too deep, or too many digits
-                    raise CorpusFormatError(f"malformed JSON: {exc}", path, lineno) from exc
+                    obj, end = _scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):  # json.loads says which error
+                    end = None
+                if end is None or line[end:] not in ("", "\n"):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
+                    except (ValueError, RecursionError) as exc:  # too deep, or too many digits
+                        raise CorpusFormatError(f"malformed JSON: {exc}", path, lineno) from exc
                 yield lineno, json_field(obj, None, dict, path, lineno)
         except UnicodeDecodeError:  # decoded ahead of the lines read: find the byte's line
             with open(path, "rb") as raw:
@@ -117,6 +124,7 @@ def _read_jsonl(path: str | Path):
             raise
 
 
+@paused_gc()
 def load_support_corpus(path: str | Path) -> list[SupportArticle]:
     """Read support articles from a JSON-lines file, in file order.
 
@@ -163,6 +171,7 @@ def read_records(path: str | Path):
         yield lineno, doc_id, obj
 
 
+@paused_gc()
 def load_labeled_dataset(path: str | Path) -> list[LabeledDocument]:
     """Read labeled (or unlabeled) documents; doc_ids must be unique."""
     docs = []

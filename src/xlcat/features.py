@@ -24,19 +24,20 @@ from .ontology import Hierarchy, UnknownConceptError
 BinaryFeatureVector = FrozenSet[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpace:
-    """Ordered concept list defining the classifier's vector coordinates."""
+    """Ordered concept tuple defining the classifier's vector coordinates."""
 
-    concepts: List[str]
+    concepts: Tuple[str, ...]
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "concepts", tuple(self.concepts))  # frozen, so index stays true
         if bad := [cid for cid in self.concepts if type(cid) is not str]:
             raise DataError(f"'concepts' must hold only strings, got {abridged(bad[0])}")
         if len(set(self.concepts)) != len(self.concepts):
             raise DataError("'concepts' holds a concept twice")
-        self.index = {cid: i for i, cid in enumerate(self.concepts)}
+        object.__setattr__(self, "index", {cid: i for i, cid in enumerate(self.concepts)})
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -121,14 +122,8 @@ def build_feature_space(
         training_docs,
         workers,
     )
-    concepts: List[str] = []
-    seen: Set[str] = set()
-    for feats in per_doc:
-        for cid in sorted(feats - seen):
-            concepts.append(cid)
-            seen.add(cid)
     space = FeatureSpace(
-        concepts=concepts,
+        concepts=tuple(dict.fromkeys(chain.from_iterable(sorted(feats) for feats in per_doc))),
         metadata={"k_doc": k_doc, "m": m, "n_documents": len(training_docs)},
     )
     vectors = [space.vector_for(feats) for feats in per_doc]

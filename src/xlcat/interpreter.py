@@ -14,7 +14,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ._util import dump_artifact, int_at_least, json_field, load_artifact
+from ._util import dump_artifact, int_at_least, json_field, load_artifact, paused_gc
 from .corpus import LabeledDocument, TokenStream, tokenize
 from .errors import DataError
 from .ontology import SupportIndex
@@ -40,6 +40,9 @@ class SemanticInterpreter:
     term_index: Dict[str, List[Tuple[str, float]]]
     stopwords: frozenset = frozenset()
 
+    def __post_init__(self):  # so that what save writes, load reads
+        int_at_least(self.k_term, 1, "'k_term'", InterpreterError)
+
     def save(self, path: str | Path) -> None:
         dump_artifact(path, "interpreter", {
             "language": self.language,
@@ -59,7 +62,7 @@ class SemanticInterpreter:
                     if type(cid) is str and type(weight) is float and weight * 0.0 == 0.0:
                         continue
                 raise DataError(f"'term_index' holds {pair!r}, not a [concept id, finite weight]")
-            k_term = int_at_least(json_field(payload, "k_term", int, path, 1), 1, "'k_term'", DataError)
+            k_term = json_field(payload, "k_term", int, path, 1)  # its range: the constructor's
             return cls(json_field(payload, "language", str, path, 1), k_term, index)
 
         return load_artifact(path, "interpreter", convert, InterpreterError)
@@ -83,6 +86,7 @@ def pseudo_document_counts(idx: SupportIndex, concept_id: str, language: str) ->
     return counts
 
 
+@paused_gc()
 def build_interpreter(
     idx: SupportIndex, language: str, concepts: Iterable[str], k_term: int
 ) -> SemanticInterpreter:

@@ -13,7 +13,7 @@ from statistics import mean, stdev
 from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ._util import (JsonConfig, abridged, block_bounds, dump_json, envelope, fork_workers, forked, int_at_least,
-                    json_field, stable_rng)
+                    json_field, paused_gc, stable_rng)
 from .corpus import (
     FilterConfig,
     LabeledDocument,
@@ -177,6 +177,7 @@ class Resources:
     term_counts: Optional[Dict[SupportArticle, Counter]] = None
 
 
+@paused_gc()
 def load_ontology(cfg: ExperimentConfig) -> Tuple[Hierarchy, Dict[str, frozenset]]:
     """The hierarchy merged over every language's edges, with the stopword
     lists: every shared input but the support corpus."""

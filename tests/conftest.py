@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import threading
@@ -20,7 +21,8 @@ settings.load_profile("xlcat")
 
 def pytest_sessionfinish(session):
     """Fail the run if a test left a child process unreaped, running or not,
-    or a thread other than the main thread alive."""
+    a thread other than the main thread alive, or the cyclic garbage
+    collector disabled (as a pause held across a generator's yield would)."""
     problems = []
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)
@@ -33,6 +35,8 @@ def pytest_sessionfinish(session):
     threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
     if threads:
         problems.append(f"a test left threads alive: {', '.join(threads)}")
+    if not gc.isenabled():
+        problems.append("a test left the garbage collector disabled")
     if problems:
         writer = session.config.get_terminal_writer()
         writer.line()

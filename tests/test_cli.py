@@ -938,7 +938,7 @@ class TestMalformedArtifacts:
         if extra < 0:
             concepts = space.concepts[:extra]
         else:
-            concepts = space.concepts + [f"x{i}" for i in range(extra)]
+            concepts = space.concepts + tuple(f"x{i}" for i in range(extra))
         FeatureSpace(concepts).save(files / "feature_space.json")
         proc = self._classify(workspace, files, tmp_path)
         assert_data_error(proc, f"has {n_model} features", f"has {n_model + extra}")

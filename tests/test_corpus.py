@@ -1,10 +1,12 @@
+import gc
 import json
 import random
 import sys
 import unicodedata
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xlcat.corpus import (
@@ -12,6 +14,7 @@ from xlcat.corpus import (
     FilterConfig,
     LabeledDocument,
     SupportArticle,
+    _read_jsonl,
     filter_articles,
     load_labeled_dataset,
     load_stopwords,
@@ -20,7 +23,11 @@ from xlcat.corpus import (
     save_support_corpus,
     tokenize,
 )
+from xlcat._util import json_field, load_json
 from xlcat.errors import DataError
+from xlcat.interpreter import build_interpreter
+from xlcat.ontology import SupportIndex
+from xlcat.pipeline import load_ontology
 
 
 def reference_tokenize(text, stopwords=None):
@@ -342,3 +349,145 @@ class TestTokenizeOracle:
         # 一 is isnumeric() but a letter (Lo), so its token stays; Ⅻ and ½
         # are numbers (Nl, No), so theirs go.
         assert tokenize("一 Ⅻ 二三 ½") == reference_tokenize("一 Ⅻ 二三 ½") == ["一", "二三"]
+
+
+def reference_read_jsonl(path):
+    """_read_jsonl before its scanner fast path: json.loads of each nonblank
+    line. The oracle for the fast path's values and errors."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot open file: {exc}", path) from exc
+    with fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"malformed JSON: {exc.msg}", path, lineno) from exc
+                except (ValueError, RecursionError) as exc:
+                    raise CorpusFormatError(f"malformed JSON: {exc}", path, lineno) from exc
+                yield lineno, json_field(obj, None, dict, path, lineno)
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise CorpusFormatError(f"not UTF-8: {exc}", path, lineno) from exc
+            raise
+
+
+def read_all(reader, path):
+    """Every (line number, object) the reader yields, then its error as
+    (type, message), if it raises one."""
+    out = []
+    try:
+        for item in reader(path):
+            out.append(item)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# Lines the scanner alone would read otherwise than json.loads, or not at all.
+ODD_LINES = [
+    "", " ", "\x0c", "\t", " {}", "{} ", "{}\x0c", "{}\t", "\ufeff{}", "{}{}", '{"a": 1} {"b": 2}',
+    '{"a":', '1}', "[" * 40 + "]" * 40, '{"deep": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"big": ' + "7" * 5000 + "}", "NaN", '"text"', "nul", '{"s": "\u2028\x85"}',
+]
+line_contents = st.one_of(
+    st.builds(json.dumps, st.dictionaries(st.text(max_size=4), json_values, max_size=4)),
+    st.builds(json.dumps, json_values),
+    st.builds(json.dumps, json_values, ensure_ascii=st.booleans(), indent=st.sampled_from([None, 1])),
+    st.sampled_from(ODD_LINES),
+)
+jsonl_files = st.builds(
+    lambda bom, lines, last_end, bad: (
+        (b"\xef\xbb\xbf" if bom else b"")
+        + b"".join(text.encode() + end for text, end in lines)
+        + last_end
+        + (b"{\"x\": \"\xff\"}\n" if bad else b"")
+    ),
+    st.booleans(),
+    st.lists(st.tuples(line_contents, st.sampled_from([b"\n", b"\r\n", b"\r", b"  \n"])), max_size=8),
+    st.sampled_from([b"", b"{}", b"{} ", b"\n"]),
+    st.booleans(),
+)
+
+
+class TestReadJsonlOracle:
+    """_read_jsonl takes the C scanner's value only where json.loads would
+    give the same; everywhere else it reads as the reference, error for error."""
+
+    @settings(max_examples=400)
+    @given(jsonl_files)
+    @example(b'{"a": 1}\n\n \n\x0c\n{"b": [1, 2]}\r\n{"c": 3}\r{"d": 4}  \n')
+    @example(b'\xef\xbb\xbf{"a": 1}\n')
+    @example(b'{"a": 1}{"b": 2}\n')
+    @example(b'{"a":\n 1}\n')
+    @example(b'{"deep": ' + b"[" * 5000 + b"]" * 5000 + b'}\n')
+    @example(b'{"big": ' + b"7" * 5000 + b'}\n')
+    @example(b'{"a": 1}\n{"b": "\xff"}\n')
+    def test_matches_reference(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+        path.write_bytes(content)
+        assert read_all(_read_jsonl, path) == read_all(reference_read_jsonl, path)
+
+
+def _malformed(tmp_path, text="{\"a\": 1}\n{oops\n"):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# Each loader that pauses the collector, with a call that fails on a malformed input.
+PAUSED_LOADERS = {
+    "load_json": lambda p: load_json(p),
+    "load_support_corpus": load_support_corpus,
+    "load_labeled_dataset": load_labeled_dataset,
+    "load_ontology": lambda p: load_ontology(SimpleNamespace(
+        concepts_path=p, hierarchy_path=p, stopword_paths={})),
+    "build_interpreter": lambda p: build_interpreter(
+        SupportIndex({"c1", "c2"}, [SupportArticle("c1", "en", text="apple")]), "en", {"c1", "c2"}, 5),
+}
+
+
+class TestPausedCollector:
+    @pytest.mark.parametrize("name", PAUSED_LOADERS)
+    def test_a_failing_loader_leaves_the_collector_on(self, tmp_path, name):
+        assert gc.isenabled()
+        with pytest.raises(DataError):
+            PAUSED_LOADERS[name](_malformed(tmp_path))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", PAUSED_LOADERS)
+    def test_a_disabled_collector_stays_disabled(self, tmp_path, name):
+        gc.disable()
+        try:
+            with pytest.raises(DataError):
+                PAUSED_LOADERS[name](_malformed(tmp_path))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_loader_pauses_the_collector_while_it_reads(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(obj, *args):
+            seen.append(gc.isenabled())
+            return json_field(obj, *args)
+
+        monkeypatch.setattr("xlcat.corpus.json_field", spy)
+        path = tmp_path / "d.jsonl"
+        save_labeled_dataset([LabeledDocument("d1", "en", "a")], path)
+        load_labeled_dataset(path)
+        assert seen and not any(seen)
+        assert gc.isenabled()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -180,7 +181,7 @@ class TestBuildFeatureSpace:
         h, si = two_language_setup()
         docs = [LabeledDocument("d1", "en", "apple hammer", "x")]
         space, vecs = build_feature_space(docs, si, h, k_doc=5, m=0)
-        assert space.concepts == ["fruit", "tool"]
+        assert space.concepts == ("fruit", "tool")
         assert vecs == [frozenset({0, 1})]
 
     def test_disjoint_docs_sum_sizes(self):
@@ -379,7 +380,7 @@ def reference_select_features(space, vectors, labels, n):
     kept = sorted(ranked[:n])
     new_index = {old: new for new, old in enumerate(kept)}
     remapped = [frozenset(new_index[i] for i in vec if i in new_index) for vec in vectors]
-    return [space.concepts[i] for i in kept], remapped
+    return tuple(space.concepts[i] for i in kept), remapped
 
 
 class TestInformationGainOracle:
@@ -458,7 +459,7 @@ class TestSelectFeatures:
     def test_keeps_highest_gain(self):
         space, vectors, labels = self._setup()
         reduced, new_vecs = select_features(space, vectors, labels, 1)
-        assert reduced.concepts == ["a"]  # the perfect-split feature
+        assert reduced.concepts == ("a",)  # the perfect-split feature
         assert new_vecs == [frozenset({0}), frozenset({0}), frozenset(), frozenset()]
 
     def test_stable_across_runs(self):
@@ -473,7 +474,7 @@ class TestSelectFeatures:
         vectors = [frozenset({0, 2}), frozenset({1})]
         labels = ["+", "-"]
         reduced, _ = select_features(space, vectors, labels, 2)
-        assert reduced.concepts == [c for c in space.concepts if c in set(reduced.concepts)]
+        assert reduced.concepts == tuple(c for c in space.concepts if c in set(reduced.concepts))
 
 
 class TestPersistence:
@@ -491,6 +492,20 @@ class TestPersistence:
         """Such a space used to construct and save, and then not load."""
         with pytest.raises(DataError, match=r"^'concepts' must hold only strings, got (None|1)$"):
             FeatureSpace(concepts)
+
+    def test_concepts_cannot_change_after_the_checks(self, tmp_path):
+        """A space's concept list used to be the caller's list: appending to
+        it saved a file that load refused, and left the concept out of index."""
+        given = ["a"]
+        space = FeatureSpace(given)
+        given.append("a")
+        assert space.concepts == ("a",) and space.index == {"a": 0}
+        with pytest.raises(AttributeError):
+            space.concepts.append("b")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.concepts = ["a", "a"]
+        space.save(tmp_path / "space.json")
+        assert FeatureSpace.load(tmp_path / "space.json") == space
 
     def test_vectors_round_trip(self, tmp_path):
         docs = [

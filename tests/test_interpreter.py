@@ -321,6 +321,16 @@ class TestPersistence:
         for doc in (["apple"], ["apple", "cherry"], ["banana"], []):
             assert interpret(loaded, doc) == interpret(fruit_si, doc)
 
+    def test_a_saved_k_term_out_of_range_is_a_bad_file(self, tmp_path, fruit_si):
+        """The constructor's check, reported as a bad file (an interpreter
+        built with such a k_term used to save, and then not load)."""
+        path = tmp_path / "si.json"
+        fruit_si.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "k_term": 0}), encoding="utf-8")
+        with pytest.raises(InterpreterError, match=r": bad interpreter file: 'k_term' must be an integer >= 1, got 0$"):
+            SemanticInterpreter.load(path)
+
     def test_magic_header_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 from xlcat import _util
 from xlcat._util import (
     _CHUNK, ARTIFACT_VERSIONS, JsonConfig, block_bounds, cpu_blocks, dump_artifact, dump_json, envelope, forked,
-    json_field, ordered_map,
+    json_field, load_json, ordered_map, paused_gc,
 )
 from xlcat.corpus import ARTICLE_FLAGS, FilterConfig, LabeledDocument, SupportArticle
 from xlcat.errors import CorpusFormatError, DataError, SetupViolation
 from xlcat.features import FeatureSpace, document_features, enrich_with_meta, select_features
-from xlcat.interpreter import build_interpreter, top_k_features
+from xlcat.interpreter import InterpreterError, SemanticInterpreter, build_interpreter, top_k_features
 from xlcat.learner import TrainingError, train
 from xlcat.ontology import Hierarchy, SupportIndex
 from xlcat.pipeline import ExperimentConfig, Hyperparams, ablation
@@ -431,6 +432,7 @@ _DOC = LabeledDocument("d", "en", "apple")
 INTEGER_ARGUMENTS = [
     ("n", 1, ValueError, lambda n: select_features(FeatureSpace(["C"]), [frozenset({0})], ["x"], n)),
     ("k_term", 1, ValueError, lambda k: build_interpreter(_IDX, "en", {"C"}, k)),
+    ("'k_term'", 1, InterpreterError, lambda k: SemanticInterpreter("en", k, {})),
     ("k_doc", 1, ValueError, lambda k: top_k_features({"C": 1.0}, k)),
     ("k_doc", 1, ValueError, lambda k: document_features(_DOC, {"en": _SI}, _H, k, 1)),
     ("m", 0, ValueError, lambda m: document_features(_DOC, {"en": _SI}, _H, 1, m)),
@@ -457,3 +459,29 @@ def test_every_integer_argument_takes_the_one_rule(name, low, error, call, value
     with pytest.raises(error) as raised:
         call(value)
     assert str(raised.value) == f"{name} must be an integer >= {low}, got {value!r}"
+
+
+class TestPausedGc:
+    def test_nested_pauses_restore_the_state_found(self):
+        assert gc.isenabled()
+        with pytest.raises(KeyError):
+            with paused_gc():
+                with paused_gc():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()  # the inner pause found it off
+                raise KeyError("x")
+        assert gc.isenabled()
+
+    def test_a_decorated_function_keeps_its_name_and_pauses_each_call(self):
+        """The benchmark's tracer patches functions by dotted name."""
+        assert (load_json.__name__, load_json.__qualname__) == ("load_json", "load_json")
+        assert load_json.__wrapped__.__module__ == "xlcat._util"
+        seen = []
+
+        @paused_gc()
+        def probe():
+            seen.append(gc.isenabled())
+
+        probe()
+        probe()
+        assert seen == [False, False] and gc.isenabled()
