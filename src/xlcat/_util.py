@@ -30,6 +30,7 @@ from .errors import CorpusFormatError, DataError
 
 T = TypeVar("T")
 R = TypeVar("R")
+_in_child = False  # set in a child of `forked`, so that a forked task never forks
 
 
 def abridged(value: object) -> str:
@@ -81,9 +82,9 @@ def _usable_cpus() -> int:
 
 def fork_workers() -> int:
     """The processes `forked` may use, this one included: the usable CPUs, or
-    1 without os.fork or beside another live thread (fork() copies only the
-    calling thread, and another's locks would stay held in the child)."""
-    return _usable_cpus() if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    1 in a child of `forked`, without os.fork or beside another live thread
+    (fork() copies only the calling thread, and another's locks would stay held in the child)."""
+    return _usable_cpus() if hasattr(os, "fork") and not _in_child and threading.active_count() == 1 else 1
 
 
 @contextmanager
@@ -96,6 +97,7 @@ def forked(tasks: Sequence[Callable[[], T]]) -> Iterator[list[T]]:
     non-zero runs here again, in order, to give its value or raise its
     error. With fork_workers() 1 the tasks run after the body. Only its
     value and its files leave a child; the body must not touch those files."""
+    global _in_child
     forking, pids, pipes, results = fork_workers() > 1, [], [], []
     try:
         for task in tasks if forking else ():
@@ -106,6 +108,7 @@ def forked(tasks: Sequence[Callable[[], T]]) -> Iterator[list[T]]:
                 sys.stderr.flush()
                 pid = os.fork()
                 if pid == 0:  # the child: exit 0 once its value is in the pipe, else 1
+                    _in_child = True
                     try:
                         for pipe in pipes:  # so a pipe the parent closes has no reader left
                             pipe.close()
@@ -128,7 +131,8 @@ def forked(tasks: Sequence[Callable[[], T]]) -> Iterator[list[T]]:
 @contextmanager
 def paused_gc() -> Iterator[None]:
     """The body, or the function it decorates, with the collector off, then on if it was: for a
-    body that builds only acyclic values, never around a `yield` or a `forked` call."""
+    body that builds only acyclic values, never around a `yield`. A child `forked` inside
+    inherits the pause and ends by os._exit, so the pause cannot outlive the body."""
     enabled = gc.isenabled()
     gc.disable()
     try:

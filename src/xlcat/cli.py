@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._util import dump_json, dump_jsonl, json_field
+from ._util import dump_json, dump_jsonl, json_field, paused_gc
 from .corpus import load_labeled_dataset, read_records
 from .errors import DataError, SetupViolation
 from .features import FeatureSpace, build_feature_space, load_vectors, project_documents, save_vectors, select_features
@@ -295,15 +295,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        cfg = args.read(args.config) if args.read else None
-        if cfg is not None and args.seed is not None:
-            if args.command == "experiment" and cfg.seeds:
-                raise DataError(f"--seed {args.seed} would be ignored: the config field 'seeds' "
-                                f"sets the experiment's seeds to {list(cfg.seeds)}")
-            cfg = replace(cfg, seed=args.seed)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        args.func(args, cfg, out)
+        with paused_gc():  # a command builds no reference cycle (tests/test_gc.py)
+            cfg = args.read(args.config) if args.read else None
+            if cfg is not None and args.seed is not None:
+                if args.command == "experiment" and cfg.seeds:
+                    raise DataError(f"--seed {args.seed} would be ignored: the config field 'seeds' "
+                                    f"sets the experiment's seeds to {list(cfg.seeds)}")
+                cfg = replace(cfg, seed=args.seed)
+            out = Path(args.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            args.func(args, cfg, out)
         return EXIT_OK
     except SetupViolation as exc:
         print(f"setup violation: {exc}", file=sys.stderr)

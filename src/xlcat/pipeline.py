@@ -68,6 +68,14 @@ class Hyperparams(JsonConfig):
                             f"a finite inverse, got {abridged(self.lambda_)}")
 
 
+def _resolve(p, base_dir: str | Path):
+    """p, or each path in object p, against base_dir where relative; a path of another JSON type
+    is left for the field check to name. Not a closure: a recursive one is a cycle per call."""
+    if type(p) is dict:
+        return {k: _resolve(v, base_dir) for k, v in p.items()}
+    return str(Path(base_dir) / p) if type(p) is str and not Path(p).is_absolute() else p
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(JsonConfig):
     """One experiment's setup, inputs and hyperparameters: a JsonConfig with
@@ -131,15 +139,10 @@ class ExperimentConfig(JsonConfig):
 
     @classmethod
     def from_dict(cls, d: Mapping, base_dir: str | Path = ".") -> "ExperimentConfig":
-        def resolve(p):  # a path of another JSON type is left for the field check to name
-            if type(p) is dict:
-                return {k: resolve(v) for k, v in p.items()}
-            return str(Path(base_dir) / p) if type(p) is str and not Path(p).is_absolute() else p
-
         d = json_field(d, None, dict)
         json_field(d, None, dict, keys={key for key in d if "." not in key})  # "paths.corpus" only under "paths"
-        flat = {key: resolve(v) if key == "stopwords" else v for key, v in d.items() if key != "paths"}
-        flat.update(("paths." + key, resolve(v)) for key, v in json_field(d, "paths", dict).items())
+        flat = {key: _resolve(v, base_dir) if key == "stopwords" else v for key, v in d.items() if key != "paths"}
+        flat.update(("paths." + key, _resolve(v, base_dir)) for key, v in json_field(d, "paths", dict).items())
         return super().from_dict(flat)
 
     def to_dict(self) -> dict:
@@ -292,6 +295,7 @@ def _construct_virtual_docs(cfg, h, idx) -> list:
     return tables
 
 
+@paused_gc()
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: Optional[str | Path] = None,
@@ -483,6 +487,7 @@ def _score(space: FeatureSpace, model: LinearModel, test_features: List[Tuple[st
                     [label for label, _ in test_features])
 
 
+@paused_gc()
 def run_seeds(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> dict:
     """Run the experiment once per seed s of cfg.seeds, a nonempty list, and
     aggregate mean/stdev metrics. Seed s's report holds cfg with seed s and
@@ -516,6 +521,7 @@ def run_seeds(cfg: ExperimentConfig, out_dir: Optional[str | Path] = None) -> di
     return aggregate
 
 
+@paused_gc()
 def ablation(
     cfg: ExperimentConfig,
     toggle: str,

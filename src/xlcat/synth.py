@@ -63,7 +63,7 @@ class SyntheticCorpusSpec(JsonConfig):
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 <= self.noise_rate < 1.0:
-            raise DataError("noise_rate must lie in [0, 1)")
+            raise DataError(f"synthetic spec field 'noise_rate' must lie in [0, 1), got {self.noise_rate!r}")
         if self.category_layout not in ("blocked", "interleaved"):
             raise DataError(f"synthetic spec field 'category_layout' must be 'blocked' or 'interleaved', "
                             f"got {abridged(self.category_layout)}")

@@ -255,6 +255,7 @@ BAD_SYNTH_SPECS = [
      "synthetic spec field 'category_layout' must be 'blocked' or 'interleaved', got 'x'"),
     ({"n_concepts": 6, "train_concept_fraction": 0.0},
      "synthetic spec field 'train_concept_fraction' must lie in (0, 1], got 0.0"),
+    ({"n_concepts": 6, "noise_rate": 1.5}, "synthetic spec field 'noise_rate' must lie in [0, 1), got 1.5"),
     ({"n_concepts": 6, "group_word_weight": 0.5, "cross_group_word_weight": 0.5},
      "synthetic spec fields 'group_word_weight' and 'cross_group_word_weight' must sum to less than 1, got 0.5 and 0.5"),
     ({"n_concepts": 2, "n_categories": 3}, "'n_categories' must be at most 'n_concepts'"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 from collections import Counter
 
@@ -281,6 +282,27 @@ class TestProjectDocumentsOracle:
         monkeypatch.setattr(_util, "_usable_cpus", lambda: cpus)
         project_documents(FeatureSpace(["things", "fruit"]), docs, si, h, k_doc=5, m=1)
         assert Counter(tokenized) == Counter(d.text for d in docs)  # a child's calls would not show here
+        assert_no_child_left()
+
+    def test_a_forked_task_maps_every_block_in_its_child_and_forks_nothing(self, monkeypatch, forks):
+        """In a child of _util.forked, fork_workers() is 1, so the child maps
+        its documents in one block however many CPUs it may use."""
+        h, si = two_language_setup()
+        space = FeatureSpace(["things", "fruit"])
+        docs = [LabeledDocument(f"d{i}", lang, " ".join(_WORDS[lang][i:i + 3]), None)
+                for i in range(4) for lang in sorted(_WORDS)]
+        expected = [space.vector_for(features.document_features(d, si, h, 5, 1)) for d in docs]
+        monkeypatch.setattr(_util, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def task():  # the forks the child counts include the one that made it
+            vectors = project_documents(space, docs, si, h, 5, 1)
+            return os.getpid() != parent, _util.fork_workers(), vectors, len(forks)
+
+        with _util.forked([task]) as results:
+            pass
+        assert results == [(True, 1, expected, 1)]
+        assert len(forks) == 1 and _util.fork_workers() == 3
         assert_no_child_left()
 
 
